@@ -16,9 +16,8 @@ the gate exists to surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .catalog import ControlId
 from .errors import ConsistencyError, ValidationError
@@ -29,8 +28,7 @@ from .staging import Stage, StagePlan
 MeasurementSet = Mapping[ControlId, int]
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     """One control measured below its minimum."""
 
     control: ControlId
@@ -40,8 +38,7 @@ class Gap:
     priority: bool
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """Outcome of one stage: membership, exact average, completeness, failures.
 
     `average` is None only for a stage with no controls (possible after heavy
@@ -56,8 +53,7 @@ class StageResult:
     failing: tuple[Gap, ...]
 
 
-@dataclass(frozen=True)
-class MisallocationFinding:
+class MisallocationFinding(NamedTuple):
     """A later-stage control outscoring an earlier-stage failing control.
 
     One finding per (later, earlier) stage pair, carrying the extreme example
@@ -73,8 +69,7 @@ class MisallocationFinding:
     earlier_level: int
 
 
-@dataclass(frozen=True)
-class AssessmentResult:
+class AssessmentResult(NamedTuple):
     """Complete outcome of one gated evaluation, self-contained for reporting."""
 
     stage_results: tuple[StageResult, StageResult, StageResult, StageResult]

@@ -16,8 +16,7 @@ the same checks as a findings report for diagnostics.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -26,8 +25,7 @@ SECTION_MIN = 5
 SECTION_MAX = 18
 
 
-@dataclass(frozen=True, order=True)
-class ControlId:
+class ControlId(NamedTuple):
     """Identifier of one control, ordered by (section, objective, control)."""
 
     section: int
@@ -54,7 +52,7 @@ def parse_control_id(text: str) -> ControlId:
         raise ValidationError(f"control id {raw!r} must have three numeric fields")
     numbers = []
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValidationError(f"control id {raw!r}: field {part!r} is not a number")
         numbers.append(int(part))
     section, objective, control = numbers
@@ -67,8 +65,7 @@ def parse_control_id(text: str) -> ControlId:
     return ControlId(section, objective, control)
 
 
-@dataclass(frozen=True)
-class Control:
+class Control(NamedTuple):
     """One catalog entry. Texts are display-only; the id is the contract."""
 
     id: ControlId
@@ -77,8 +74,7 @@ class Control:
     objective_text: str
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     """Prerequisite edges as (prerequisite, dependent) pairs, stored sorted."""
 
     edges: tuple[tuple[ControlId, ControlId], ...] = ()
@@ -87,23 +83,23 @@ class DependencyGraph:
     def from_pairs(cls, pairs: Iterable[tuple[ControlId, ControlId]]) -> "DependencyGraph":
         return cls(tuple(sorted(set(pairs))))
 
-    def dependents_of(self, cid: ControlId) -> tuple[ControlId, ...]:
-        return tuple(d for p, d in self.edges if p == cid)
 
-    def prerequisites_of(self, cid: ControlId) -> tuple[ControlId, ...]:
-        return tuple(p for p, d in self.edges if d == cid)
-
-
-@dataclass
 class ControlCatalog:
     """Immutable-after-load collection of controls plus their dependency graph."""
 
-    controls: tuple[Control, ...]
-    dependencies: DependencyGraph = field(default_factory=DependencyGraph)
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("controls", "dependencies", "_by_id")
 
-    def __post_init__(self) -> None:
-        self._by_id = {c.id: c for c in self.controls}
+    def __init__(
+        self, controls: tuple[Control, ...], dependencies: DependencyGraph = DependencyGraph()
+    ) -> None:
+        self.controls = controls
+        self.dependencies = dependencies
+        self._by_id = {c.id: c for c in controls}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ControlCatalog):
+            return NotImplemented
+        return (self.controls, self.dependencies) == (other.controls, other.dependencies)
 
     def __contains__(self, cid: ControlId) -> bool:
         return cid in self._by_id
@@ -121,8 +117,7 @@ class ControlCatalog:
         return tuple(c.id for c in self.controls)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One dependency-validation problem: kind is a stable machine tag."""
 
     kind: str

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
@@ -40,7 +39,7 @@ from .files import (
     write_text_atomic,
 )
 from .importance import ingest_responses, merge_responses
-from .minimums import ApplicabilityMap, FixedMinimums, RiskMinimums, build_minimum_db
+from .minimums import LEVEL_MAX, ApplicabilityMap, FixedMinimums, RiskMinimums, build_minimum_db
 from .reporting import (
     HUMAN,
     STRUCTURED,
@@ -72,7 +71,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone  # only runs without --timestamp
+
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _fixed_level(text: str) -> int:
+    """Parse --fixed-level; a value outside 1..5 is a usage error."""
+    try:
+        level = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= level <= LEVEL_MAX:
+        raise argparse.ArgumentTypeError(f"minimum level {level} outside 1..{LEVEL_MAX}")
+    return level
 
 
 def _load_catalog(args) -> ControlCatalog:
@@ -313,7 +325,9 @@ def _add_common_assess_flags(parser) -> None:
     parser.add_argument("--applicability", help="applicability CSV (control_id,applicable,justification)")
     parser.add_argument("--survey", help="survey CSV (respondent_id,control_id,score)")
     parser.add_argument("--ratings", help="risk ratings CSV (control_id,probability,impact)")
-    parser.add_argument("--fixed-level", type=int, help="use one fixed minimum level instead of ratings")
+    parser.add_argument(
+        "--fixed-level", type=_fixed_level, help="use one fixed minimum level (1..5) instead of ratings"
+    )
     _add_catalog_flag(parser)
     parser.add_argument("--company", default="unnamed", help="organization name for the report header")
     parser.add_argument("--timestamp", help="report timestamp (default: current UTC time)")

@@ -6,7 +6,8 @@ and mismatched kinds. Serialization is canonical (sorted keys, two-space
 indent, trailing newline), so equal values always produce identical bytes,
 which is what makes the determinism guarantees testable at the file level.
 
-CSV inputs are UTF-8 with a mandatory header row:
+CSV inputs are UTF-8 (an optional byte-order mark is skipped) with a
+mandatory header row:
 
     survey         respondent_id,control_id,score        (score 1..5)
     ratings        control_id,probability,impact         (low|medium|high)
@@ -380,7 +381,7 @@ _FALSE_WORDS = {"false", "no"}
 def _csv_rows(path: str | Path, header: list[str]):
     source = str(path)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=source) from None
     with handle:

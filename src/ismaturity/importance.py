@@ -9,16 +9,16 @@ arithmetic would manufacture or destroy such ties.
 
 Raw scores are also what makes resubmission honest: replacing a respondent's
 earlier submission must subtract their old answers, which aggregate
-(sum, count) pairs alone cannot do. The aggregates remain the published
-surface via sum_and_count()/control_average().
+(sum, count) pairs alone cannot do. The aggregates, computed once per
+database in a single pass over the raw scores, remain the published surface
+via sum_and_count()/control_average().
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .catalog import ControlCatalog, ControlId
 from .errors import ConsistencyError, ValidationError
@@ -31,8 +31,7 @@ class IncompleteSurveyWarning(UserWarning):
     """A respondent did not score every control in the catalog."""
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
+class SurveyResponse(NamedTuple):
     """One survey row: a respondent's importance score for one control."""
 
     respondent_id: str
@@ -40,17 +39,40 @@ class SurveyResponse:
     score: int
 
 
-@dataclass(frozen=True)
 class ImportanceDatabase:
     """Accumulated Likert scores, keyed respondent -> control -> score.
 
     `controls` fixes the catalog universe the database was built against, so
     controls nobody scored still report (sum 0, count 0) rather than vanishing.
-    Treat instances as immutable; ingest and merge always return new ones.
+    Instances are immutable; ingest and merge always return new ones. The
+    per-control (sum, count) totals are computed once, here, from the raw
+    scores; scores for controls outside `controls` are not counted.
     """
 
-    controls: tuple[ControlId, ...]
-    responses: Mapping[str, Mapping[ControlId, int]]
+    __slots__ = ("controls", "responses", "_totals")
+
+    def __init__(
+        self, controls: tuple[ControlId, ...], responses: Mapping[str, Mapping[ControlId, int]]
+    ) -> None:
+        sums = dict.fromkeys(controls, 0)
+        counts = dict.fromkeys(controls, 0)
+        for scores in responses.values():
+            for cid, score in scores.items():
+                if cid in sums:
+                    sums[cid] += score
+                    counts[cid] += 1
+        set_field = object.__setattr__
+        set_field(self, "controls", controls)
+        set_field(self, "responses", responses)
+        set_field(self, "_totals", {cid: (sums[cid], counts[cid]) for cid in sums})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ImportanceDatabase):
+            return NotImplemented
+        return (self.controls, self.responses) == (other.controls, other.responses)
 
     @property
     def respondents(self) -> tuple[str, ...]:
@@ -58,16 +80,10 @@ class ImportanceDatabase:
 
     def sum_and_count(self, cid: ControlId) -> tuple[int, int]:
         """Exact (sum of scores, number of responses) for one control."""
-        if cid not in set(self.controls):
-            raise ValidationError(f"control {cid} is not in this database's catalog")
-        total = 0
-        count = 0
-        for scores in self.responses.values():
-            score = scores.get(cid)
-            if score is not None:
-                total += score
-                count += 1
-        return total, count
+        try:
+            return self._totals[cid]
+        except KeyError:
+            raise ValidationError(f"control {cid} is not in this database's catalog") from None
 
     def average(self, cid: ControlId) -> Fraction:
         total, count = self.sum_and_count(cid)

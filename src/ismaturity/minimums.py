@@ -13,9 +13,8 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .catalog import ControlCatalog, ControlId
 from .errors import ConsistencyError, ValidationError
@@ -66,8 +65,7 @@ def parse_risk_grade(text: str) -> RiskGrade:
         raise ValidationError(f"unknown risk grade {text!r} (expected low, medium or high)") from None
 
 
-@dataclass(frozen=True)
-class MinimumRequirement:
+class MinimumRequirement(NamedTuple):
     """Minimum acceptable maturity level for one applicable control.
 
     `raw_score` keeps the undiminished weight sum (2..6) in risk mode so the
@@ -90,20 +88,29 @@ def risk_minimum(probability: RiskGrade, impact: RiskGrade) -> MinimumRequiremen
     return MinimumRequirement(required_level=min(raw, LEVEL_MAX), priority=raw == 6, raw_score=raw)
 
 
-@dataclass(frozen=True)
 class ApplicabilityMap:
     """Sparse map of not-applicable controls to their mandatory justifications.
 
     Controls absent from the map are applicable; there is no way to record an
-    exclusion without a written reason.
+    exclusion without a written reason. Instances are immutable.
     """
 
-    not_applicable: Mapping[ControlId, str] = field(default_factory=dict)
+    __slots__ = ("not_applicable",)
 
-    def __post_init__(self) -> None:
-        for cid, justification in self.not_applicable.items():
+    def __init__(self, not_applicable: Mapping[ControlId, str] | None = None) -> None:
+        not_applicable = {} if not_applicable is None else not_applicable
+        for cid, justification in not_applicable.items():
             if not justification or not justification.strip():
                 raise ValidationError(f"control {cid} marked not applicable without a justification")
+        object.__setattr__(self, "not_applicable", not_applicable)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ApplicabilityMap):
+            return NotImplemented
+        return self.not_applicable == other.not_applicable
 
     def is_applicable(self, cid: ControlId) -> bool:
         return cid not in self.not_applicable
@@ -135,22 +142,19 @@ def mark_applicable(amap: ApplicabilityMap, cid: ControlId) -> ApplicabilityMap:
     return ApplicabilityMap(not_applicable=entries)
 
 
-@dataclass(frozen=True)
-class FixedMinimums:
+class FixedMinimums(NamedTuple):
     """Mode: one fixed floor (1..5) for every applicable control."""
 
     level: int
 
 
-@dataclass(frozen=True)
-class RiskMinimums:
+class RiskMinimums(NamedTuple):
     """Mode: per-control (probability, impact) ratings fed through the matrix."""
 
     ratings: Mapping[ControlId, tuple[RiskGrade, RiskGrade]]
 
 
-@dataclass(frozen=True)
-class MinimumLevelDatabase:
+class MinimumLevelDatabase(NamedTuple):
     """Per-control minimum requirements plus the exclusions they were built with.
 
     `mode` is the human-readable tag ("fixed:<n>" or "risk"); `excluded` maps

@@ -16,9 +16,8 @@ Level 3.30 (Defined)".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .assessment import (
     AssessmentResult,
@@ -73,8 +72,7 @@ def label_line(stage: Stage, level: Fraction | None) -> str:
     )
 
 
-@dataclass(frozen=True)
-class StageRow:
+class StageRow(NamedTuple):
     """One line of the report's stage table."""
 
     stage: Stage
@@ -84,8 +82,7 @@ class StageRow:
     failing_count: int
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Everything one assessment run produced, ready to serialize."""
 
     company: str
@@ -446,8 +443,7 @@ def _render_human(doc: ReportDocument) -> str:
 # ---------------------------------------------------------------------------
 # Mode comparison
 
-@dataclass(frozen=True)
-class ModeComparison:
+class ModeComparison(NamedTuple):
     """Side-by-side outcome of the two strategies plus the naive baseline."""
 
     independent_stage: Stage

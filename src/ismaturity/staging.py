@@ -14,10 +14,9 @@ one of its dependents.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .catalog import ControlCatalog, ControlId, DependencyGraph
 from .errors import ConsistencyError, ValidationError
@@ -50,8 +49,7 @@ PARTITIONED = "partitioned"
 PROMOTED = "promoted"
 
 
-@dataclass(frozen=True)
-class StagePlan:
+class StagePlan(NamedTuple):
     """Assignment of every applicable control to a stage.
 
     `provenance` records whether each control sits where the partition put it
@@ -78,8 +76,7 @@ class StagePlan:
         return frozenset(self.assignment) | frozenset(self.excluded)
 
 
-@dataclass(frozen=True)
-class StageDelta:
+class StageDelta(NamedTuple):
     """One difference between two plans; None stands for excluded."""
 
     control: ControlId
@@ -128,7 +125,9 @@ def partition_quartiles(
         raise ValidationError(
             f"last boundary {bounds[-1]} must equal the control count {len(averages)}"
         )
-    order = sorted(averages, key=lambda cid: (-averages[cid], cid))
+    # Rank the distinct averages once, so the sort compares ints, not Fractions.
+    rank = {value: i for i, value in enumerate(sorted(set(averages.values()), reverse=True))}
+    order = sorted(averages, key=lambda cid: (rank[averages[cid]], cid))
     assignment: dict[ControlId, Stage] = {}
     provenance: dict[ControlId, str] = {}
     index = 0
@@ -220,15 +219,16 @@ def build_stage_plan(
     excluded = applicability.excluded_within(catalog)
     excluded_set = set(excluded)
     applicable = [cid for cid in catalog.control_ids() if cid not in excluded_set]
-    unscored = [cid for cid in applicable if db.sum_and_count(cid)[1] == 0]
+    totals = {cid: db.sum_and_count(cid) for cid in applicable}
+    unscored = [cid for cid, (_, count) in totals.items() if count == 0]
     if unscored:
         raise ConsistencyError(
             "applicable controls without survey responses: "
             + ", ".join(str(cid) for cid in unscored)
         )
-    averages = {cid: db.average(cid) for cid in applicable}
+    averages = {cid: Fraction(total, count) for cid, (total, count) in totals.items()}
     plan = partition_quartiles(averages, default_boundaries(len(applicable)))
-    plan = replace(plan, excluded=excluded)
+    plan = plan._replace(excluded=excluded)
     return promote_prerequisites(plan, catalog.dependencies)
 
 

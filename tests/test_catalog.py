@@ -44,7 +44,11 @@ def test_parse_accepts_bare_and_lowercase_spellings():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "A.5.1", "A.5.1.1.1", "A.x.1.1", "A.4.1.1", "A.19.1.1", "A.5.0.1", "A.5.1.0", "B.5.1.1"],
+    [
+        "", "A.5.1", "A.5.1.1.1", "A.x.1.1", "A.4.1.1", "A.19.1.1", "A.5.0.1", "A.5.1.0", "B.5.1.1",
+        # digits outside ASCII: a superscript int() rejects, an Arabic-Indic five it accepts
+        "A.5.1.\u00b2", "A.\u0665.1.1",
+    ],
 )
 def test_parse_rejects_malformed_ids(text):
     with pytest.raises(ValidationError):

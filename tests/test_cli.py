@@ -1,9 +1,14 @@
 """End-to-end command-line behaviour: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ismaturity
 from ismaturity.files import parse_document, read_document
 from ismaturity.reporting import parse_report
 
@@ -83,6 +88,25 @@ def test_independent_mode_rejects_both_minimum_sources(run_cli, ca):
     code, _, err = run_cli(*assess_args(ca, "--fixed-level", "3"))
     assert code == 64
     assert "not both" in err
+
+
+@pytest.mark.parametrize("level", ["0", "6"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("assess", "--mode", "model"),
+        ("assess", "--mode", "independent", "--survey", "{survey}"),
+        ("compare-modes", "--survey", "{survey}"),
+    ],
+    ids=["assess-model", "assess-independent", "compare-modes"],
+)
+def test_fixed_level_out_of_range_is_a_usage_error(run_cli, ca, command, level):
+    code, _, err = run_cli(
+        *(arg.format(**ca) for arg in command),
+        "--measurements", ca["measurements"], "--fixed-level", level,
+    )
+    assert code == 64
+    assert f"--fixed-level: minimum level {level} outside 1..5" in err
 
 
 def test_independent_mode_needs_a_minimum_source(run_cli, ca):
@@ -356,3 +380,24 @@ def test_structured_report_is_valid_json_with_expected_kind(run_cli, ca, tmp_pat
         "level_name": "Defined",
         "incomplete": False,
     }
+
+
+def test_bom_prefixed_csv_gives_identical_reports(run_cli, ca, tmp_path, ca_paths):
+    bom = tmp_path / "measurements.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + ca_paths["measurements"].read_bytes())
+    outputs = []
+    for name, paths in (("plain", ca), ("bom", {**ca, "measurements": str(bom)})):
+        doc, text = tmp_path / f"{name}.json", tmp_path / f"{name}.txt"
+        assert run_cli(*assess_args(paths, "--out", doc, "--out-text", text))[0] == 0
+        outputs.append((doc.read_bytes(), text.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_skips_dataclasses_and_datetime():
+    # -S keeps site hooks (.pth files) from importing modules on their own
+    env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
+    probe = "import sys, ismaturity.cli; print(sorted({'dataclasses', 'datetime'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

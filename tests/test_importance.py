@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ismaturity import (
     ConsistencyError,
@@ -139,3 +141,37 @@ def test_bundled_panel_covers_every_control(catalog):
         total, count = db.sum_and_count(cid)
         assert count == 40
         assert Fraction(total, count) == db.average(cid)
+
+
+# One step: an operation and its batch, respondent -> control -> score.
+_batches = st.dictionaries(
+    st.sampled_from(["r0", "r1", "r2", "r3"]),
+    st.dictionaries(st.sampled_from(IDS), st.integers(1, 5), min_size=1),
+)
+_steps = st.lists(st.tuples(st.sampled_from(["ingest", "merge", "replace"]), _batches), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steps)
+def test_totals_match_a_recount_after_any_ingest_and_merge(steps):
+    catalog = make_catalog(IDS)
+    db = ingest_responses([], catalog)
+    for operation, batch in steps:
+        rows = [
+            response(respondent, text, score)
+            for respondent, scores in batch.items()
+            for text, score in scores.items()
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncompleteSurveyWarning)
+            if operation == "ingest":
+                db = ingest_responses(rows, catalog)
+            elif operation == "replace":
+                db = merge_responses(db, rows, replace=True)
+            elif not set(batch) & set(db.responses):
+                db = merge_responses(db, rows)
+        for cid in catalog.control_ids():
+            scores = [s[cid] for s in db.responses.values() if cid in s]
+            assert db.sum_and_count(cid) == (sum(scores), len(scores))
+        with pytest.raises(ValidationError, match="not in this database's catalog"):
+            db.sum_and_count(parse_control_id("A.9.9.9"))
