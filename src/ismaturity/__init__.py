@@ -6,24 +6,22 @@ implementation stages, attach per-control minimum maturity levels (one fixed
 floor, or levels derived from probability/impact risk ratings), evaluate
 measured maturity levels stage by stage with prefix gating, and render the
 results as reports with gap and misallocation analysis.
+
+The top level exports the names callers use. Everything else (document
+codecs, report rendering, most record types) is imported from its submodule,
+e.g. ismaturity.files or ismaturity.reporting.
 """
 
 from .assessment import (
-    AssessmentResult,
-    Gap,
-    MisallocationFinding,
-    StageResult,
     evaluate,
     gap_analysis,
     misallocation_findings,
     naive_average,
 )
 from .catalog import (
-    Control,
     ControlCatalog,
     ControlId,
     DependencyGraph,
-    Finding,
     load_catalog,
     parse_control_id,
     topological_order,
@@ -38,26 +36,16 @@ from .files import (
     load_measurements_csv,
     load_ratings_csv,
     load_survey_csv,
-    read_catalog_file,
-    read_importance_file,
-    read_minimum_db_file,
-    read_stage_plan_file,
 )
 from .importance import (
-    ImportanceDatabase,
     IncompleteSurveyWarning,
     SurveyResponse,
-    control_average,
     ingest_responses,
     merge_responses,
 )
 from .minimums import (
     ApplicabilityMap,
-    FixedMinimums,
-    MinimumLevelDatabase,
-    MinimumRequirement,
     RiskGrade,
-    RiskMinimums,
     build_minimum_db,
     level_name,
     mark_applicable,
@@ -65,22 +53,9 @@ from .minimums import (
     parse_risk_grade,
     risk_minimum,
 )
-from .reporting import (
-    ModeComparison,
-    ReportDocument,
-    build_report,
-    compare_modes,
-    format_level,
-    label_line,
-    parse_comparison,
-    parse_report,
-    render_comparison,
-    render_document,
-    render_report,
-)
+from .reporting import compare_modes, format_level, label_line
 from .staging import (
     Stage,
-    StageDelta,
     StagePlan,
     build_stage_plan,
     default_boundaries,
@@ -94,36 +69,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplicabilityMap",
-    "AssessmentResult",
     "ConsistencyError",
-    "Control",
     "ControlCatalog",
     "ControlId",
     "DependencyGraph",
-    "Finding",
-    "FixedMinimums",
-    "Gap",
-    "ImportanceDatabase",
     "IncompleteSurveyWarning",
     "MaturityError",
-    "MinimumLevelDatabase",
-    "MinimumRequirement",
-    "MisallocationFinding",
-    "ModeComparison",
-    "ReportDocument",
     "RiskGrade",
-    "RiskMinimums",
     "Stage",
-    "StageDelta",
     "StagePlan",
-    "StageResult",
     "SurveyResponse",
     "ValidationError",
     "build_minimum_db",
-    "build_report",
     "build_stage_plan",
     "compare_modes",
-    "control_average",
     "default_boundaries",
     "default_catalog",
     "default_importance_db",
@@ -146,19 +105,10 @@ __all__ = [
     "merge_responses",
     "misallocation_findings",
     "naive_average",
-    "parse_comparison",
     "parse_control_id",
-    "parse_report",
     "parse_risk_grade",
     "partition_quartiles",
     "promote_prerequisites",
-    "read_catalog_file",
-    "read_importance_file",
-    "read_minimum_db_file",
-    "read_stage_plan_file",
-    "render_comparison",
-    "render_document",
-    "render_report",
     "risk_minimum",
     "topological_order",
     "validate_dependencies",

@@ -69,6 +69,19 @@ class MisallocationFinding(NamedTuple):
     earlier_level: int
 
 
+class Label(NamedTuple):
+    """The gated result: the stage reached and its exact average.
+
+    `incomplete` marks the one case where even Essential is not complete
+    and the stage is only the entry stage; `level` is None for an empty
+    stage.
+    """
+
+    stage: Stage
+    level: Fraction | None
+    incomplete: bool
+
+
 class AssessmentResult(NamedTuple):
     """Complete outcome of one gated evaluation, self-contained for reporting."""
 
@@ -79,6 +92,10 @@ class AssessmentResult(NamedTuple):
     naive_average: Fraction
     priority_gaps: tuple[Gap, ...]
     measurements: Mapping[ControlId, int]
+
+    @property
+    def label(self) -> Label:
+        return Label(self.label_stage, self.label_level, self.label_incomplete)
 
     def stage_result(self, stage: Stage) -> StageResult:
         return self.stage_results[stage - 1]

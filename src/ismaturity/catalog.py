@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 
 # Annex A sections run A.5 through A.18; anything outside is a typo.
 SECTION_MIN = 5
@@ -43,6 +43,8 @@ def parse_control_id(text: str) -> ControlId:
     ControlId.__str__. Raises ValidationError naming the offending token for
     malformed input or for sections outside A.5 .. A.18.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"control id {text!r} is not a string")
     raw = text.strip()
     if not raw:
         raise ValidationError("empty control id")
@@ -238,18 +240,22 @@ def _cycle_findings(edges: Sequence[tuple[ControlId, ControlId]]) -> list[Findin
     return findings
 
 
-def topological_order(catalog: ControlCatalog) -> tuple[ControlId, ...]:
-    """Deterministic topological order over all controls.
+def topological_order(
+    nodes: Iterable[ControlId], edges: Iterable[tuple[ControlId, ControlId]]
+) -> tuple[ControlId, ...]:
+    """Deterministic topological order of `nodes` under prerequisite -> dependent `edges`.
 
-    Prerequisites come before their dependents; among controls whose relative
-    order the graph leaves free, ControlId ordering breaks the tie, so equal
-    catalogs always produce the identical sequence.
+    Kahn's algorithm with a heap: prerequisites come before their dependents,
+    and among nodes whose relative order the edges leave free, ControlId
+    ordering breaks the tie, so equal inputs always produce the identical
+    sequence. Every edge endpoint must be one of `nodes`; a cycle raises
+    ConsistencyError.
     """
-    indegree: dict[ControlId, int] = {cid: 0 for cid in catalog.control_ids()}
+    indegree: dict[ControlId, int] = dict.fromkeys(nodes, 0)
     successors: dict[ControlId, list[ControlId]] = {cid: [] for cid in indegree}
-    for prereq, dep in catalog.dependencies.edges:
+    for prereq, dep in edges:
         if prereq not in indegree or dep not in indegree:
-            raise ValidationError(f"dependency ({prereq} -> {dep}) references a control outside the catalog")
+            raise ValidationError(f"dependency ({prereq} -> {dep}) references a control outside the graph")
         successors[prereq].append(dep)
         indegree[dep] += 1
     ready = [cid for cid, deg in indegree.items() if deg == 0]
@@ -263,5 +269,5 @@ def topological_order(catalog: ControlCatalog) -> tuple[ControlId, ...]:
             if indegree[dep] == 0:
                 heapq.heappush(ready, dep)
     if len(order) != len(indegree):
-        raise ValidationError("dependency graph contains a cycle")
+        raise ConsistencyError("dependency graph contains a cycle")
     return tuple(order)

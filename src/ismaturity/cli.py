@@ -34,6 +34,7 @@ from .files import (
     minimum_db_document,
     read_importance_file,
     read_stage_plan_file,
+    stage_label,
     stage_plan_document,
     write_document,
     write_text_atomic,
@@ -45,7 +46,6 @@ from .reporting import (
     STRUCTURED,
     build_report,
     compare_modes,
-    comparison_document_dict,
     parse_report,
     render_comparison,
     render_document,
@@ -186,9 +186,7 @@ def _cmd_stage_plan_diff(args) -> int:
     plan_b = _resolve_plan(args.plan_b)
     deltas = diff_stage_plans(plan_a, plan_b)
     for delta in deltas:
-        before = delta.before.label if delta.before is not None else files.EXCLUDED_LABEL
-        after = delta.after.label if delta.after is not None else files.EXCLUDED_LABEL
-        print(f"{delta.control}: {before} -> {after}")
+        print(f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
     print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
     if args.out:
         write_document(args.out, diff_document(deltas))
@@ -271,11 +269,7 @@ def _cmd_assess(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.report)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read file: {exc}", source=str(path)) from None
-    document = parse_report(text, source=str(path))
+    document = parse_report(files.read_text(path), source=str(path))
     human = render_document(document, HUMAN)
     if args.out:
         write_text_atomic(args.out, human)
@@ -300,10 +294,7 @@ def _cmd_compare_modes(args) -> int:
     timestamp = args.timestamp or _utc_now()
     if args.out:
         write_text_atomic(
-            args.out,
-            files.canonical_json(
-                comparison_document_dict(comparison, company=args.company, timestamp=timestamp)
-            ),
+            args.out, render_comparison(comparison, STRUCTURED, company=args.company, timestamp=timestamp)
         )
     human = render_comparison(comparison, HUMAN, company=args.company, timestamp=timestamp)
     if args.out_text:

@@ -15,8 +15,12 @@ mandatory header row:
     measurements   control_id,level                      (level 0..5)
 
 Validation errors name the file and 1-based row so records can be fixed at
-the source. Writes go through a temp file in the target directory followed
-by an atomic rename; a failing command never leaves a partial output behind.
+the source. Records that appear in more than one document (requirements,
+stage deltas, the stage-or-excluded label) have one writer and one strict
+reader here, and readers take JSON scalars only at their exact type: no
+coercion, and a boolean is not an integer. Writes go through a temp file in
+the target directory, fsynced and then atomically renamed; a failing command
+never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -47,7 +50,7 @@ from .minimums import (
     RiskGrade,
     parse_risk_grade,
 )
-from .staging import PARTITIONED, PROMOTED, Stage, StageDelta, StagePlan
+from .staging import PARTITIONED, PROMOTED, Stage, StageDelta, StagePlan, check_boundaries
 
 FORMAT_VERSION = "1"
 
@@ -69,18 +72,51 @@ def canonical_json(document: Mapping) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+    """Write via temp file + fsync + rename so readers never see a partial file.
+
+    The temp file is created next to the target with mode 0o666, so the
+    umask sets the final permissions as for any newly created file. Any OS
+    failure (say, a missing directory) is a ValidationError naming `path`.
+    """
     target = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=target.parent, prefix=target.name + ".", delete=False
-    )
+    temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, target)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
+
+
+_JSON_TYPES = {
+    bool: "a boolean",
+    int: "an integer",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def field(record: Mapping, key: str, *kinds: type, source: str):
+    """`record[key]`, which must be exactly one of the JSON types `kinds`.
+
+    No coercion: "false" is not a boolean and true is not an integer. A
+    missing key raises KeyError and a non-object `record` TypeError, which
+    the document readers report as a malformed document.
+    """
+    value = record[key]
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+        raise ValidationError(f"{key!r} must be {expected}, found {value!r}", source=source)
+    return value
 
 
 def check_format_version(document: Mapping, source: str) -> None:
@@ -95,13 +131,15 @@ def check_format_version(document: Mapping, source: str) -> None:
         )
 
 
-def read_document(path: str | Path, expected_kind: str) -> dict:
-    source = str(path)
+def read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read file: {exc}", source=source) from None
-    return parse_document(text, expected_kind, source)
+        raise ValidationError(f"cannot read file: {exc}", source=str(path)) from None
+
+
+def read_document(path: str | Path, expected_kind: str) -> dict:
+    return parse_document(read_text(path), expected_kind, str(path))
 
 
 def parse_document(text: str, expected_kind: str, source: str) -> dict:
@@ -217,13 +255,11 @@ def stage_plan_document(plan: StagePlan) -> dict:
 def stage_plan_from_document(document: Mapping, source: str = "stage plan document") -> StagePlan:
     try:
         boundaries = tuple(int(b) for b in document["boundaries"])
-        raw_assignment = document["assignment"]
-        raw_provenance = document["provenance"]
-        raw_excluded = document["excluded"]
+        raw_assignment = field(document, "assignment", dict, source=source)
+        raw_provenance = field(document, "provenance", dict, source=source)
+        raw_excluded = field(document, "excluded", list, source=source)
     except (KeyError, TypeError, ValueError):
         raise ValidationError("malformed stage plan document", source=source) from None
-    if len(boundaries) != 4:
-        raise ValidationError("exactly four boundaries required", source=source)
     assignment: dict[ControlId, Stage] = {}
     for text, label in raw_assignment.items():
         assignment[parse_control_id(text)] = Stage.from_label(label)
@@ -241,6 +277,10 @@ def stage_plan_from_document(document: Mapping, source: str = "stage plan docume
             "controls both assigned and excluded: " + ", ".join(str(c) for c in sorted(overlap)),
             source=source,
         )
+    try:
+        check_boundaries(boundaries, len(assignment), len(assignment) + len(excluded))
+    except ValidationError as exc:
+        raise ValidationError(str(exc), source=source) from None
     return StagePlan(
         assignment=assignment,
         provenance=provenance,
@@ -254,38 +294,24 @@ def read_stage_plan_file(path: str | Path) -> StagePlan:
 
 
 # ---------------------------------------------------------------------------
-# Minimum-level database
+# Requirement records, shared by minimum databases and reports
 
-def minimum_db_document(db: MinimumLevelDatabase) -> dict:
+def requirements_record(requirements: Mapping[ControlId, MinimumRequirement]) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": KIND_MINIMUMS,
-        "mode": db.mode,
-        "requirements": {
-            str(cid): {
-                "required_level": req.required_level,
-                "priority": req.priority,
-                "raw_score": req.raw_score,
-            }
-            for cid, req in db.requirements.items()
-        },
-        "excluded": {str(cid): justification for cid, justification in db.excluded.items()},
+        str(cid): {
+            "required_level": req.required_level,
+            "priority": req.priority,
+            "raw_score": req.raw_score,
+        }
+        for cid, req in requirements.items()
     }
 
 
-def minimum_db_from_document(document: Mapping, source: str = "minimum database document") -> MinimumLevelDatabase:
-    try:
-        mode = document["mode"]
-        raw_requirements = document["requirements"]
-        raw_excluded = document["excluded"]
-    except (KeyError, TypeError):
-        raise ValidationError("malformed minimum database document", source=source) from None
-    if mode != "risk" and not (
-        isinstance(mode, str) and mode.startswith("fixed:") and mode[6:].isdigit()
-    ):
-        raise ValidationError(f"unknown minimum mode {mode!r}", source=source)
+def requirements_from_record(raw: Mapping, source: str) -> dict[ControlId, MinimumRequirement]:
+    if not isinstance(raw, dict):
+        raise ValidationError("requirements must be an object", source=source)
     requirements: dict[ControlId, MinimumRequirement] = {}
-    for text, record in raw_requirements.items():
+    for text, record in raw.items():
         cid = parse_control_id(text)
         try:
             level = record["required_level"]
@@ -302,6 +328,34 @@ def minimum_db_from_document(document: Mapping, source: str = "minimum database 
         requirements[cid] = MinimumRequirement(
             required_level=level, priority=priority, raw_score=raw_score
         )
+    return requirements
+
+
+# ---------------------------------------------------------------------------
+# Minimum-level database
+
+def minimum_db_document(db: MinimumLevelDatabase) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": KIND_MINIMUMS,
+        "mode": db.mode,
+        "requirements": requirements_record(db.requirements),
+        "excluded": {str(cid): justification for cid, justification in db.excluded.items()},
+    }
+
+
+def minimum_db_from_document(document: Mapping, source: str = "minimum database document") -> MinimumLevelDatabase:
+    try:
+        mode = document["mode"]
+        raw_requirements = document["requirements"]
+        raw_excluded = field(document, "excluded", dict, source=source)
+    except (KeyError, TypeError):
+        raise ValidationError("malformed minimum database document", source=source) from None
+    if mode != "risk" and not (
+        isinstance(mode, str) and mode.startswith("fixed:") and mode[6:].isdigit()
+    ):
+        raise ValidationError(f"unknown minimum mode {mode!r}", source=source)
+    requirements = requirements_from_record(raw_requirements, source)
     excluded: dict[ControlId, str] = {}
     for text, justification in raw_excluded.items():
         cid = parse_control_id(text)
@@ -316,13 +370,14 @@ def read_minimum_db_file(path: str | Path) -> MinimumLevelDatabase:
 
 
 # ---------------------------------------------------------------------------
-# Stage-plan diff
+# Stage deltas, shared by diff documents and reports
 
-def _stage_label(stage: Stage | None) -> str:
-    return stage.label if stage is not None else EXCLUDED_LABEL
+def stage_label(stage: Stage | None) -> str:
+    """A stage's label, or the excluded marker for None."""
+    return EXCLUDED_LABEL if stage is None else stage.label
 
 
-def _stage_from_delta_label(label: str, source: str) -> Stage | None:
+def _stage_from_label(label: str, source: str) -> Stage | None:
     if label == EXCLUDED_LABEL:
         return None
     try:
@@ -331,19 +386,33 @@ def _stage_from_delta_label(label: str, source: str) -> Stage | None:
         raise ValidationError(f"unknown stage label {label!r}", source=source) from None
 
 
+def deltas_record(deltas: Sequence[StageDelta]) -> list[dict]:
+    return [
+        {"control": str(delta.control), "from": stage_label(delta.before), "to": stage_label(delta.after)}
+        for delta in deltas
+    ]
+
+
+def deltas_from_record(raw: Sequence, source: str) -> tuple[StageDelta, ...]:
+    if not isinstance(raw, list):
+        raise ValidationError("stage deltas must be a list", source=source)
+    deltas = []
+    for record in raw:
+        try:
+            deltas.append(
+                StageDelta(
+                    control=parse_control_id(record["control"]),
+                    before=_stage_from_label(record["from"], source),
+                    after=_stage_from_label(record["to"], source),
+                )
+            )
+        except (KeyError, TypeError):
+            raise ValidationError(f"malformed delta record: {record!r}", source=source) from None
+    return tuple(deltas)
+
+
 def diff_document(deltas: Sequence[StageDelta]) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": KIND_DIFF,
-        "deltas": [
-            {
-                "control": str(delta.control),
-                "from": _stage_label(delta.before),
-                "to": _stage_label(delta.after),
-            }
-            for delta in deltas
-        ],
-    }
+    return {"format_version": FORMAT_VERSION, "kind": KIND_DIFF, "deltas": deltas_record(deltas)}
 
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
@@ -351,19 +420,7 @@ def deltas_from_document(document: Mapping, source: str = "diff document") -> tu
         raw = document["deltas"]
     except (KeyError, TypeError):
         raise ValidationError("malformed diff document", source=source) from None
-    deltas = []
-    for record in raw:
-        try:
-            deltas.append(
-                StageDelta(
-                    control=parse_control_id(record["control"]),
-                    before=_stage_from_delta_label(record["from"], source),
-                    after=_stage_from_delta_label(record["to"], source),
-                )
-            )
-        except (KeyError, TypeError):
-            raise ValidationError(f"malformed delta record: {record!r}", source=source) from None
-    return tuple(deltas)
+    return deltas_from_record(raw, source)
 
 
 # ---------------------------------------------------------------------------

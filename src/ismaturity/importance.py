@@ -11,7 +11,7 @@ Raw scores are also what makes resubmission honest: replacing a respondent's
 earlier submission must subtract their old answers, which aggregate
 (sum, count) pairs alone cannot do. The aggregates, computed once per
 database in a single pass over the raw scores, remain the published surface
-via sum_and_count()/control_average().
+via sum_and_count()/average().
 """
 
 from __future__ import annotations
@@ -86,15 +86,11 @@ class ImportanceDatabase:
             raise ValidationError(f"control {cid} is not in this database's catalog") from None
 
     def average(self, cid: ControlId) -> Fraction:
+        """Exact average importance of one control; error when nobody scored it."""
         total, count = self.sum_and_count(cid)
         if count == 0:
             raise ConsistencyError(f"no survey responses recorded for {cid}")
         return Fraction(total, count)
-
-
-def control_average(db: ImportanceDatabase, cid: ControlId) -> Fraction:
-    """Exact average importance of one control; error when nobody scored it."""
-    return db.average(cid)
 
 
 def _check_response(response: SurveyResponse, known: set[ControlId], entry: int) -> None:

@@ -22,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .assessment import (
     AssessmentResult,
     Gap,
+    Label,
     MisallocationFinding,
     evaluate,
     naive_average,
@@ -29,10 +30,15 @@ from .assessment import (
 from .catalog import ControlId, parse_control_id
 from .errors import ConsistencyError, ValidationError
 from .files import (
-    EXCLUDED_LABEL,
     FORMAT_VERSION,
     canonical_json,
+    deltas_from_record,
+    deltas_record,
+    field,
     parse_document,
+    requirements_from_record,
+    requirements_record,
+    stage_label,
 )
 from .minimums import (
     ApplicabilityMap,
@@ -91,9 +97,7 @@ class ReportDocument(NamedTuple):
     minimums_mode: str
     misallocation_threshold: int
     stage_rows: tuple[StageRow, ...]
-    label_stage: Stage
-    label_level: Fraction | None
-    label_incomplete: bool
+    label: Label
     naive: Fraction
     gaps: tuple[Gap, ...]
     priority_controls: tuple[ControlId, ...]
@@ -153,9 +157,7 @@ def build_report(
         minimums_mode=minimums.mode,
         misallocation_threshold=misallocation_threshold,
         stage_rows=stage_rows,
-        label_stage=result.label_stage,
-        label_level=result.label_level,
-        label_incomplete=result.label_incomplete,
+        label=result.label,
         naive=result.naive_average,
         gaps=tuple(gaps),
         priority_controls=tuple(gap.control for gap in gaps if gap.priority),
@@ -167,19 +169,6 @@ def build_report(
     )
 
 
-def render_report(
-    result: AssessmentResult,
-    gaps: Sequence[Gap],
-    findings: Sequence[MisallocationFinding],
-    applicability: ApplicabilityMap,
-    deltas: Sequence[StageDelta] | None,
-    fmt: str,
-    **header,
-) -> str:
-    """Convenience wrapper: build the document, then render it in `fmt`."""
-    return render_document(build_report(result, gaps, findings, applicability, deltas, **header), fmt)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -189,13 +178,36 @@ def _fraction_fields(value: Fraction | None) -> dict | None:
     return {"exact": f"{value.numerator}/{value.denominator}", "display": format_level(value)}
 
 
-def _fraction_from_fields(record, source: str) -> Fraction | None:
-    if record is None:
+def _fraction_from_fields(record, source: str, *, optional: bool = False) -> Fraction | None:
+    if record is None and optional:
         return None
+    field(record, "display", str, source=source)
     try:
-        return Fraction(record["exact"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return Fraction(field(record, "exact", str, source=source))
+    except (ValueError, ZeroDivisionError):
         raise ValidationError(f"malformed average record: {record!r}", source=source) from None
+
+
+def _label_fields(label: Label) -> dict:
+    return {
+        "stage": label.stage.label,
+        "level": _fraction_fields(label.level),
+        "level_name": None if label.level is None else level_name(math.floor(label.level)),
+        "incomplete": label.incomplete,
+    }
+
+
+def _label_from_fields(record, source: str) -> Label:
+    field(record, "level_name", str, type(None), source=source)
+    return Label(
+        stage=Stage.from_label(record["stage"]),
+        level=_fraction_from_fields(record["level"], source, optional=True),
+        incomplete=field(record, "incomplete", bool, source=source),
+    )
+
+
+def _control_ids(record, key: str, source: str) -> tuple[ControlId, ...]:
+    return tuple(parse_control_id(text) for text in field(record, key, list, source=source))
 
 
 def report_document_dict(doc: ReportDocument) -> dict:
@@ -217,12 +229,7 @@ def report_document_dict(doc: ReportDocument) -> dict:
             }
             for row in doc.stage_rows
         ],
-        "label": {
-            "stage": doc.label_stage.label,
-            "level": _fraction_fields(doc.label_level),
-            "level_name": None if doc.label_level is None else level_name(math.floor(doc.label_level)),
-            "incomplete": doc.label_incomplete,
-        },
+        "label": _label_fields(doc.label),
         "naive_average": _fraction_fields(doc.naive),
         "gaps": [
             {
@@ -250,108 +257,80 @@ def report_document_dict(doc: ReportDocument) -> dict:
             {"control": str(cid), "justification": justification}
             for cid, justification in doc.not_applicable
         ],
-        "stage_plan_deltas": None
-        if doc.deltas is None
-        else [
-            {
-                "control": str(delta.control),
-                "from": delta.before.label if delta.before is not None else EXCLUDED_LABEL,
-                "to": delta.after.label if delta.after is not None else EXCLUDED_LABEL,
-            }
-            for delta in doc.deltas
-        ],
+        "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
         "measurements": {str(cid): lvl for cid, lvl in doc.measurements.items()},
-        "requirements": {
-            str(cid): {
-                "required_level": req.required_level,
-                "priority": req.priority,
-                "raw_score": req.raw_score,
-            }
-            for cid, req in doc.requirements.items()
-        },
+        "requirements": requirements_record(doc.requirements),
     }
 
 
 def parse_report(text: str, source: str = "report") -> ReportDocument:
-    """Inverse of the structured rendering; used by the report subcommand."""
+    """Inverse of the structured rendering; used by the report subcommand.
+
+    Every field is read at its exact JSON type, without coercion; anything
+    else is a ValidationError naming the source. The values themselves are
+    not re-derived from one another.
+    """
     raw = parse_document(text, KIND_REPORT, source)
     try:
         stage_rows = tuple(
             StageRow(
                 stage=Stage.from_label(record["stage"]),
-                members=tuple(parse_control_id(t) for t in record["members"]),
-                average=_fraction_from_fields(record["average"], source),
-                complete=bool(record["complete"]),
-                failing_count=int(record["failing_count"]),
+                members=_control_ids(record, "members", source),
+                average=_fraction_from_fields(record["average"], source, optional=True),
+                complete=field(record, "complete", bool, source=source),
+                failing_count=field(record, "failing_count", int, source=source),
             )
-            for record in raw["stages"]
+            for record in field(raw, "stages", list, source=source)
         )
-        label = raw["label"]
         gaps = tuple(
             Gap(
                 control=parse_control_id(record["control"]),
                 stage=Stage.from_label(record["stage"]),
-                measured=int(record["measured"]),
-                required=int(record["required"]),
-                priority=bool(record["priority"]),
+                measured=field(record, "measured", int, source=source),
+                required=field(record, "required", int, source=source),
+                priority=field(record, "priority", bool, source=source),
             )
-            for record in raw["gaps"]
+            for record in field(raw, "gaps", list, source=source)
         )
         findings = tuple(
             MisallocationFinding(
                 later_stage=Stage.from_label(record["later_stage"]),
                 earlier_stage=Stage.from_label(record["earlier_stage"]),
                 later_control=parse_control_id(record["later_control"]),
-                later_level=int(record["later_level"]),
+                later_level=field(record, "later_level", int, source=source),
                 earlier_control=parse_control_id(record["earlier_control"]),
-                earlier_level=int(record["earlier_level"]),
+                earlier_level=field(record, "earlier_level", int, source=source),
             )
-            for record in raw["misallocation_findings"]
+            for record in field(raw, "misallocation_findings", list, source=source)
         )
         raw_deltas = raw["stage_plan_deltas"]
-        deltas = (
-            None
-            if raw_deltas is None
-            else tuple(
-                StageDelta(
-                    control=parse_control_id(record["control"]),
-                    before=None if record["from"] == EXCLUDED_LABEL else Stage.from_label(record["from"]),
-                    after=None if record["to"] == EXCLUDED_LABEL else Stage.from_label(record["to"]),
-                )
-                for record in raw_deltas
-            )
-        )
+        levels = field(raw, "measurements", dict, source=source)
         return ReportDocument(
-            company=str(raw["company"]),
-            timestamp=str(raw["timestamp"]),
-            mode=str(raw["mode"]),
-            minimums_mode=str(raw["minimums_mode"]),
-            misallocation_threshold=int(raw["misallocation_threshold"]),
+            company=field(raw, "company", str, source=source),
+            timestamp=field(raw, "timestamp", str, source=source),
+            mode=field(raw, "mode", str, source=source),
+            minimums_mode=field(raw, "minimums_mode", str, source=source),
+            misallocation_threshold=field(raw, "misallocation_threshold", int, source=source),
             stage_rows=stage_rows,
-            label_stage=Stage.from_label(label["stage"]),
-            label_level=_fraction_from_fields(label["level"], source),
-            label_incomplete=bool(label["incomplete"]),
+            label=_label_from_fields(raw["label"], source),
             naive=_fraction_from_fields(raw["naive_average"], source),
             gaps=gaps,
-            priority_controls=tuple(parse_control_id(t) for t in raw["priority_controls"]),
+            priority_controls=_control_ids(raw, "priority_controls", source),
             findings=findings,
             not_applicable=tuple(
-                (parse_control_id(record["control"]), str(record["justification"]))
-                for record in raw["not_applicable"]
+                (parse_control_id(record["control"]), field(record, "justification", str, source=source))
+                for record in field(raw, "not_applicable", list, source=source)
             ),
-            deltas=deltas,
-            measurements={parse_control_id(t): int(v) for t, v in raw["measurements"].items()},
-            requirements={
-                parse_control_id(t): MinimumRequirement(
-                    required_level=int(record["required_level"]),
-                    priority=bool(record["priority"]),
-                    raw_score=None if record["raw_score"] is None else int(record["raw_score"]),
-                )
-                for t, record in raw["requirements"].items()
-            },
+            deltas=None if raw_deltas is None else deltas_from_record(raw_deltas, source),
+            measurements={parse_control_id(t): field(levels, t, int, source=source) for t in levels},
+            requirements=requirements_from_record(raw["requirements"], source),
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValidationError("malformed assessment report document", source=source) from None
+    except ValidationError as exc:  # control ids and stage labels do not know the file
+        if exc.source is not None:
+            raise
+        raise ValidationError(str(exc), source=source) from None
 
 
 def render_document(doc: ReportDocument, fmt: str) -> str:
@@ -384,8 +363,8 @@ def _render_human(doc: ReportDocument) -> str:
             f"{('yes' if row.complete else 'no'):>10}{row.failing_count:>9}"
         )
     lines.append("")
-    lines.append(f"Overall: {label_line(doc.label_stage, doc.label_level)}")
-    if doc.label_incomplete:
+    lines.append(f"Overall: {label_line(doc.label.stage, doc.label.level)}")
+    if doc.label.incomplete:
         lines.append("Note: the Essential stage itself is not yet complete; the label marks the entry stage.")
     naive_name = level_name(math.floor(doc.naive))
     lines.append(
@@ -431,9 +410,7 @@ def _render_human(doc: ReportDocument) -> str:
         lines.append("Stage changes vs the default plan:")
         if doc.deltas:
             for delta in doc.deltas:
-                before = delta.before.label if delta.before is not None else EXCLUDED_LABEL
-                after = delta.after.label if delta.after is not None else EXCLUDED_LABEL
-                lines.append(f"  {delta.control}: {before} -> {after}")
+                lines.append(f"  {delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
         else:
             lines.append("  none")
     lines.append("")
@@ -446,12 +423,8 @@ def _render_human(doc: ReportDocument) -> str:
 class ModeComparison(NamedTuple):
     """Side-by-side outcome of the two strategies plus the naive baseline."""
 
-    independent_stage: Stage
-    independent_level: Fraction | None
-    independent_incomplete: bool
-    model_stage: Stage
-    model_level: Fraction | None
-    model_incomplete: bool
+    independent: Label
+    model: Label
     naive: Fraction
 
 
@@ -479,23 +452,10 @@ def compare_modes(
     model_result = evaluate(restricted, mins_model, measurements)
     independent_result = evaluate(company_plan, mins_independent, measurements)
     return ModeComparison(
-        independent_stage=independent_result.label_stage,
-        independent_level=independent_result.label_level,
-        independent_incomplete=independent_result.label_incomplete,
-        model_stage=model_result.label_stage,
-        model_level=model_result.label_level,
-        model_incomplete=model_result.label_incomplete,
+        independent=independent_result.label,
+        model=model_result.label,
         naive=naive_average(measurements),
     )
-
-
-def _mode_fields(stage: Stage, level: Fraction | None, incomplete: bool) -> dict:
-    return {
-        "stage": stage.label,
-        "level": _fraction_fields(level),
-        "level_name": None if level is None else level_name(math.floor(level)),
-        "incomplete": incomplete,
-    }
 
 
 def comparison_document_dict(comparison: ModeComparison, *, company: str, timestamp: str) -> dict:
@@ -504,10 +464,8 @@ def comparison_document_dict(comparison: ModeComparison, *, company: str, timest
         "kind": KIND_COMPARISON,
         "company": company,
         "timestamp": timestamp,
-        "independent": _mode_fields(
-            comparison.independent_stage, comparison.independent_level, comparison.independent_incomplete
-        ),
-        "model": _mode_fields(comparison.model_stage, comparison.model_level, comparison.model_incomplete),
+        "independent": _label_fields(comparison.independent),
+        "model": _label_fields(comparison.model),
         "naive_average": _fraction_fields(comparison.naive),
     }
 
@@ -516,15 +474,11 @@ def parse_comparison(text: str, source: str = "comparison") -> ModeComparison:
     raw = parse_document(text, KIND_COMPARISON, source)
     try:
         return ModeComparison(
-            independent_stage=Stage.from_label(raw["independent"]["stage"]),
-            independent_level=_fraction_from_fields(raw["independent"]["level"], source),
-            independent_incomplete=bool(raw["independent"]["incomplete"]),
-            model_stage=Stage.from_label(raw["model"]["stage"]),
-            model_level=_fraction_from_fields(raw["model"]["level"], source),
-            model_incomplete=bool(raw["model"]["incomplete"]),
+            independent=_label_from_fields(raw["independent"], source),
+            model=_label_from_fields(raw["model"], source),
             naive=_fraction_from_fields(raw["naive_average"], source),
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValidationError("malformed mode comparison document", source=source) from None
 
 
@@ -539,8 +493,8 @@ def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, tim
             f"Company:    {company}",
             f"Generated:  {timestamp}",
             "",
-            f"independent:   {label_line(comparison.independent_stage, comparison.independent_level)}",
-            f"model:         {label_line(comparison.model_stage, comparison.model_level)}",
+            f"independent:   {label_line(comparison.independent.stage, comparison.independent.level)}",
+            f"model:         {label_line(comparison.model.stage, comparison.model.level)}",
             f"naive average: {format_level(comparison.naive)} ({naive_name})",
             "",
         ]

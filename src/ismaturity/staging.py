@@ -13,12 +13,11 @@ one of its dependents.
 
 from __future__ import annotations
 
-import heapq
 from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .catalog import ControlCatalog, ControlId, DependencyGraph
+from .catalog import ControlCatalog, ControlId, DependencyGraph, topological_order
 from .errors import ConsistencyError, ValidationError
 from .minimums import ApplicabilityMap
 from .importance import ImportanceDatabase
@@ -96,6 +95,29 @@ def default_boundaries(count: int) -> tuple[int, int, int, int]:
     return tuple(-(-k * count // 4) for k in (1, 2, 3, 4))  # type: ignore[return-value]
 
 
+def check_boundaries(
+    boundaries: Sequence[int], count: int, universe: int | None = None
+) -> tuple[int, int, int, int]:
+    """Validate cumulative stage boundaries for `count` staged controls.
+
+    Exactly four values, strictly increasing, the first at least 1 and the
+    last equal to `count`. A plan restricted by exclude_from_plan keeps the
+    boundaries its partition ran with, so readers of stored plans pass the
+    plan's whole universe as `universe`; the last boundary may then lie
+    anywhere from `count` to `universe`.
+    """
+    bounds = tuple(int(b) for b in boundaries)
+    if len(bounds) != 4:
+        raise ValidationError(f"exactly four boundaries required, got {len(bounds)}")
+    if any(b <= a for a, b in zip(bounds, bounds[1:])) or bounds[0] < 1:
+        raise ValidationError(f"boundaries must be strictly increasing and positive, got {bounds}")
+    top = count if universe is None else universe
+    if not count <= bounds[-1] <= top:
+        span = str(count) if top == count else f"{count}..{top}"
+        raise ValidationError(f"last boundary {bounds[-1]} does not match the control count {span}")
+    return bounds  # type: ignore[return-value]
+
+
 def partition_quartiles(
     averages: Mapping[ControlId, Fraction], boundaries: Sequence[int]
 ) -> StagePlan:
@@ -116,15 +138,7 @@ def partition_quartiles(
     """
     if not averages:
         raise ValidationError("cannot partition an empty control set")
-    bounds = tuple(int(b) for b in boundaries)
-    if len(bounds) != 4:
-        raise ValidationError(f"exactly four boundaries required, got {len(bounds)}")
-    if any(b <= a for a, b in zip(bounds, bounds[1:])) or bounds[0] < 1:
-        raise ValidationError(f"boundaries must be strictly increasing and positive, got {bounds}")
-    if bounds[-1] != len(averages):
-        raise ValidationError(
-            f"last boundary {bounds[-1]} must equal the control count {len(averages)}"
-        )
+    bounds = check_boundaries(boundaries, len(averages))
     # Rank the distinct averages once, so the sort compares ints, not Fractions.
     rank = {value: i for i, value in enumerate(sorted(set(averages.values()), reverse=True))}
     order = sorted(averages, key=lambda cid: (rank[averages[cid]], cid))
@@ -165,7 +179,7 @@ def promote_prerequisites(plan: StagePlan, graph: DependencyGraph) -> StagePlan:
     dependents: dict[ControlId, list[ControlId]] = {}
     for prereq, dep in edges:
         dependents.setdefault(prereq, []).append(dep)
-    for cid in reversed(_topological_nodes(plan.assignment.keys(), edges)):
+    for cid in reversed(topological_order(plan.assignment, edges)):
         for dep in dependents.get(cid, ()):
             if final[dep] < final[cid]:
                 final[cid] = final[dep]
@@ -179,30 +193,6 @@ def promote_prerequisites(plan: StagePlan, graph: DependencyGraph) -> StagePlan:
         boundaries_used=plan.boundaries_used,
         excluded=plan.excluded,
     )
-
-
-def _topological_nodes(
-    nodes: Iterable[ControlId], edges: Sequence[tuple[ControlId, ControlId]]
-) -> list[ControlId]:
-    # Kahn's algorithm with a heap so ties resolve by ControlId.
-    indegree = {cid: 0 for cid in nodes}
-    successors: dict[ControlId, list[ControlId]] = {cid: [] for cid in indegree}
-    for prereq, dep in edges:
-        successors[prereq].append(dep)
-        indegree[dep] += 1
-    ready = [cid for cid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: list[ControlId] = []
-    while ready:
-        cid = heapq.heappop(ready)
-        order.append(cid)
-        for dep in successors[cid]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                heapq.heappush(ready, dep)
-    if len(order) != len(indegree):
-        raise ConsistencyError("dependency graph contains a cycle; promotion is undefined")
-    return order
 
 
 def build_stage_plan(

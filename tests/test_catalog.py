@@ -48,6 +48,8 @@ def test_parse_accepts_bare_and_lowercase_spellings():
         "", "A.5.1", "A.5.1.1.1", "A.x.1.1", "A.4.1.1", "A.19.1.1", "A.5.0.1", "A.5.1.0", "B.5.1.1",
         # digits outside ASCII: a superscript int() rejects, an Arabic-Indic five it accepts
         "A.5.1.\u00b2", "A.\u0665.1.1",
+        # not strings at all, as a mistyped JSON document delivers them
+        5, None,
     ],
 )
 def test_parse_rejects_malformed_ids(text):
@@ -143,7 +145,7 @@ def test_topological_order_respects_edges_and_breaks_ties_by_id():
         ["A.5.1.1", "A.5.1.2", "A.6.1.1", "A.6.1.2"],
         edges=[("A.6.1.1", "A.5.1.1")],
     )
-    order = topological_order(catalog)
+    order = topological_order(catalog.control_ids(), catalog.dependencies.edges)
     assert order.index(parse_control_id("A.6.1.1")) < order.index(parse_control_id("A.5.1.1"))
     # nodes that are free at the same time come out in id order
     assert order[-1] == parse_control_id("A.6.1.2")
@@ -155,4 +157,4 @@ def test_topological_order_rejects_cyclic_graph():
         edges=[("A.5.1.1", "A.5.1.2"), ("A.5.1.2", "A.5.1.1")],
     )
     with pytest.raises(Exception):
-        topological_order(catalog)
+        topological_order(catalog.control_ids(), catalog.dependencies.edges)

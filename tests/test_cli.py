@@ -401,3 +401,61 @@ def test_cli_import_skips_dataclasses_and_datetime():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Mistyped and malformed documents: exit 1, never a traceback
+
+def mistyped_report(run_cli, ca, tmp_path, mutate):
+    path = tmp_path / "report.json"
+    assert run_cli(*assess_args(ca, "--out", path, "--out-text", tmp_path / "report.txt"))[0] == 0
+    document = json.loads(path.read_text(encoding="utf-8"))
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["gaps"][0].update(priority="false"),
+        lambda doc: doc["label"].update(incomplete="no"),
+        lambda doc: doc["stages"][0]["members"].__setitem__(0, 5),
+        lambda doc: doc["requirements"]["A.5.1.1"].update(priority=1),
+        lambda doc: doc.update(measurements=[]),
+    ],
+    ids=["priority-string", "incomplete-string", "int-member", "int-priority", "list-measurements"],
+)
+def test_report_rejects_mistyped_fields(run_cli, ca, tmp_path, mutate):
+    path = mistyped_report(run_cli, ca, tmp_path, mutate)
+    code, out, err = run_cli("report", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}")
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("excluded", [7], "not a string"),
+        ("boundaries", [86, 57, 29, 5], "strictly increasing"),
+    ],
+)
+def test_stage_plan_diff_rejects_malformed_plans(run_cli, ca, tmp_path, field, value, message):
+    path = tmp_path / "plan.json"
+    run_cli(
+        "stage-plan", "build",
+        "--survey", ca["survey"], "--applicability", ca["applicability"], "--out", path,
+    )
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document[field] = value
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli("stage-plan", "diff", "default", path)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path):
+    code, _, err = run_cli(*assess_args(ca, "--out", tmp_path / "absent" / "report.json"))
+    assert code == 1
+    assert "cannot write file" in err and "absent" in err
+    assert list(tmp_path.iterdir()) == []

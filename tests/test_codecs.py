@@ -1,0 +1,167 @@
+"""Properties of the document codecs: lossless round trips and strict reading."""
+
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ismaturity import (
+    ApplicabilityMap,
+    RiskGrade,
+    SurveyResponse,
+    ValidationError,
+    build_minimum_db,
+    build_stage_plan,
+    compare_modes,
+    diff_stage_plans,
+    evaluate,
+    gap_analysis,
+    ingest_responses,
+    load_catalog,
+    misallocation_findings,
+)
+from ismaturity.files import (
+    canonical_json,
+    catalog_document,
+    deltas_from_document,
+    diff_document,
+    importance_document,
+    importance_from_document,
+    minimum_db_document,
+    minimum_db_from_document,
+    stage_plan_document,
+    stage_plan_from_document,
+)
+from ismaturity.minimums import FixedMinimums, RiskMinimums
+from ismaturity.reporting import (
+    HUMAN,
+    STRUCTURED,
+    build_report,
+    parse_comparison,
+    parse_report,
+    render_comparison,
+    render_document,
+)
+
+from test_catalog import make_catalog
+from test_staging import synthetic_ids
+
+EXPECTED = Path(__file__).parent / "data" / "company_a" / "expected"
+POOL = synthetic_ids(30)
+GRADES = st.sampled_from(list(RiskGrade))
+WORDS = st.text(min_size=1, max_size=12).filter(str.strip)
+
+
+@st.composite
+def scenarios(draw):
+    """A small catalog with a prerequisite DAG, a full survey, exclusions, ratings, measurements."""
+    ids = sorted(draw(st.lists(st.sampled_from(POOL), min_size=5, max_size=12, unique=True)), key=POOL.index)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4))
+    edges = sorted({(a, b) for a, b in pairs if POOL.index(a) < POOL.index(b)})  # forward only: acyclic
+    catalog = make_catalog(ids, edges=edges)
+    respondents = draw(st.integers(1, 3))
+    rows = [
+        SurveyResponse(f"r{r}", control, draw(st.integers(1, 5)))
+        for r in range(respondents)
+        for control in catalog.control_ids()
+    ]
+    excluded = draw(st.lists(st.sampled_from(catalog.control_ids()), max_size=len(ids) - 4, unique=True))
+    applicability = ApplicabilityMap({control: draw(WORDS) for control in excluded})
+    applicable = [control for control in catalog.control_ids() if control not in excluded]
+    ratings = {control: (draw(GRADES), draw(GRADES)) for control in applicable}
+    measurements = {control: draw(st.integers(0, 5)) for control in applicable}
+    fixed = draw(st.none() | st.integers(1, 5))
+    return catalog, rows, applicability, ratings, measurements, fixed
+
+
+def same_bytes(document, read, write):
+    text = canonical_json(document)
+    assert canonical_json(write(read(json.loads(text)))) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), WORDS, WORDS)
+def test_every_document_kind_round_trips_byte_identically(scenario, company, timestamp):
+    catalog, rows, applicability, ratings, measurements, fixed = scenario
+    db = ingest_responses(rows, catalog)
+    plan = build_stage_plan(db, catalog, applicability)
+    unrestricted = build_stage_plan(db, catalog)
+    mins = build_minimum_db(
+        RiskMinimums(ratings) if fixed is None else FixedMinimums(fixed), applicability, catalog
+    )
+    deltas = diff_stage_plans(unrestricted, plan)
+
+    same_bytes(catalog_document(catalog), load_catalog, catalog_document)
+    same_bytes(importance_document(db), importance_from_document, importance_document)
+    same_bytes(stage_plan_document(plan), stage_plan_from_document, stage_plan_document)
+    same_bytes(minimum_db_document(mins), minimum_db_from_document, minimum_db_document)
+    same_bytes(diff_document(deltas), deltas_from_document, diff_document)
+
+    result = evaluate(plan, mins, measurements)
+    for mode, report_deltas in (("independent", deltas), ("model", None)):
+        report = build_report(
+            result, gap_analysis(result), misallocation_findings(result), applicability, report_deltas,
+            company=company, timestamp=timestamp, mode=mode, minimums=mins,
+        )
+        text = render_document(report, STRUCTURED)
+        assert render_document(parse_report(text), STRUCTURED) == text
+
+    mins_model = build_minimum_db(FixedMinimums(3), applicability, catalog)
+    comparison = compare_modes(unrestricted, plan, mins_model, mins, measurements)
+    text = render_comparison(comparison, STRUCTURED, company=company, timestamp=timestamp)
+    assert render_comparison(parse_comparison(text), STRUCTURED, company=company, timestamp=timestamp) == text
+
+
+# ---------------------------------------------------------------------------
+# Strict report reading
+
+REPORTS = [
+    (json.loads((EXPECTED / f"{name}.json").read_text(encoding="utf-8")),
+     (EXPECTED / f"{name}.txt").read_text(encoding="utf-8"))
+    for name in ("assess_independent", "assess_model")
+]
+
+
+def scalar_leaves(value, path=()):
+    """(path, value) of every scalar in a parsed JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from scalar_leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from scalar_leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+# Containers are never empty: [] in place of a model report's null
+# stage_plan_deltas is a well-typed "no stage changes", not a type error.
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(
+    max_size=8
+)
+JSON_VALUES = SCALARS | st.lists(SCALARS, min_size=1, max_size=2) | st.dictionaries(
+    st.text(max_size=4), SCALARS, min_size=1, max_size=2
+)
+MUTATIONS = st.sampled_from(
+    [(which, path, old) for which, (document, _) in enumerate(REPORTS) for path, old in scalar_leaves(document)]
+).flatmap(
+    lambda leaf: st.tuples(st.just(leaf), JSON_VALUES.filter(lambda new: type(new) is not type(leaf[2])))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(MUTATIONS)
+def test_a_mistyped_leaf_is_rejected_or_changes_nothing(mutation):
+    (which, path, _), value = mutation
+    document, human = REPORTS[which]
+    mutated = json.loads(json.dumps(document))
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        parsed = parse_report(json.dumps(mutated))
+    except ValidationError:
+        return
+    assert render_document(parsed, HUMAN) == human

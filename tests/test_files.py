@@ -1,6 +1,8 @@
 """CSV loaders, JSON document codecs, canonical serialization."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -187,6 +189,26 @@ def test_write_document_read_document_round_trip(tmp_path):
     assert second.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_write_text_atomic_applies_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_text_atomic(tmp_path / "out.txt", "payload")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_text_atomic_reports_os_errors_and_leaves_no_temp_file(tmp_path):
+    with pytest.raises(ValidationError, match="missing.*cannot write file"):
+        write_text_atomic(tmp_path / "missing" / "out.txt", "payload")
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(ValidationError, match="cannot write file"):
+        write_text_atomic(tmp_path / "taken", "payload")  # rename onto a directory fails
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_write_text_atomic_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
     write_text_atomic(target, "payload")
@@ -234,6 +256,18 @@ def test_stage_plan_document_rejects_unknown_provenance():
     document = stage_plan_document(plan)
     document["provenance"]["A.5.1.1"] = "guessed"
     with pytest.raises(ValidationError, match="guessed"):
+        stage_plan_from_document(document)
+
+
+@pytest.mark.parametrize(
+    ("boundaries", "message"),
+    [([86, 57, 29, 5], "strictly increasing"), ([1, 2, 3, 5], "does not match the control count 4$")],
+)
+def test_stage_plan_document_rejects_bad_boundaries(boundaries, message):
+    plan = make_plan({"A.5.1.1": 1, "A.5.1.2": 2, "A.6.1.1": 3, "A.6.1.2": 4})
+    document = stage_plan_document(plan)
+    document["boundaries"] = boundaries
+    with pytest.raises(ValidationError, match=message):
         stage_plan_from_document(document)
 
 

@@ -13,7 +13,6 @@ from ismaturity import (
     IncompleteSurveyWarning,
     SurveyResponse,
     ValidationError,
-    control_average,
     ingest_responses,
     merge_responses,
     parse_control_id,
@@ -36,7 +35,7 @@ def test_average_is_exact_rational():
     catalog = make_catalog(IDS)
     rows = full_survey("r1", [5, 4, 3, 2]) + full_survey("r2", [4, 4, 3, 2]) + full_survey("r3", [5, 3, 3, 2])
     db = ingest_responses(rows, catalog)
-    assert control_average(db, parse_control_id("A.5.1.1")) == Fraction(14, 3)
+    assert db.average(parse_control_id("A.5.1.1")) == Fraction(14, 3)
     assert db.sum_and_count(parse_control_id("A.5.1.1")) == (14, 3)
     assert db.respondents == ("r1", "r2", "r3")
 

@@ -18,7 +18,6 @@ from ismaturity.reporting import (
     parse_report,
     render_comparison,
     render_document,
-    render_report,
     report_document_dict,
 )
 from ismaturity.files import canonical_json
@@ -130,39 +129,43 @@ def test_build_report_rejects_exclusion_disagreement():
 def test_structured_report_round_trips_byte_identically(ca_plan, ca_minimums, ca_inputs, ca_result):
     from ismaturity.assessment import gap_analysis
 
-    text = render_report(
-        ca_result,
-        gap_analysis(ca_result),
-        misallocation_findings(ca_result),
-        ca_inputs["applicability"],
-        None,
+    text = render_document(
+        build_report(
+            ca_result,
+            gap_analysis(ca_result),
+            misallocation_findings(ca_result),
+            ca_inputs["applicability"],
+            None,
+            company="company-a",
+            timestamp="2026-01-01T00:00:00Z",
+            mode="independent",
+            minimums=ca_minimums,
+        ),
         "structured",
-        company="company-a",
-        timestamp="2026-01-01T00:00:00Z",
-        mode="independent",
-        minimums=ca_minimums,
     )
     doc = parse_report(text)
     assert canonical_json(report_document_dict(doc)) == text
     assert doc.company == "company-a"
-    assert doc.label_stage is Stage.INTERMEDIATE
-    assert doc.label_level == Fraction(89, 27)
+    assert doc.label.stage is Stage.INTERMEDIATE
+    assert doc.label.level == Fraction(89, 27)
 
 
 def test_human_report_layout(ca_plan, ca_minimums, ca_inputs, ca_result):
     from ismaturity.assessment import gap_analysis
 
-    text = render_report(
-        ca_result,
-        gap_analysis(ca_result),
-        misallocation_findings(ca_result),
-        ca_inputs["applicability"],
-        (),
+    text = render_document(
+        build_report(
+            ca_result,
+            gap_analysis(ca_result),
+            misallocation_findings(ca_result),
+            ca_inputs["applicability"],
+            (),
+            company="company-a",
+            timestamp="2026-01-01T00:00:00Z",
+            mode="independent",
+            minimums=ca_minimums,
+        ),
         "human",
-        company="company-a",
-        timestamp="2026-01-01T00:00:00Z",
-        mode="independent",
-        minimums=ca_minimums,
     )
     assert text.startswith("Security Maturity Assessment\n============================\n")
     assert "Overall: Intermediate Stage, Maturity Level 3.30 (Defined)" in text
@@ -179,9 +182,9 @@ def test_human_report_layout(ca_plan, ca_minimums, ca_inputs, ca_result):
 
 def test_human_report_omits_delta_section_when_none():
     plan, amap, minimums, measurements, result = small_setup()
-    text = render_report(
-        result, (), (), amap, None, "human",
-        company="x", timestamp="t", mode="model", minimums=minimums,
+    text = render_document(
+        build_report(result, (), (), amap, None, company="x", timestamp="t", mode="model", minimums=minimums),
+        "human",
     )
     assert "Stage changes" not in text
     assert "Gaps (measured below minimum):\n  none" in text
@@ -211,15 +214,15 @@ def test_compare_modes_on_company_a(catalog, default_plan, ca_plan, ca_minimums,
     comparison = compare_modes(
         default_plan, ca_plan, mins_model, ca_minimums, ca_inputs["measurements"]
     )
-    assert label_line(comparison.independent_stage, comparison.independent_level) == (
+    assert label_line(comparison.independent.stage, comparison.independent.level) == (
         expected_stages.CA_LABEL_LINE
     )
-    assert label_line(comparison.model_stage, comparison.model_level) == (
+    assert label_line(comparison.model.stage, comparison.model.level) == (
         expected_stages.CA_MODEL_LABEL_LINE
     )
     assert format_level(comparison.naive) == expected_stages.CA_NAIVE[1]
-    assert not comparison.independent_incomplete
-    assert not comparison.model_incomplete
+    assert not comparison.independent.incomplete
+    assert not comparison.model.incomplete
 
 
 def test_compare_modes_rejects_exclusion_mismatch(catalog, default_plan, ca_plan, ca_minimums, ca_inputs):

@@ -21,7 +21,7 @@ from ismaturity import (
     promote_prerequisites,
 )
 from ismaturity.minimums import ApplicabilityMap
-from ismaturity.staging import PARTITIONED, PROMOTED
+from ismaturity.staging import PARTITIONED, PROMOTED, check_boundaries
 
 from oracles import partition_by_quartiles, promotion_fixpoint
 from test_catalog import make_catalog
@@ -113,11 +113,20 @@ def test_documented_four_way_tie_keeps_thirty_controls():
 def test_partition_rejects_bad_boundaries():
     ids = synthetic_ids(8)
     averages = {cid(t): Fraction(n, 1) for n, t in enumerate(ids)}
-    for bad in [(2, 4, 6), (2, 4, 6, 9), (4, 2, 6, 8), (0, 4, 6, 8)]:
+    for bad in [(2, 4, 6), (2, 4, 6, 9), (4, 2, 6, 8), (0, 4, 6, 8), (8, 6, 4, 2)]:
         with pytest.raises(ValidationError):
             partition_quartiles(averages, bad)
     with pytest.raises(ValidationError):
         partition_quartiles({}, (1, 2, 3, 4))
+
+
+def test_check_boundaries_lets_a_restricted_plan_keep_its_partition_boundaries():
+    assert check_boundaries((29, 57, 86, 114), 114) == (29, 57, 86, 114)
+    # exclude_from_plan left 111 of the 114 partitioned controls assigned
+    assert check_boundaries((29, 57, 86, 114), 111, 114) == (29, 57, 86, 114)
+    for bounds in [(29, 57, 86, 110), (29, 57, 86, 115)]:
+        with pytest.raises(ValidationError, match="does not match the control count 111..114"):
+            check_boundaries(bounds, 111, 114)
 
 
 def test_partition_matches_enumeration_oracle_on_random_tie_heavy_inputs():

@@ -589,8 +589,8 @@ def check_company_a(catalog: ControlCatalog, default_plan) -> None:
     assert sorted(str(g.control) for g in failing) == ["A.13.2.3", "A.16.1.7"]
 
     comparison = compare_modes(default_plan, plan, mins_model, mins, measurements)
-    assert comparison.independent_stage is Stage.INTERMEDIATE
-    assert comparison.model_stage is Stage.ESSENTIAL
+    assert comparison.independent.stage is Stage.INTERMEDIATE
+    assert comparison.model.stage is Stage.ESSENTIAL
     assert comparison.naive == Fraction(357, 111)
 
 
