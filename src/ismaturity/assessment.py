@@ -86,16 +86,10 @@ class AssessmentResult(NamedTuple):
     """Complete outcome of one gated evaluation, self-contained for reporting."""
 
     stage_results: tuple[StageResult, StageResult, StageResult, StageResult]
-    label_stage: Stage
-    label_level: Fraction | None
-    label_incomplete: bool
+    label: Label
     naive_average: Fraction
     priority_gaps: tuple[Gap, ...]
     measurements: Mapping[ControlId, int]
-
-    @property
-    def label(self) -> Label:
-        return Label(self.label_stage, self.label_level, self.label_incomplete)
 
     def stage_result(self, stage: Stage) -> StageResult:
         return self.stage_results[stage - 1]
@@ -182,15 +176,12 @@ def evaluate(
             if not result.complete:
                 break
             label_stage = result.stage
-    label_level = stage_results[label_stage - 1].average
     priority_gaps = tuple(
         gap for result in stage_results for gap in result.failing if gap.priority
     )
     return AssessmentResult(
         stage_results=tuple(stage_results),
-        label_stage=label_stage,
-        label_level=label_level,
-        label_incomplete=label_incomplete,
+        label=Label(label_stage, stage_results[label_stage - 1].average, label_incomplete),
         naive_average=naive_average(measurements),
         priority_gaps=priority_gaps,
         measurements=dict(measurements),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, field, reading
 
 # Annex A sections run A.5 through A.18; anything outside is a typo.
 SECTION_MIN = 5
@@ -126,52 +126,43 @@ class Finding(NamedTuple):
     message: str
 
 
-def load_catalog(document: Mapping) -> ControlCatalog:
+def load_catalog(document: Mapping, *, source: str = "catalog document") -> ControlCatalog:
     """Build a catalog from a parsed catalog document.
 
     The document shape is the catalog file format: a "controls" list of
     {id, title, section_name, objective_text} records and a "dependencies"
     list of {prerequisite, dependent} records. Controls are reordered by id,
-    so loading is insensitive to input order. Raises ValidationError on
-    duplicate ids, malformed records, or any dependency finding (unknown
-    endpoint, self-edge, cycle).
+    so loading is insensitive to input order. Raises ValidationError naming
+    `source` on duplicate ids, malformed records, or any dependency finding
+    (unknown endpoint, self-edge, cycle).
     """
-    try:
-        raw_controls = document["controls"]
-    except (KeyError, TypeError):
-        raise ValidationError("catalog document lacks a 'controls' list") from None
-    controls: list[Control] = []
-    seen: set[ControlId] = set()
-    for record in raw_controls:
-        try:
+    with reading(source, "catalog document"):
+        controls: list[Control] = []
+        seen: set[ControlId] = set()
+        for record in field(document, "controls", list):
             cid = parse_control_id(record["id"])
-            control = Control(
-                id=cid,
-                title=str(record["title"]),
-                section_name=str(record["section_name"]),
-                objective_text=str(record["objective_text"]),
+            if cid in seen:
+                raise ValidationError(f"duplicate control id {cid}")
+            seen.add(cid)
+            controls.append(
+                Control(
+                    id=cid,
+                    title=field(record, "title", str),
+                    section_name=field(record, "section_name", str),
+                    objective_text=field(record, "objective_text", str),
+                )
             )
-        except (KeyError, TypeError):
-            raise ValidationError(f"malformed control record: {record!r}") from None
-        if cid in seen:
-            raise ValidationError(f"duplicate control id {cid}")
-        seen.add(cid)
-        controls.append(control)
-    pairs = []
-    for record in document.get("dependencies", []):
-        try:
-            pairs.append(
-                (parse_control_id(record["prerequisite"]), parse_control_id(record["dependent"]))
-            )
-        except (KeyError, TypeError):
-            raise ValidationError(f"malformed dependency record: {record!r}") from None
-    catalog = ControlCatalog(
-        controls=tuple(sorted(controls, key=lambda c: c.id)),
-        dependencies=DependencyGraph.from_pairs(pairs),
-    )
-    findings = validate_dependencies(catalog)
-    if findings:
-        raise ValidationError("; ".join(f.message for f in findings))
+        pairs = [
+            (parse_control_id(record["prerequisite"]), parse_control_id(record["dependent"]))
+            for record in field(document, "dependencies", list)
+        ]
+        catalog = ControlCatalog(
+            controls=tuple(sorted(controls, key=lambda c: c.id)),
+            dependencies=DependencyGraph.from_pairs(pairs),
+        )
+        findings = validate_dependencies(catalog)
+        if findings:
+            raise ValidationError("; ".join(f.message for f in findings))
     return catalog
 
 

@@ -40,7 +40,14 @@ from .files import (
     write_text_atomic,
 )
 from .importance import ingest_responses, merge_responses
-from .minimums import LEVEL_MAX, ApplicabilityMap, FixedMinimums, RiskMinimums, build_minimum_db
+from .minimums import (
+    LEVEL_MAX,
+    ApplicabilityMap,
+    FixedMinimums,
+    RiskMinimums,
+    build_minimum_db,
+    parse_mode_tag,
+)
 from .reporting import (
     HUMAN,
     STRUCTURED,
@@ -193,21 +200,14 @@ def _cmd_stage_plan_diff(args) -> int:
     return EXIT_OK
 
 
-def _parse_minimum_mode(text: str):
-    if text == "risk":
-        return "risk"
-    if text.startswith("fixed:"):
-        level_text = text[len("fixed:"):]
-        if level_text.isdigit():
-            return FixedMinimums(level=int(level_text))
-    raise UsageError(f"--mode must be risk or fixed:<level>, got {text!r}")
-
-
 def _cmd_minimums_build(args) -> int:
-    mode = _parse_minimum_mode(args.mode)
+    try:
+        level = parse_mode_tag(args.mode)
+    except ValidationError:
+        raise UsageError(f"--mode must be risk or fixed:<level>, got {args.mode!r}") from None
     catalog = _load_catalog(args)
     applicability = _load_applicability(args)
-    if mode == "risk":
+    if level is None:
         if not args.ratings:
             raise UsageError("risk mode needs --ratings")
         ratings = load_ratings_csv(args.ratings)
@@ -216,7 +216,7 @@ def _cmd_minimums_build(args) -> int:
     else:
         if args.ratings:
             raise UsageError("--ratings only applies to risk mode")
-        db = build_minimum_db(mode, applicability, catalog)
+        db = build_minimum_db(FixedMinimums(level=level), applicability, catalog)
     write_document(args.out, minimum_db_document(db))
     print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
     return EXIT_OK

@@ -17,10 +17,11 @@ mandatory header row:
 Validation errors name the file and 1-based row so records can be fixed at
 the source. Records that appear in more than one document (requirements,
 stage deltas, the stage-or-excluded label) have one writer and one strict
-reader here, and readers take JSON scalars only at their exact type: no
-coercion, and a boolean is not an integer. Writes go through a temp file in
-the target directory, fsynced and then atomically renamed; a failing command
-never leaves a partial output behind.
+reader here. Readers take every JSON value, container or scalar, only at
+its exact type (errors.field: no coercion, and a boolean is not an integer)
+and run inside errors.reading, which names the file in every error. Writes
+go through a temp file in the target directory, fsynced and then atomically
+renamed; a failing command never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
-from .errors import ValidationError
+from .errors import ValidationError, field, reading
 from .importance import (
     LIKERT_MAX,
     LIKERT_MIN,
@@ -48,6 +49,7 @@ from .minimums import (
     MinimumLevelDatabase,
     MinimumRequirement,
     RiskGrade,
+    parse_mode_tag,
     parse_risk_grade,
 )
 from .staging import PARTITIONED, PROMOTED, Stage, StageDelta, StagePlan, check_boundaries
@@ -93,30 +95,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
             raise
     except OSError as exc:
         raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
-
-
-_JSON_TYPES = {
-    bool: "a boolean",
-    int: "an integer",
-    str: "a string",
-    list: "a list",
-    dict: "an object",
-    type(None): "null",
-}
-
-
-def field(record: Mapping, key: str, *kinds: type, source: str):
-    """`record[key]`, which must be exactly one of the JSON types `kinds`.
-
-    No coercion: "false" is not a boolean and true is not an integer. A
-    missing key raises KeyError and a non-object `record` TypeError, which
-    the document readers report as a malformed document.
-    """
-    value = record[key]
-    if type(value) not in kinds:
-        expected = " or ".join(_JSON_TYPES[kind] for kind in kinds)
-        raise ValidationError(f"{key!r} must be {expected}, found {value!r}", source=source)
-    return value
 
 
 def check_format_version(document: Mapping, source: str) -> None:
@@ -186,11 +164,7 @@ def catalog_document(catalog: ControlCatalog) -> dict:
 
 
 def read_catalog_file(path: str | Path) -> ControlCatalog:
-    document = read_document(path, KIND_CATALOG)
-    try:
-        return load_catalog(document)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), source=str(path)) from None
+    return load_catalog(read_document(path, KIND_CATALOG), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +183,25 @@ def importance_document(db: ImportanceDatabase) -> dict:
 
 
 def importance_from_document(document: Mapping, source: str = "importance document") -> ImportanceDatabase:
-    try:
-        controls = tuple(parse_control_id(text) for text in document["controls"])
-        raw_responses = document["responses"]
-    except (KeyError, TypeError):
-        raise ValidationError("malformed importance database document", source=source) from None
-    known = set(controls)
-    responses: dict[str, dict[ControlId, int]] = {}
-    for respondent, scores in raw_responses.items():
-        parsed: dict[ControlId, int] = {}
-        for text, score in scores.items():
-            cid = parse_control_id(text)
-            if cid not in known:
-                raise ValidationError(
-                    f"respondent {respondent} scores unknown control {cid}", source=source
-                )
-            if not isinstance(score, int) or isinstance(score, bool) or not LIKERT_MIN <= score <= LIKERT_MAX:
-                raise ValidationError(
-                    f"respondent {respondent}, control {cid}: score {score!r} outside {LIKERT_MIN}..{LIKERT_MAX}",
-                    source=source,
-                )
-            parsed[cid] = score
-        responses[respondent] = parsed
+    with reading(source, "importance database document"):
+        controls = tuple(parse_control_id(text) for text in field(document, "controls", list))
+        known = set(controls)
+        raw_responses = field(document, "responses", dict)
+        responses: dict[str, dict[ControlId, int]] = {}
+        for respondent in raw_responses:
+            scores = field(raw_responses, respondent, dict)
+            parsed: dict[ControlId, int] = {}
+            for text in scores:
+                cid = parse_control_id(text)
+                if cid not in known:
+                    raise ValidationError(f"respondent {respondent} scores unknown control {cid}")
+                score = field(scores, text, int)
+                if not LIKERT_MIN <= score <= LIKERT_MAX:
+                    raise ValidationError(
+                        f"respondent {respondent}, control {cid}: score {score} outside {LIKERT_MIN}..{LIKERT_MAX}"
+                    )
+                parsed[cid] = score
+            responses[respondent] = parsed
     return ImportanceDatabase(controls=controls, responses=responses)
 
 
@@ -253,34 +224,26 @@ def stage_plan_document(plan: StagePlan) -> dict:
 
 
 def stage_plan_from_document(document: Mapping, source: str = "stage plan document") -> StagePlan:
-    try:
-        boundaries = tuple(int(b) for b in document["boundaries"])
-        raw_assignment = field(document, "assignment", dict, source=source)
-        raw_provenance = field(document, "provenance", dict, source=source)
-        raw_excluded = field(document, "excluded", list, source=source)
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("malformed stage plan document", source=source) from None
-    assignment: dict[ControlId, Stage] = {}
-    for text, label in raw_assignment.items():
-        assignment[parse_control_id(text)] = Stage.from_label(label)
-    provenance: dict[ControlId, str] = {}
-    for text, tag in raw_provenance.items():
-        if tag not in (PARTITIONED, PROMOTED):
-            raise ValidationError(f"unknown provenance tag {tag!r} for {text}", source=source)
-        provenance[parse_control_id(text)] = tag
-    if set(provenance) != set(assignment):
-        raise ValidationError("provenance must cover exactly the assigned controls", source=source)
-    excluded = tuple(sorted(parse_control_id(text) for text in raw_excluded))
-    overlap = set(excluded) & set(assignment)
-    if overlap:
-        raise ValidationError(
-            "controls both assigned and excluded: " + ", ".join(str(c) for c in sorted(overlap)),
-            source=source,
+    with reading(source, "stage plan document"):
+        assignment: dict[ControlId, Stage] = {}
+        for text, label in field(document, "assignment", dict).items():
+            assignment[parse_control_id(text)] = Stage.from_label(label)
+        provenance: dict[ControlId, str] = {}
+        for text, tag in field(document, "provenance", dict).items():
+            if tag not in (PARTITIONED, PROMOTED):
+                raise ValidationError(f"unknown provenance tag {tag!r} for {text}")
+            provenance[parse_control_id(text)] = tag
+        if set(provenance) != set(assignment):
+            raise ValidationError("provenance must cover exactly the assigned controls")
+        excluded = tuple(sorted(parse_control_id(text) for text in field(document, "excluded", list)))
+        overlap = set(excluded) & set(assignment)
+        if overlap:
+            raise ValidationError(
+                "controls both assigned and excluded: " + ", ".join(str(c) for c in sorted(overlap))
+            )
+        boundaries = check_boundaries(
+            field(document, "boundaries", list), len(assignment), len(assignment) + len(excluded)
         )
-    try:
-        check_boundaries(boundaries, len(assignment), len(assignment) + len(excluded))
-    except ValidationError as exc:
-        raise ValidationError(str(exc), source=source) from None
     return StagePlan(
         assignment=assignment,
         provenance=provenance,
@@ -307,26 +270,19 @@ def requirements_record(requirements: Mapping[ControlId, MinimumRequirement]) ->
     }
 
 
-def requirements_from_record(raw: Mapping, source: str) -> dict[ControlId, MinimumRequirement]:
-    if not isinstance(raw, dict):
-        raise ValidationError("requirements must be an object", source=source)
+def requirements_from_record(raw: Mapping) -> dict[ControlId, MinimumRequirement]:
+    """Read a requirements object; runs inside the calling reader's `reading`."""
     requirements: dict[ControlId, MinimumRequirement] = {}
     for text, record in raw.items():
         cid = parse_control_id(text)
-        try:
-            level = record["required_level"]
-            priority = record["priority"]
-            raw_score = record["raw_score"]
-        except (KeyError, TypeError):
-            raise ValidationError(f"malformed requirement record for {cid}", source=source) from None
-        if not isinstance(level, int) or isinstance(level, bool) or not 1 <= level <= LEVEL_MAX:
-            raise ValidationError(f"required level for {cid} outside 1..{LEVEL_MAX}: {level!r}", source=source)
-        if not isinstance(priority, bool):
-            raise ValidationError(f"priority flag for {cid} must be boolean", source=source)
-        if raw_score is not None and (not isinstance(raw_score, int) or not 2 <= raw_score <= 6):
-            raise ValidationError(f"raw score for {cid} outside 2..6: {raw_score!r}", source=source)
+        level = field(record, "required_level", int)
+        if not 1 <= level <= LEVEL_MAX:
+            raise ValidationError(f"required level for {cid} outside 1..{LEVEL_MAX}: {level}")
+        raw_score = field(record, "raw_score", int, type(None))
+        if raw_score is not None and not 2 <= raw_score <= 6:
+            raise ValidationError(f"raw score for {cid} outside 2..6: {raw_score}")
         requirements[cid] = MinimumRequirement(
-            required_level=level, priority=priority, raw_score=raw_score
+            required_level=level, priority=field(record, "priority", bool), raw_score=raw_score
         )
     return requirements
 
@@ -345,23 +301,18 @@ def minimum_db_document(db: MinimumLevelDatabase) -> dict:
 
 
 def minimum_db_from_document(document: Mapping, source: str = "minimum database document") -> MinimumLevelDatabase:
-    try:
-        mode = document["mode"]
-        raw_requirements = document["requirements"]
-        raw_excluded = field(document, "excluded", dict, source=source)
-    except (KeyError, TypeError):
-        raise ValidationError("malformed minimum database document", source=source) from None
-    if mode != "risk" and not (
-        isinstance(mode, str) and mode.startswith("fixed:") and mode[6:].isdigit()
-    ):
-        raise ValidationError(f"unknown minimum mode {mode!r}", source=source)
-    requirements = requirements_from_record(raw_requirements, source)
-    excluded: dict[ControlId, str] = {}
-    for text, justification in raw_excluded.items():
-        cid = parse_control_id(text)
-        if not isinstance(justification, str) or not justification.strip():
-            raise ValidationError(f"excluded control {cid} lacks a justification", source=source)
-        excluded[cid] = justification
+    with reading(source, "minimum database document"):
+        mode = field(document, "mode", str)
+        parse_mode_tag(mode)
+        requirements = requirements_from_record(field(document, "requirements", dict))
+        raw_excluded = field(document, "excluded", dict)
+        excluded: dict[ControlId, str] = {}
+        for text in raw_excluded:
+            cid = parse_control_id(text)
+            justification = field(raw_excluded, text, str)
+            if not justification.strip():
+                raise ValidationError(f"excluded control {cid} lacks a justification")
+            excluded[cid] = justification
     return MinimumLevelDatabase(mode=mode, requirements=requirements, excluded=excluded)
 
 
@@ -377,13 +328,8 @@ def stage_label(stage: Stage | None) -> str:
     return EXCLUDED_LABEL if stage is None else stage.label
 
 
-def _stage_from_label(label: str, source: str) -> Stage | None:
-    if label == EXCLUDED_LABEL:
-        return None
-    try:
-        return Stage.from_label(label)
-    except ValidationError:
-        raise ValidationError(f"unknown stage label {label!r}", source=source) from None
+def _stage_from_label(label: str) -> Stage | None:
+    return None if label == EXCLUDED_LABEL else Stage.from_label(label)
 
 
 def deltas_record(deltas: Sequence[StageDelta]) -> list[dict]:
@@ -393,22 +339,16 @@ def deltas_record(deltas: Sequence[StageDelta]) -> list[dict]:
     ]
 
 
-def deltas_from_record(raw: Sequence, source: str) -> tuple[StageDelta, ...]:
-    if not isinstance(raw, list):
-        raise ValidationError("stage deltas must be a list", source=source)
-    deltas = []
-    for record in raw:
-        try:
-            deltas.append(
-                StageDelta(
-                    control=parse_control_id(record["control"]),
-                    before=_stage_from_label(record["from"], source),
-                    after=_stage_from_label(record["to"], source),
-                )
-            )
-        except (KeyError, TypeError):
-            raise ValidationError(f"malformed delta record: {record!r}", source=source) from None
-    return tuple(deltas)
+def deltas_from_record(raw: Sequence) -> tuple[StageDelta, ...]:
+    """Read a list of delta records; runs inside the calling reader's `reading`."""
+    return tuple(
+        StageDelta(
+            control=parse_control_id(record["control"]),
+            before=_stage_from_label(record["from"]),
+            after=_stage_from_label(record["to"]),
+        )
+        for record in raw
+    )
 
 
 def diff_document(deltas: Sequence[StageDelta]) -> dict:
@@ -416,11 +356,8 @@ def diff_document(deltas: Sequence[StageDelta]) -> dict:
 
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
-    try:
-        raw = document["deltas"]
-    except (KeyError, TypeError):
-        raise ValidationError("malformed diff document", source=source) from None
-    return deltas_from_record(raw, source)
+    with reading(source, "diff document"):
+        return deltas_from_record(field(document, "deltas", list))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +508,7 @@ def _bundled_text(name: str) -> str:
 def default_catalog() -> ControlCatalog:
     """The bundled 114-control catalog with its single prerequisite edge."""
     document = parse_document(_bundled_text("catalog_default.json"), KIND_CATALOG, "bundled catalog")
-    return load_catalog(document)
+    return load_catalog(document, source="bundled catalog")
 
 
 @lru_cache(maxsize=None)

@@ -175,6 +175,21 @@ class MinimumLevelDatabase(NamedTuple):
             raise ValidationError(f"control {cid} is not covered by this minimum database") from None
 
 
+# The mode tags build_minimum_db writes, each with the fixed level it names.
+_MODE_TAGS = {"risk": None, **{f"fixed:{level}": level for level in range(1, LEVEL_MAX + 1)}}
+
+
+def parse_mode_tag(tag: str) -> int | None:
+    """The fixed level a mode tag names ("fixed:1" .. "fixed:5"), or None for "risk".
+
+    Exactly the tags build_minimum_db writes are accepted: "fixed:03",
+    "fixed:0" or a non-ASCII digit are a ValidationError.
+    """
+    if tag not in _MODE_TAGS:
+        raise ValidationError(f"unknown minimum mode {tag!r} (expected risk or fixed:<level>)")
+    return _MODE_TAGS[tag]
+
+
 def build_minimum_db(
     mode: FixedMinimums | RiskMinimums,
     applicability: ApplicabilityMap,

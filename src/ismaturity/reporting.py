@@ -28,13 +28,12 @@ from .assessment import (
     naive_average,
 )
 from .catalog import ControlId, parse_control_id
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ValidationError, field, reading
 from .files import (
     FORMAT_VERSION,
     canonical_json,
     deltas_from_record,
     deltas_record,
-    field,
     parse_document,
     requirements_from_record,
     requirements_record,
@@ -178,14 +177,14 @@ def _fraction_fields(value: Fraction | None) -> dict | None:
     return {"exact": f"{value.numerator}/{value.denominator}", "display": format_level(value)}
 
 
-def _fraction_from_fields(record, source: str, *, optional: bool = False) -> Fraction | None:
+def _fraction_from_fields(record, *, optional: bool = False) -> Fraction | None:
     if record is None and optional:
         return None
-    field(record, "display", str, source=source)
+    field(record, "display", str)
     try:
-        return Fraction(field(record, "exact", str, source=source))
+        return Fraction(field(record, "exact", str))
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"malformed average record: {record!r}", source=source) from None
+        raise ValidationError(f"malformed average record: {record!r}") from None
 
 
 def _label_fields(label: Label) -> dict:
@@ -197,17 +196,17 @@ def _label_fields(label: Label) -> dict:
     }
 
 
-def _label_from_fields(record, source: str) -> Label:
-    field(record, "level_name", str, type(None), source=source)
+def _label_from_fields(record) -> Label:
+    field(record, "level_name", str, type(None))
     return Label(
         stage=Stage.from_label(record["stage"]),
-        level=_fraction_from_fields(record["level"], source, optional=True),
-        incomplete=field(record, "incomplete", bool, source=source),
+        level=_fraction_from_fields(record["level"], optional=True),
+        incomplete=field(record, "incomplete", bool),
     )
 
 
-def _control_ids(record, key: str, source: str) -> tuple[ControlId, ...]:
-    return tuple(parse_control_id(text) for text in field(record, key, list, source=source))
+def _control_ids(record, key: str) -> tuple[ControlId, ...]:
+    return tuple(parse_control_id(text) for text in field(record, key, list))
 
 
 def report_document_dict(doc: ReportDocument) -> dict:
@@ -271,66 +270,60 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     not re-derived from one another.
     """
     raw = parse_document(text, KIND_REPORT, source)
-    try:
+    with reading(source, "assessment report document"):
         stage_rows = tuple(
             StageRow(
                 stage=Stage.from_label(record["stage"]),
-                members=_control_ids(record, "members", source),
-                average=_fraction_from_fields(record["average"], source, optional=True),
-                complete=field(record, "complete", bool, source=source),
-                failing_count=field(record, "failing_count", int, source=source),
+                members=_control_ids(record, "members"),
+                average=_fraction_from_fields(record["average"], optional=True),
+                complete=field(record, "complete", bool),
+                failing_count=field(record, "failing_count", int),
             )
-            for record in field(raw, "stages", list, source=source)
+            for record in field(raw, "stages", list)
         )
         gaps = tuple(
             Gap(
                 control=parse_control_id(record["control"]),
                 stage=Stage.from_label(record["stage"]),
-                measured=field(record, "measured", int, source=source),
-                required=field(record, "required", int, source=source),
-                priority=field(record, "priority", bool, source=source),
+                measured=field(record, "measured", int),
+                required=field(record, "required", int),
+                priority=field(record, "priority", bool),
             )
-            for record in field(raw, "gaps", list, source=source)
+            for record in field(raw, "gaps", list)
         )
         findings = tuple(
             MisallocationFinding(
                 later_stage=Stage.from_label(record["later_stage"]),
                 earlier_stage=Stage.from_label(record["earlier_stage"]),
                 later_control=parse_control_id(record["later_control"]),
-                later_level=field(record, "later_level", int, source=source),
+                later_level=field(record, "later_level", int),
                 earlier_control=parse_control_id(record["earlier_control"]),
-                earlier_level=field(record, "earlier_level", int, source=source),
+                earlier_level=field(record, "earlier_level", int),
             )
-            for record in field(raw, "misallocation_findings", list, source=source)
+            for record in field(raw, "misallocation_findings", list)
         )
-        raw_deltas = raw["stage_plan_deltas"]
-        levels = field(raw, "measurements", dict, source=source)
+        raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
+        levels = field(raw, "measurements", dict)
         return ReportDocument(
-            company=field(raw, "company", str, source=source),
-            timestamp=field(raw, "timestamp", str, source=source),
-            mode=field(raw, "mode", str, source=source),
-            minimums_mode=field(raw, "minimums_mode", str, source=source),
-            misallocation_threshold=field(raw, "misallocation_threshold", int, source=source),
+            company=field(raw, "company", str),
+            timestamp=field(raw, "timestamp", str),
+            mode=field(raw, "mode", str),
+            minimums_mode=field(raw, "minimums_mode", str),
+            misallocation_threshold=field(raw, "misallocation_threshold", int),
             stage_rows=stage_rows,
-            label=_label_from_fields(raw["label"], source),
-            naive=_fraction_from_fields(raw["naive_average"], source),
+            label=_label_from_fields(raw["label"]),
+            naive=_fraction_from_fields(raw["naive_average"]),
             gaps=gaps,
-            priority_controls=_control_ids(raw, "priority_controls", source),
+            priority_controls=_control_ids(raw, "priority_controls"),
             findings=findings,
             not_applicable=tuple(
-                (parse_control_id(record["control"]), field(record, "justification", str, source=source))
-                for record in field(raw, "not_applicable", list, source=source)
+                (parse_control_id(record["control"]), field(record, "justification", str))
+                for record in field(raw, "not_applicable", list)
             ),
-            deltas=None if raw_deltas is None else deltas_from_record(raw_deltas, source),
-            measurements={parse_control_id(t): field(levels, t, int, source=source) for t in levels},
-            requirements=requirements_from_record(raw["requirements"], source),
+            deltas=None if raw_deltas is None else deltas_from_record(raw_deltas),
+            measurements={parse_control_id(t): field(levels, t, int) for t in levels},
+            requirements=requirements_from_record(field(raw, "requirements", dict)),
         )
-    except (KeyError, TypeError):
-        raise ValidationError("malformed assessment report document", source=source) from None
-    except ValidationError as exc:  # control ids and stage labels do not know the file
-        if exc.source is not None:
-            raise
-        raise ValidationError(str(exc), source=source) from None
 
 
 def render_document(doc: ReportDocument, fmt: str) -> str:
@@ -472,14 +465,12 @@ def comparison_document_dict(comparison: ModeComparison, *, company: str, timest
 
 def parse_comparison(text: str, source: str = "comparison") -> ModeComparison:
     raw = parse_document(text, KIND_COMPARISON, source)
-    try:
+    with reading(source, "mode comparison document"):
         return ModeComparison(
-            independent=_label_from_fields(raw["independent"], source),
-            model=_label_from_fields(raw["model"], source),
-            naive=_fraction_from_fields(raw["naive_average"], source),
+            independent=_label_from_fields(raw["independent"]),
+            model=_label_from_fields(raw["model"]),
+            naive=_fraction_from_fields(raw["naive_average"]),
         )
-    except (KeyError, TypeError):
-        raise ValidationError("malformed mode comparison document", source=source) from None
 
 
 def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, timestamp: str) -> str:

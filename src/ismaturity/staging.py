@@ -100,15 +100,18 @@ def check_boundaries(
 ) -> tuple[int, int, int, int]:
     """Validate cumulative stage boundaries for `count` staged controls.
 
-    Exactly four values, strictly increasing, the first at least 1 and the
-    last equal to `count`. A plan restricted by exclude_from_plan keeps the
-    boundaries its partition ran with, so readers of stored plans pass the
-    plan's whole universe as `universe`; the last boundary may then lie
-    anywhere from `count` to `universe`.
+    Exactly four integers (no floats, strings or booleans), strictly
+    increasing, the first at least 1 and the last equal to `count`. A plan
+    restricted by exclude_from_plan keeps the boundaries its partition ran
+    with, so readers of stored plans pass the plan's whole universe as
+    `universe`; the last boundary may then lie anywhere from `count` to
+    `universe`.
     """
-    bounds = tuple(int(b) for b in boundaries)
+    bounds = tuple(boundaries)
     if len(bounds) != 4:
         raise ValidationError(f"exactly four boundaries required, got {len(bounds)}")
+    if any(type(b) is not int for b in bounds):
+        raise ValidationError(f"boundaries must be integers, got {bounds}")
     if any(b <= a for a, b in zip(bounds, bounds[1:])) or bounds[0] < 1:
         raise ValidationError(f"boundaries must be strictly increasing and positive, got {bounds}")
     top = count if universe is None else universe

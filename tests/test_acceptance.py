@@ -208,8 +208,8 @@ def test_06_company_a_end_to_end(criterion, default_plan, ca_plan, ca_result, ca
             expected_stages.CA_EXCLUDED
         )
 
-        assert ca_result.label_stage is Stage.INTERMEDIATE
-        assert label_line(ca_result.label_stage, ca_result.label_level) == (
+        assert ca_result.label.stage is Stage.INTERMEDIATE
+        assert label_line(ca_result.label.stage, ca_result.label.level) == (
             expected_stages.CA_LABEL_LINE
         )
         measured = oracles.measurements_from_csv(ca_paths["measurements"])
@@ -245,10 +245,10 @@ def test_07_gated_label_differs_from_equal_naive_averages(criterion):
         assert result_x.naive_average == result_y.naive_average == Fraction(3)
         assert format_level(result_x.naive_average) == "3.00"
         assert format_level(result_y.naive_average) == "3.00"
-        assert result_x.label_stage is Stage.FULL and not result_x.label_incomplete
-        assert result_y.label_stage is Stage.ESSENTIAL and result_y.label_incomplete
-        assert label_line(result_x.label_stage, result_x.label_level) != label_line(
-            result_y.label_stage, result_y.label_level
+        assert result_x.label.stage is Stage.FULL and not result_x.label.incomplete
+        assert result_y.label.stage is Stage.ESSENTIAL and result_y.label.incomplete
+        assert label_line(result_x.label.stage, result_x.label.level) != label_line(
+            result_y.label.stage, result_y.label.level
         )
 
 
@@ -264,7 +264,7 @@ def test_08_raising_a_measurement_never_lowers_the_label(criterion):
         )
 
         def rank(result):
-            return (result.label_stage.value, 0 if result.label_incomplete else 1)
+            return (result.label.stage.value, 0 if result.label.incomplete else 1)
 
         started = time.monotonic()
         for _ in range(500):

@@ -44,9 +44,9 @@ def test_all_stages_complete_labels_full():
     plan = make_plan(STAGES8)
     mins = fixed_mins(EIGHT, 3)
     result = evaluate(plan, mins, {cid(t): 3 for t in EIGHT})
-    assert result.label_stage is Stage.FULL
-    assert not result.label_incomplete
-    assert result.label_level == Fraction(3)
+    assert result.label.stage is Stage.FULL
+    assert not result.label.incomplete
+    assert result.label.level == Fraction(3)
     assert all(sr.complete for sr in result.stage_results)
 
 
@@ -56,8 +56,8 @@ def test_label_stops_before_first_incomplete_stage():
     measured = {cid(t): 3 for t in EIGHT}
     measured[cid(EIGHT[4])] = 2  # one Advanced control below minimum
     result = evaluate(plan, mins, measured)
-    assert result.label_stage is Stage.INTERMEDIATE
-    assert not result.label_incomplete
+    assert result.label.stage is Stage.INTERMEDIATE
+    assert not result.label.incomplete
     # averages are still reported for stages past the label
     assert result.stage_result(Stage.ADVANCED).average == Fraction(5, 2)
     assert result.stage_result(Stage.FULL).complete
@@ -69,9 +69,9 @@ def test_incomplete_essential_keeps_label_with_flag():
     measured = {cid(t): 5 for t in EIGHT}
     measured[cid(EIGHT[0])] = 0
     result = evaluate(plan, mins, measured)
-    assert result.label_stage is Stage.ESSENTIAL
-    assert result.label_incomplete
-    assert result.label_level == Fraction(5, 2)
+    assert result.label.stage is Stage.ESSENTIAL
+    assert result.label.incomplete
+    assert result.label.level == Fraction(5, 2)
 
 
 def test_empty_stage_is_vacuously_complete_with_no_average():
@@ -85,7 +85,7 @@ def test_empty_stage_is_vacuously_complete_with_no_average():
     assert intermediate.members == ()
     assert intermediate.average is None
     assert intermediate.complete
-    assert result.label_stage is Stage.FULL
+    assert result.label.stage is Stage.FULL
 
 
 def test_naive_average_is_plain_mean():
@@ -116,7 +116,7 @@ def test_measurements_for_excluded_controls_are_rejected():
     with pytest.raises(ConsistencyError, match="excluded"):
         evaluate(plan, mins, measured)
     result = evaluate(plan, mins, {cid(t): 3 for t in keep})
-    assert result.label_stage is Stage.FULL
+    assert result.label.stage is Stage.FULL
 
 
 def test_plan_and_minimums_must_agree_on_exclusions():
@@ -173,8 +173,8 @@ def test_label_matches_brute_force_oracle_on_random_cases():
         expected_stage, expected_incomplete = prefix_gated_label(
             stages, usable_required, measured
         )
-        assert int(result.label_stage) == expected_stage
-        assert result.label_incomplete == expected_incomplete
+        assert int(result.label.stage) == expected_stage
+        assert result.label.incomplete == expected_incomplete
 
 
 def test_misallocation_pairs_highest_later_against_lowest_failing_earlier():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ismaturity
-from ismaturity.files import parse_document, read_document
+from ismaturity.files import canonical_json, catalog_document, parse_document, read_document
 from ismaturity.reporting import parse_report
 
 import expected_stages
@@ -269,8 +269,9 @@ def test_minimums_build_flag_combinations(run_cli, ca, tmp_path):
         "minimums", "build", "--mode", "fixed:3", "--ratings", ca["ratings"], "--out", out
     )
     assert code == 64 and "only applies to risk mode" in err
-    code, _, err = run_cli("minimums", "build", "--mode", "sometimes", "--out", out)
-    assert code == 64 and "risk or fixed:<level>" in err
+    for mode in ("sometimes", "fixed:0", "fixed:9", "fixed:\u0663", "fixed:03"):
+        code, _, err = run_cli("minimums", "build", "--mode", mode, "--out", out)
+        assert code == 64 and "risk or fixed:<level>" in err
 
 
 # ---------------------------------------------------------------------------
@@ -406,31 +407,50 @@ def test_cli_import_skips_dataclasses_and_datetime():
 # ---------------------------------------------------------------------------
 # Mistyped and malformed documents: exit 1, never a traceback
 
-def mistyped_report(run_cli, ca, tmp_path, mutate):
-    path = tmp_path / "report.json"
-    assert run_cli(*assess_args(ca, "--out", path, "--out-text", tmp_path / "report.txt"))[0] == 0
-    document = json.loads(path.read_text(encoding="utf-8"))
-    mutate(document)
-    path.write_text(json.dumps(document), encoding="utf-8")
-    return path
+def written_document(run_cli, ca, tmp_path, kind):
+    """A valid document of `kind` on disk, and a command line that reads it."""
+    path = tmp_path / f"{kind}.json"
+    out = tmp_path / "out.json"
+    if kind == "report":
+        assert run_cli(*assess_args(ca, "--out", path, "--out-text", tmp_path / "report.txt"))[0] == 0
+        return path, ("report", path)
+    if kind == "catalog":
+        path.write_text(canonical_json(catalog_document(ismaturity.default_catalog())), encoding="utf-8")
+        return path, ("minimums", "build", "--mode", "fixed:3", "--catalog", path, "--out", out)
+    assert run_cli("import-survey", ca["survey"], "--out", path)[0] == 0
+    return path, ("stage-plan", "build", "--importance", path, "--out", out)
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    ("kind", "mutate"),
     [
-        lambda doc: doc["gaps"][0].update(priority="false"),
-        lambda doc: doc["label"].update(incomplete="no"),
-        lambda doc: doc["stages"][0]["members"].__setitem__(0, 5),
-        lambda doc: doc["requirements"]["A.5.1.1"].update(priority=1),
-        lambda doc: doc.update(measurements=[]),
+        ("report", lambda doc: doc["gaps"][0].update(priority="false")),
+        ("report", lambda doc: doc["label"].update(incomplete="no")),
+        ("report", lambda doc: doc["stages"][0]["members"].__setitem__(0, 5)),
+        ("report", lambda doc: doc["requirements"]["A.5.1.1"].update(priority=1)),
+        ("report", lambda doc: doc.update(measurements=[])),
+        ("catalog", lambda doc: doc.update(controls=5)),
+        ("catalog", lambda doc: doc.update(dependencies=5)),
+        ("catalog", lambda doc: doc["controls"][0].update(title=7)),
+        ("importance", lambda doc: doc.update(responses=[])),
+        ("importance", lambda doc: doc.update(responses={"r": [1]})),
+        ("importance", lambda doc: doc.update(controls=5)),
     ],
-    ids=["priority-string", "incomplete-string", "int-member", "int-priority", "list-measurements"],
+    ids=[
+        "priority-string", "incomplete-string", "int-member", "int-priority", "list-measurements",
+        "catalog-int-controls", "catalog-int-dependencies", "catalog-int-title",
+        "importance-list-responses", "importance-list-scores", "importance-int-controls",
+    ],
 )
-def test_report_rejects_mistyped_fields(run_cli, ca, tmp_path, mutate):
-    path = mistyped_report(run_cli, ca, tmp_path, mutate)
-    code, out, err = run_cli("report", path)
+def test_report_rejects_mistyped_fields(run_cli, ca, tmp_path, kind, mutate):
+    # Also covers the catalog and importance documents the CLI reads; stage plans follow.
+    path, command = written_document(run_cli, ca, tmp_path, kind)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
     assert (code, out) == (1, "")
-    assert err.startswith(f"input error: {path}")
+    assert err.startswith(f"input error: {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -438,6 +458,10 @@ def test_report_rejects_mistyped_fields(run_cli, ca, tmp_path, mutate):
     [
         ("excluded", [7], "not a string"),
         ("boundaries", [86, 57, 29, 5], "strictly increasing"),
+        ("boundaries", [29.7, 56, 84, 111], "must be integers"),
+        ("boundaries", ["29", 56, 84, 111], "must be integers"),
+        ("boundaries", [True, 56, 84, 111], "must be integers"),
+        ("assignment", {"A.5.1.1": "Expert"}, "unknown stage 'Expert'"),
     ],
 )
 def test_stage_plan_diff_rejects_malformed_plans(run_cli, ca, tmp_path, field, value, message):
@@ -451,7 +475,7 @@ def test_stage_plan_diff_rejects_malformed_plans(run_cli, ca, tmp_path, field, v
     path.write_text(json.dumps(document), encoding="utf-8")
     code, out, err = run_cli("stage-plan", "diff", "default", path)
     assert (code, out) == (1, "")
-    assert message in err
+    assert err.startswith(f"input error: {path}: ") and message in err
 
 
 def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,11 @@ from ismaturity import (
     misallocation_findings,
 )
 from ismaturity.files import (
+    KIND_CATALOG,
+    KIND_DIFF,
+    KIND_IMPORTANCE,
+    KIND_MINIMUMS,
+    KIND_STAGE_PLAN,
     canonical_json,
     catalog_document,
     deltas_from_document,
@@ -30,6 +36,7 @@ from ismaturity.files import (
     importance_from_document,
     minimum_db_document,
     minimum_db_from_document,
+    parse_document,
     stage_plan_document,
     stage_plan_from_document,
 )
@@ -75,14 +82,8 @@ def scenarios(draw):
     return catalog, rows, applicability, ratings, measurements, fixed
 
 
-def same_bytes(document, read, write):
-    text = canonical_json(document)
-    assert canonical_json(write(read(json.loads(text)))) == text
-
-
-@settings(max_examples=60, deadline=None)
-@given(scenarios(), WORDS, WORDS)
-def test_every_document_kind_round_trips_byte_identically(scenario, company, timestamp):
+def pipeline(scenario):
+    """The value of each document kind but the report, built from one scenario."""
     catalog, rows, applicability, ratings, measurements, fixed = scenario
     db = ingest_responses(rows, catalog)
     plan = build_stage_plan(db, catalog, applicability)
@@ -90,14 +91,49 @@ def test_every_document_kind_round_trips_byte_identically(scenario, company, tim
     mins = build_minimum_db(
         RiskMinimums(ratings) if fixed is None else FixedMinimums(fixed), applicability, catalog
     )
-    deltas = diff_stage_plans(unrestricted, plan)
+    mins_model = build_minimum_db(FixedMinimums(3), applicability, catalog)
+    return {
+        "catalog": catalog,
+        "importance": db,
+        "stage-plan": plan,
+        "minimums": mins,
+        "diff": diff_stage_plans(unrestricted, plan),
+        "comparison": compare_modes(unrestricted, plan, mins_model, mins, measurements),
+    }
 
-    same_bytes(catalog_document(catalog), load_catalog, catalog_document)
-    same_bytes(importance_document(db), importance_from_document, importance_document)
-    same_bytes(stage_plan_document(plan), stage_plan_from_document, stage_plan_document)
-    same_bytes(minimum_db_document(mins), minimum_db_from_document, minimum_db_document)
-    same_bytes(diff_document(deltas), deltas_from_document, diff_document)
 
+def file_codec(kind, read, write):
+    """(read, write) between a value and the text of its document file."""
+    return (
+        lambda text: read(parse_document(text, kind, "doc.json"), source="doc.json"),
+        lambda value: canonical_json(write(value)),
+    )
+
+
+CODECS = {
+    "catalog": file_codec(KIND_CATALOG, load_catalog, catalog_document),
+    "importance": file_codec(KIND_IMPORTANCE, importance_from_document, importance_document),
+    "stage-plan": file_codec(KIND_STAGE_PLAN, stage_plan_from_document, stage_plan_document),
+    "minimums": file_codec(KIND_MINIMUMS, minimum_db_from_document, minimum_db_document),
+    "diff": file_codec(KIND_DIFF, deltas_from_document, diff_document),
+    "comparison": (
+        lambda text: parse_comparison(text, source="doc.json"),
+        lambda comparison: render_comparison(comparison, STRUCTURED, company="c", timestamp="t"),
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), WORDS, WORDS)
+def test_every_document_kind_round_trips_byte_identically(scenario, company, timestamp):
+    catalog, rows, applicability, ratings, measurements, fixed = scenario
+    values = pipeline(scenario)
+    for kind in ("catalog", "importance", "stage-plan", "minimums", "diff"):
+        read, write = CODECS[kind]
+        text = write(values[kind])
+        assert write(read(text)) == text
+
+    plan, mins, deltas = values["stage-plan"], values["minimums"], values["diff"]
     result = evaluate(plan, mins, measurements)
     for mode, report_deltas in (("independent", deltas), ("model", None)):
         report = build_report(
@@ -107,9 +143,7 @@ def test_every_document_kind_round_trips_byte_identically(scenario, company, tim
         text = render_document(report, STRUCTURED)
         assert render_document(parse_report(text), STRUCTURED) == text
 
-    mins_model = build_minimum_db(FixedMinimums(3), applicability, catalog)
-    comparison = compare_modes(unrestricted, plan, mins_model, mins, measurements)
-    text = render_comparison(comparison, STRUCTURED, company=company, timestamp=timestamp)
+    text = render_comparison(values["comparison"], STRUCTURED, company=company, timestamp=timestamp)
     assert render_comparison(parse_comparison(text), STRUCTURED, company=company, timestamp=timestamp) == text
 
 
@@ -123,16 +157,27 @@ REPORTS = [
 ]
 
 
-def scalar_leaves(value, path=()):
-    """(path, value) of every scalar in a parsed JSON document."""
+def nodes(value, path=()):
+    """(path, value) of every node of a parsed JSON document, containers included."""
+    yield path, value
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from scalar_leaves(item, path + (key,))
+            yield from nodes(item, path + (key,))
     elif isinstance(value, list):
         for index, item in enumerate(value):
-            yield from scalar_leaves(item, path + (index,))
-    else:
-        yield path, value
+            yield from nodes(item, path + (index,))
+
+
+def replaced(document, path, value):
+    """A deep copy of `document` with the node at `path` set to `value`."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(document))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
 
 
 # Containers are never empty: [] in place of a model report's null
@@ -144,7 +189,12 @@ JSON_VALUES = SCALARS | st.lists(SCALARS, min_size=1, max_size=2) | st.dictionar
     st.text(max_size=4), SCALARS, min_size=1, max_size=2
 )
 MUTATIONS = st.sampled_from(
-    [(which, path, old) for which, (document, _) in enumerate(REPORTS) for path, old in scalar_leaves(document)]
+    [
+        (which, path, old)
+        for which, (document, _) in enumerate(REPORTS)
+        for path, old in nodes(document)
+        if not isinstance(old, (dict, list))
+    ]
 ).flatmap(
     lambda leaf: st.tuples(st.just(leaf), JSON_VALUES.filter(lambda new: type(new) is not type(leaf[2])))
 )
@@ -155,13 +205,39 @@ MUTATIONS = st.sampled_from(
 def test_a_mistyped_leaf_is_rejected_or_changes_nothing(mutation):
     (which, path, _), value = mutation
     document, human = REPORTS[which]
-    mutated = json.loads(json.dumps(document))
-    parent = mutated
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
     try:
-        parsed = parse_report(json.dumps(mutated))
+        parsed = parse_report(json.dumps(replaced(document, path, value)))
     except ValidationError:
         return
     assert render_document(parsed, HUMAN) == human
+
+
+# ---------------------------------------------------------------------------
+# Strict reading of the other six document kinds
+
+# Nullable fields: the other type a field allows is well typed, not a mutation.
+NULLABLE = {"raw_score": int, "level": dict}
+ANY_JSON = JSON_VALUES | st.sampled_from([[], {}])
+
+
+def well_typed(path, old):
+    """The JSON types the node at `path`, now holding `old`, may hold."""
+    if path and path[-1] in NULLABLE:
+        return {type(None), NULLABLE[path[-1]]}
+    return {type(old)}
+
+
+@pytest.mark.parametrize("kind", list(CODECS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mistyped_node_is_rejected_or_changes_nothing(kind, data):
+    read, write = CODECS[kind]
+    text = write(pipeline(data.draw(scenarios()))[kind])
+    document = json.loads(text)
+    path, old = data.draw(st.sampled_from(list(nodes(document))))
+    value = data.draw(ANY_JSON.filter(lambda new: type(new) not in well_typed(path, old)))
+    try:
+        parsed = read(json.dumps(replaced(document, path, value)))
+    except ValidationError:
+        return
+    assert write(parsed) == text

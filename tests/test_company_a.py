@@ -82,10 +82,10 @@ def test_minimum_database_shape(ca_minimums):
 
 
 def test_overall_label(ca_result):
-    assert ca_result.label_stage is Stage.INTERMEDIATE
-    assert ca_result.label_level == Fraction(89, 27)
-    assert not ca_result.label_incomplete
-    assert label_line(ca_result.label_stage, ca_result.label_level) == expected_stages.CA_LABEL_LINE
+    assert ca_result.label.stage is Stage.INTERMEDIATE
+    assert ca_result.label.level == Fraction(89, 27)
+    assert not ca_result.label.incomplete
+    assert label_line(ca_result.label.stage, ca_result.label.level) == expected_stages.CA_LABEL_LINE
 
 
 def test_stage_averages_match_oracle_and_frozen_display(ca_paths, ca_result):
@@ -141,9 +141,9 @@ def test_model_mode_on_the_same_measurements(catalog, default_plan, ca_inputs):
     plan = exclude_from_plan(default_plan, applicability.excluded_within(catalog))
     minimums = build_minimum_db(FixedMinimums(level=3), applicability, catalog)
     result = evaluate(plan, minimums, ca_inputs["measurements"])
-    assert result.label_stage is Stage.ESSENTIAL
-    assert result.label_level == Fraction(106, 31)
-    assert label_line(result.label_stage, result.label_level) == expected_stages.CA_MODEL_LABEL_LINE
+    assert result.label.stage is Stage.ESSENTIAL
+    assert result.label.level == Fraction(106, 31)
+    assert label_line(result.label.stage, result.label.level) == expected_stages.CA_MODEL_LABEL_LINE
     by_stage = {row.stage: row for row in result.stage_results}
     assert by_stage[Stage.ESSENTIAL].complete
     failing = [str(g.control) for g in by_stage[Stage.INTERMEDIATE].failing]

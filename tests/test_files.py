@@ -24,6 +24,7 @@ from ismaturity.files import (
     minimum_db_from_document,
     parse_document,
     read_document,
+    read_minimum_db_file,
     stage_plan_document,
     stage_plan_from_document,
     write_document,
@@ -277,11 +278,15 @@ def test_minimum_db_document_round_trip_for_both_modes(catalog, ca_minimums):
     assert minimum_db_from_document(minimum_db_document(fixed)) == fixed
 
 
-def test_minimum_db_document_rejects_bad_mode_and_levels(ca_minimums):
+def test_minimum_db_document_rejects_bad_mode_and_levels(ca_minimums, tmp_path):
     document = minimum_db_document(ca_minimums)
-    bad_mode = dict(document, mode="adhoc")
-    with pytest.raises(ValidationError, match="unknown minimum mode"):
-        minimum_db_from_document(bad_mode)
+    # only the tags build_minimum_db writes: fixed:1 .. fixed:5, one ASCII digit
+    for mode in ("adhoc", "fixed:0", "fixed:9", "fixed:\u0663", "fixed:03"):
+        path = tmp_path / "mins.json"
+        path.write_text(canonical_json(dict(document, mode=mode)), encoding="utf-8")
+        with pytest.raises(ValidationError, match="unknown minimum mode") as raised:
+            read_minimum_db_file(path)
+        assert str(raised.value).startswith(f"{path}: ")
     bad_level = json.loads(canonical_json(document))
     key = next(iter(bad_level["requirements"]))
     bad_level["requirements"][key]["required_level"] = 0

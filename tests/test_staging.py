@@ -113,7 +113,9 @@ def test_documented_four_way_tie_keeps_thirty_controls():
 def test_partition_rejects_bad_boundaries():
     ids = synthetic_ids(8)
     averages = {cid(t): Fraction(n, 1) for n, t in enumerate(ids)}
-    for bad in [(2, 4, 6), (2, 4, 6, 9), (4, 2, 6, 8), (0, 4, 6, 8), (8, 6, 4, 2)]:
+    for bad in [
+        (2, 4, 6), (2, 4, 6, 9), (4, 2, 6, 8), (0, 4, 6, 8), (8, 6, 4, 2), (2.5, 4, 6, 8), ("2", 4, 6, 8),
+    ]:
         with pytest.raises(ValidationError):
             partition_quartiles(averages, bad)
     with pytest.raises(ValidationError):

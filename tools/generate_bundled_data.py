@@ -546,9 +546,9 @@ def check_company_a(catalog: ControlCatalog, default_plan) -> None:
         assert mins.requirements[parse_control_id(text)].required_level == 4
 
     result = evaluate(plan, mins, measurements)
-    assert result.label_stage is Stage.INTERMEDIATE and not result.label_incomplete
-    assert result.label_level == Fraction(89, 27)
-    assert label_line(result.label_stage, result.label_level) == (
+    assert result.label.stage is Stage.INTERMEDIATE and not result.label.incomplete
+    assert result.label.level == Fraction(89, 27)
+    assert label_line(result.label.stage, result.label.level) == (
         "Intermediate Stage, Maturity Level 3.30 (Defined)"
     )
     stage_expect = {
@@ -580,9 +580,9 @@ def check_company_a(catalog: ControlCatalog, default_plan) -> None:
     mins_model = build_minimum_db(FixedMinimums(level=3), applicability, catalog)
     restricted = exclude_from_plan(default_plan, applicability.excluded_within(catalog))
     model_result = evaluate(restricted, mins_model, measurements)
-    assert model_result.label_stage is Stage.ESSENTIAL and not model_result.label_incomplete
-    assert model_result.label_level == Fraction(106, 31)
-    assert label_line(model_result.label_stage, model_result.label_level) == (
+    assert model_result.label.stage is Stage.ESSENTIAL and not model_result.label.incomplete
+    assert model_result.label.level == Fraction(106, 31)
+    assert label_line(model_result.label.stage, model_result.label.level) == (
         "Essential Stage, Maturity Level 3.42 (Defined)"
     )
     failing = model_result.stage_result(Stage.INTERMEDIATE).failing
