@@ -36,6 +36,10 @@ class ControlId(NamedTuple):
         return f"A.{self.section}.{self.objective}.{self.control}"
 
 
+# ControlId(...) without the named tuple's Python-level __new__.
+_new_control_id = tuple.__new__
+
+
 def parse_control_id(text: str) -> ControlId:
     """Parse "A.5.1.1" or the bare "5.1.1" spelling into a ControlId.
 
@@ -48,23 +52,25 @@ def parse_control_id(text: str) -> ControlId:
     raw = text.strip()
     if not raw:
         raise ValidationError("empty control id")
-    body = raw[2:] if raw[:2] in ("A.", "a.") else raw
-    parts = body.split(".")
+    parts = (raw[2:] if raw[:2] in ("A.", "a.") else raw).split(".")
     if len(parts) != 3:
         raise ValidationError(f"control id {raw!r} must have three numeric fields")
-    numbers = []
-    for part in parts:
-        if not (part.isascii() and part.isdigit()):
-            raise ValidationError(f"control id {raw!r}: field {part!r} is not a number")
-        numbers.append(int(part))
-    section, objective, control = numbers
-    if not SECTION_MIN <= section <= SECTION_MAX:
+    section, objective, control = parts
+    if not (
+        section.isascii() and section.isdigit()
+        and objective.isascii() and objective.isdigit()
+        and control.isascii() and control.isdigit()
+    ):
+        part = next(part for part in parts if not (part.isascii() and part.isdigit()))
+        raise ValidationError(f"control id {raw!r}: field {part!r} is not a number")
+    numbers = (int(section), int(objective), int(control))
+    if not SECTION_MIN <= numbers[0] <= SECTION_MAX:
         raise ValidationError(
-            f"control id {raw!r}: section {section} is outside A.{SECTION_MIN}..A.{SECTION_MAX}"
+            f"control id {raw!r}: section {numbers[0]} is outside A.{SECTION_MIN}..A.{SECTION_MAX}"
         )
-    if objective < 1 or control < 1:
+    if numbers[1] < 1 or numbers[2] < 1:
         raise ValidationError(f"control id {raw!r}: objective and control must be >= 1")
-    return ControlId(section, objective, control)
+    return _new_control_id(ControlId, numbers)
 
 
 class Control(NamedTuple):

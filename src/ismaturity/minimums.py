@@ -84,8 +84,14 @@ def risk_minimum(probability: RiskGrade, impact: RiskGrade) -> MinimumRequiremen
     the scale, so it is capped at level 5 and flagged priority: such controls
     head the gap list whenever they measure below minimum.
     """
-    raw = probability.weight + impact.weight
-    return MinimumRequirement(required_level=min(raw, LEVEL_MAX), priority=raw == 6, raw_score=raw)
+    return scored_minimum(probability.weight + impact.weight)
+
+
+def scored_minimum(raw_score: int) -> MinimumRequirement:
+    """The requirement for one weight sum (2..6): the level, capped at 5, and priority for 6."""
+    return MinimumRequirement(
+        required_level=min(raw_score, LEVEL_MAX), priority=raw_score == 6, raw_score=raw_score
+    )
 
 
 class ApplicabilityMap:

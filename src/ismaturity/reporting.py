@@ -60,9 +60,8 @@ def format_level(value: Fraction) -> str:
     Implemented over integers so no float ever touches the value: 89/27
     renders "3.30", 86/28 renders "3.07".
     """
-    scaled = value * 100
-    whole = scaled.numerator // scaled.denominator
-    if (scaled - whole) * 2 >= 1:
+    whole, rest = divmod(value.numerator * 100, value.denominator)
+    if 2 * rest >= value.denominator:
         whole += 1
     return f"{whole // 100}.{whole % 100:02d}"
 
@@ -128,8 +127,7 @@ def build_report(
     excluded control surfaces with its justification even when there are
     none (the section stays present, just empty).
     """
-    if mode not in ("model", "independent"):
-        raise ValidationError(f"mode must be 'model' or 'independent', got {mode!r}")
+    _check_mode(mode)
     for cid in minimums.excluded:
         if applicability.is_applicable(cid):
             raise ConsistencyError(
@@ -168,6 +166,11 @@ def build_report(
     )
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("model", "independent"):
+        raise ValidationError(f"mode must be 'model' or 'independent', got {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -187,20 +190,27 @@ def _fraction_from_fields(record, *, optional: bool = False) -> Fraction | None:
         raise ValidationError(f"malformed average record: {record!r}") from None
 
 
+def _level_name(level: Fraction | None) -> str | None:
+    return None if level is None else level_name(math.floor(level))
+
+
 def _label_fields(label: Label) -> dict:
     return {
         "stage": label.stage.label,
         "level": _fraction_fields(label.level),
-        "level_name": None if label.level is None else level_name(math.floor(label.level)),
+        "level_name": _level_name(label.level),
         "incomplete": label.incomplete,
     }
 
 
 def _label_from_fields(record) -> Label:
-    field(record, "level_name", str, type(None))
+    level = _fraction_from_fields(record["level"], optional=True)
+    name = field(record, "level_name", str, type(None))
+    if name != _level_name(level):
+        raise ValidationError(f"label level_name {name!r} does not match its level")
     return Label(
         stage=Stage.from_label(record["stage"]),
-        level=_fraction_from_fields(record["level"], optional=True),
+        level=level,
         incomplete=field(record, "incomplete", bool),
     )
 
@@ -266,8 +276,11 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     """Inverse of the structured rendering; used by the report subcommand.
 
     Every field is read at its exact JSON type, without coercion; anything
-    else is a ValidationError naming the source. The values themselves are
-    not re-derived from one another.
+    else is a ValidationError naming the source. `mode` must be model or
+    independent, `minimums_mode` a tag minimums.parse_mode_tag accepts, each
+    requirement the one that tag gives, and the label's level_name the name
+    of its level. Averages, gaps and the label are not yet re-derived from
+    the members and measurements.
     """
     raw = parse_document(text, KIND_REPORT, source)
     with reading(source, "assessment report document"):
@@ -304,11 +317,14 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         )
         raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
         levels = field(raw, "measurements", dict)
+        mode = field(raw, "mode", str)
+        _check_mode(mode)
+        minimums_mode = field(raw, "minimums_mode", str)
         return ReportDocument(
             company=field(raw, "company", str),
             timestamp=field(raw, "timestamp", str),
-            mode=field(raw, "mode", str),
-            minimums_mode=field(raw, "minimums_mode", str),
+            mode=mode,
+            minimums_mode=minimums_mode,
             misallocation_threshold=field(raw, "misallocation_threshold", int),
             stage_rows=stage_rows,
             label=_label_from_fields(raw["label"]),
@@ -322,7 +338,7 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             ),
             deltas=None if raw_deltas is None else deltas_from_record(raw_deltas),
             measurements={parse_control_id(t): field(levels, t, int) for t in levels},
-            requirements=requirements_from_record(field(raw, "requirements", dict)),
+            requirements=requirements_from_record(field(raw, "requirements", dict), minimums_mode),
         )
 
 

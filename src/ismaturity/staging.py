@@ -24,23 +24,29 @@ from .importance import ImportanceDatabase
 
 
 class Stage(IntEnum):
-    """The four implementation stages, ordered earliest to latest."""
+    """The four implementation stages, ordered earliest to latest.
+
+    `label` ("Essential", ...) is the spelling documents and text use. It
+    is set once per member, and from_label looks it up in a table.
+    """
 
     ESSENTIAL = 1
     INTERMEDIATE = 2
     ADVANCED = 3
     FULL = 4
 
-    @property
-    def label(self) -> str:
-        return self.name.capitalize()
+    def __init__(self, value: int) -> None:
+        self.label = self.name.capitalize()
 
     @classmethod
     def from_label(cls, text: str) -> "Stage":
-        for stage in cls:
-            if stage.label == text:
-                return stage
-        raise ValidationError(f"unknown stage {text!r}")
+        stage = _STAGES_BY_LABEL.get(text) if type(text) is str else None
+        if stage is None:
+            raise ValidationError(f"unknown stage {text!r}")
+        return stage
+
+
+_STAGES_BY_LABEL = {stage.label: stage for stage in Stage}
 
 
 # Provenance tags: how a control ended up in its final stage.

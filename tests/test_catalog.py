@@ -1,8 +1,11 @@
 """Control identifiers, catalog loading, dependency validation."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ismaturity import (
     ControlId,
@@ -55,6 +58,74 @@ def test_parse_accepts_bare_and_lowercase_spellings():
 def test_parse_rejects_malformed_ids(text):
     with pytest.raises(ValidationError):
         parse_control_id(text)
+
+
+# Independent oracle of the accepted spellings: optional surrounding whitespace
+# (what str.strip removes), an optional "A."/"a." prefix, three ASCII numbers.
+ID_ORACLE = re.compile(r"\s*(?:[Aa]\.)?([0-9]+)\.([0-9]+)\.([0-9]+)\s*")
+
+
+def oracle_parse(text):
+    match = ID_ORACLE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return None
+    section, objective, control = map(int, match.groups())
+    if 5 <= section <= 18 and objective >= 1 and control >= 1:
+        return ControlId(section, objective, control)
+    return None
+
+
+ID_SPACES = st.sampled_from(["", "", "", " ", "\t", "\n", "\u00a0", "\u2003", "\x1f"])
+ID_NUMBERS = st.sampled_from(["1", "2", "5", "9", "18"]) | st.sampled_from(
+    ["0", "4", "19", "25", "05", "007", "00", "018", "", "x", "\u0665", "\u00b2", "\uff15", "1_0", "+5", "-5", " 5", "5 "]
+)
+ID_TEXTS = st.builds(
+    lambda before, prefix, numbers, after: before + prefix + ".".join(numbers) + after,
+    ID_SPACES,
+    st.sampled_from(["A.", "A.", "A.", "", "a.", "B.", "A", "A..", ".", "AA.", "\u0391."]),
+    st.lists(ID_NUMBERS, min_size=3, max_size=3) | st.lists(ID_NUMBERS, min_size=2, max_size=5),
+    ID_SPACES,
+)
+
+
+def reference_message(text):
+    """The ValidationError message for a rejected id, one check after another."""
+    if not isinstance(text, str):
+        return f"control id {text!r} is not a string"
+    raw = text.strip()
+    if not raw:
+        return "empty control id"
+    parts = (raw[2:] if raw[:2] in ("A.", "a.") else raw).split(".")
+    if len(parts) != 3:
+        return f"control id {raw!r} must have three numeric fields"
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            return f"control id {raw!r}: field {part!r} is not a number"
+    section, objective, control = map(int, parts)
+    if not 5 <= section <= 18:
+        return f"control id {raw!r}: section {section} is outside A.5..A.18"
+    return f"control id {raw!r}: objective and control must be >= 1"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ID_TEXTS | st.text(max_size=10) | st.sampled_from([5, None, [], 5.1, b"A.5.1.1"]))
+@example("A.\u0665.1.1")
+@example("A.5.0.1")
+@example("A.5.1.0")
+@example("A.4.1.1")
+@example("A.19.1.1")
+@example("A.05.01.001")
+@example(" a.18.1.4\u2003")
+def test_parse_control_id_accepts_exactly_what_the_oracle_accepts(text):
+    expected = oracle_parse(text)
+    try:
+        parsed = parse_control_id(text)
+    except ValidationError as exc:
+        assert expected is None
+        assert str(exc) == reference_message(text)
+    else:
+        assert parsed == expected
+        assert type(parsed) is ControlId
 
 
 def test_control_ids_order_numerically_not_lexically():

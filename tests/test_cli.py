@@ -453,6 +453,41 @@ def test_report_rejects_mistyped_fields(run_cli, ca, tmp_path, kind, mutate):
     assert err.startswith(f"input error: {path}: ")
 
 
+def requirement(level, priority, raw_score):
+    return {"required_level": level, "priority": priority, "raw_score": raw_score}
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        (lambda doc: doc.update(mode="whatever"), "mode must be 'model' or 'independent', got 'whatever'"),
+        (lambda doc: doc.update(minimums_mode="fixed:9"), "unknown minimum mode 'fixed:9'"),
+        (lambda doc: doc.update(mode="whatever", minimums_mode="fixed:9"), "mode must be"),
+        (lambda doc: doc.update(minimums_mode="fixed:3"), "does not fit minimum mode fixed:3"),
+        (lambda doc: doc["requirements"].update({"A.5.1.1": requirement(5, False, None)}),
+         "raw score for A.5.1.1 must be 2..6 in minimum mode risk, found None"),
+        (lambda doc: doc["requirements"].update({"A.5.1.1": requirement(4, False, 5)}),
+         "does not fit minimum mode risk"),
+        (lambda doc: doc["requirements"].update({"A.5.1.1": requirement(5, True, 5)}),
+         "does not fit minimum mode risk"),
+        (lambda doc: doc["label"].update(level_name="Managed"), "level_name 'Managed' does not match its level"),
+    ],
+    ids=[
+        "unknown-mode", "unknown-minimums-mode", "both-unknown", "fixed-mode-risk-requirements",
+        "risk-null-raw-score", "risk-level-off-score", "risk-priority-off-score", "wrong-level-name",
+    ],
+)
+def test_report_rejects_values_its_modes_rule_out(run_cli, ca, tmp_path, mutate, message):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}: ")
+    assert message in err
+
+
 @pytest.mark.parametrize(
     ("field", "value", "message"),
     [

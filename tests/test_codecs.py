@@ -1,15 +1,17 @@
 """Properties of the document codecs: lossless round trips and strict reading."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ismaturity import (
     ApplicabilityMap,
     RiskGrade,
+    Stage,
     SurveyResponse,
     ValidationError,
     build_minimum_db,
@@ -215,29 +217,70 @@ def test_a_mistyped_leaf_is_rejected_or_changes_nothing(mutation):
 # ---------------------------------------------------------------------------
 # Strict reading of the other six document kinds
 
-# Nullable fields: the other type a field allows is well typed, not a mutation.
-NULLABLE = {"raw_score": int, "level": dict}
 ANY_JSON = JSON_VALUES | st.sampled_from([[], {}])
-
-
-def well_typed(path, old):
-    """The JSON types the node at `path`, now holding `old`, may hold."""
-    if path and path[-1] in NULLABLE:
-        return {type(None), NULLABLE[path[-1]]}
-    return {type(old)}
 
 
 @pytest.mark.parametrize("kind", list(CODECS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_a_mistyped_node_is_rejected_or_changes_nothing(kind, data):
+    # Nullable fields are drawn too: a requirement's raw_score must fit the
+    # minimum mode and a label's level its level_name, so the other type a
+    # field allows is caught as well.
     read, write = CODECS[kind]
     text = write(pipeline(data.draw(scenarios()))[kind])
     document = json.loads(text)
     path, old = data.draw(st.sampled_from(list(nodes(document))))
-    value = data.draw(ANY_JSON.filter(lambda new: type(new) not in well_typed(path, old)))
+    value = data.draw(ANY_JSON.filter(lambda new: type(new) is not type(old)))
     try:
         parsed = read(json.dumps(replaced(document, path, value)))
     except ValidationError:
         return
     assert write(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# The canonical writer against the standard library's indenting encoder
+
+STRINGS = st.text(st.characters(blacklist_categories=()), max_size=8) | st.sampled_from(
+    ["", "Kontrollzielüberprüfung", "控制", "\x00\x1f\x7f\t\n", "\ud800", "a\udfffb", "\u2028\u2029", '"\\/']
+)
+LEAVES = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | STRINGS
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(VALUES)
+@example([True, 1, False, 0, None, {}, [], ()])
+@example({"big": 10**40, "negative": -(2**70), "": {"": [[], {}]}})
+def test_canonical_json_writes_what_json_dumps_writes(value):
+    assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, float("nan"), b"bytes", {1, 2}, Fraction(1, 3), object(), Stage.FULL, Text("subclass")],
+    ids=lambda bad: type(bad).__name__,
+)
+def test_canonical_json_rejects_every_other_type(bad):
+    for document in (bad, [1, bad], ("a", {"b": bad})):
+        with pytest.raises(TypeError):
+            canonical_json(document)
+
+
+@pytest.mark.parametrize("key", [1, None, True, ("a",), Text("subclass")], ids=repr)
+def test_canonical_json_rejects_keys_other_than_strings(key):
+    with pytest.raises(TypeError):
+        canonical_json({key: 1})
+    with pytest.raises(TypeError):
+        canonical_json([{"a": 1, key: 1}])

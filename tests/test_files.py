@@ -294,6 +294,30 @@ def test_minimum_db_document_rejects_bad_mode_and_levels(ca_minimums, tmp_path):
         minimum_db_from_document(bad_level)
 
 
+@pytest.mark.parametrize(
+    ("mode", "requirement"),
+    [
+        ("risk", {"required_level": 5, "priority": False, "raw_score": None}),
+        ("risk", {"required_level": 3, "priority": False, "raw_score": 4}),
+        ("risk", {"required_level": 5, "priority": False, "raw_score": 6}),
+        ("risk", {"required_level": 5, "priority": True, "raw_score": 5}),
+        ("risk", {"required_level": 5, "priority": False, "raw_score": 7}),
+        ("fixed:3", {"required_level": 2, "priority": False, "raw_score": 3}),
+        ("fixed:3", {"required_level": 3, "priority": False, "raw_score": 3}),
+        ("fixed:3", {"required_level": 3, "priority": True, "raw_score": None}),
+        ("fixed:3", {"required_level": 4, "priority": False, "raw_score": None}),
+    ],
+)
+def test_minimum_db_requirements_must_fit_the_mode(mode, requirement):
+    fitting = {"required_level": 3, "priority": False, "raw_score": 3 if mode == "risk" else None}
+    document = {"mode": mode, "requirements": {text: fitting for text in IDS}, "excluded": {}}
+    minimum_db_from_document(document)
+    document["requirements"]["A.6.1.1"] = requirement
+    with pytest.raises(ValidationError, match="A.6.1.1") as raised:
+        minimum_db_from_document(document, source="mins.json")
+    assert str(raised.value).startswith("mins.json: ")
+
+
 def test_diff_document_round_trip(default_plan, ca_plan):
     deltas = diff_stage_plans(default_plan, ca_plan)
     assert deltas_from_document(diff_document(deltas)) == deltas

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ismaturity import ConsistencyError, Stage, ValidationError, parse_control_id
 from ismaturity.assessment import evaluate, misallocation_findings
@@ -59,6 +61,21 @@ def test_format_level_matches_decimal_oracle():
     for _ in range(500):
         value = Fraction(rng.randrange(0, 600), rng.randrange(1, 120))
         assert format_level(value) == decimal_display(value)
+
+
+def fraction_display(value: Fraction) -> str:
+    """Half-up two-decimal display computed in Fraction arithmetic: the reference for format_level."""
+    scaled = value * 100
+    whole = scaled.numerator // scaled.denominator
+    if (scaled - whole) * 2 >= 1:
+        whole += 1
+    return f"{whole // 100}.{whole % 100:02d}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.fractions() | st.fractions(max_denominator=400) | st.integers(-10**6, 10**6).map(lambda n: Fraction(n, 200)))
+def test_format_level_matches_the_fraction_formula(value):
+    assert format_level(value) == fraction_display(value)
 
 
 def test_label_line_shapes():

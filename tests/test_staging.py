@@ -57,6 +57,12 @@ def test_stage_ordering_and_labels():
         Stage.from_label("advanced")
 
 
+@pytest.mark.parametrize("label", [5, None, [], {}, "advanced", " Advanced", "ADVANCED", 3.0, ""], ids=repr)
+def test_from_label_rejects_every_non_label(label):
+    with pytest.raises(ValidationError, match="unknown stage"):
+        Stage.from_label(label)
+
+
 def test_default_boundaries_use_ceiling():
     assert default_boundaries(114) == (29, 57, 86, 114)
     assert default_boundaries(111) == (28, 56, 84, 111)
