@@ -103,6 +103,11 @@ def _check_coverage(plan: StagePlan, mins: MinimumLevelDatabase, measurements: M
             + ", ".join(str(c) for c in odd)
         )
     applicable = set(plan.assignment)
+    staged_and_excluded = sorted(applicable.intersection(plan.excluded))
+    if staged_and_excluded:
+        raise ConsistencyError(
+            "controls both staged and excluded: " + ", ".join(str(c) for c in staged_and_excluded)
+        )
     if applicable != set(mins.requirements):
         odd = sorted(applicable ^ set(mins.requirements))
         raise ConsistencyError(
@@ -140,9 +145,10 @@ def evaluate(
     """Run the gated assessment.
 
     Plan, minimums and measurements must all cover the same applicable
-    control set (and agree on exclusions); any mismatch is reported in one
-    ConsistencyError listing the controls involved. Measured levels are
-    integers 0..5, read as the level fully reached.
+    control set (and agree on exclusions, none of which may be staged); any
+    mismatch is reported in one ConsistencyError listing the controls
+    involved. Measured levels are integers 0..5, read as the level fully
+    reached.
     """
     _check_coverage(plan, mins, measurements)
     stage_results = []

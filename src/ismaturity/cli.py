@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
@@ -139,6 +141,21 @@ def _build_independent_minimums(args, catalog, applicability):
     raise UsageError("independent mode needs --ratings or --fixed-level")
 
 
+@contextmanager
+def _survey_warnings(path):
+    """Print each warning raised inside (an incomplete respondent) as one stderr line naming `path`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for warning in caught:
+        print(f"warning: {path}: {warning.message}", file=sys.stderr)
+
+
+def _ingest_survey(path, catalog):
+    with _survey_warnings(path):
+        return ingest_responses(load_survey_csv(path), catalog)
+
+
 def _mode_comparison_deltas(plan):
     """Stage changes vs the bundled default, when the universes line up."""
     default = default_stage_plan()
@@ -154,12 +171,11 @@ def _cmd_import_survey(args) -> int:
     if args.replace and not args.into:
         raise UsageError("--replace is only meaningful together with --into")
     rows = load_survey_csv(args.survey)
-    if args.into:
-        db = read_importance_file(args.into)
-        db = merge_responses(db, rows, replace=args.replace)
-    else:
-        catalog = _load_catalog(args)
-        db = ingest_responses(rows, catalog)
+    with _survey_warnings(args.survey):
+        if args.into:
+            db = merge_responses(read_importance_file(args.into), rows, replace=args.replace)
+        else:
+            db = ingest_responses(rows, _load_catalog(args))
     write_document(args.out, importance_document(db))
     print(f"{len(rows)} responses from {len(db.respondents)} respondents -> {args.out}")
     return EXIT_OK
@@ -171,7 +187,7 @@ def _cmd_stage_plan_build(args) -> int:
     catalog = _load_catalog(args)
     applicability = _load_applicability(args)
     if args.survey:
-        db = ingest_responses(load_survey_csv(args.survey), catalog)
+        db = _ingest_survey(args.survey, catalog)
     else:
         db = read_importance_file(args.importance)
     plan = build_stage_plan(db, catalog, applicability)
@@ -238,7 +254,7 @@ def _cmd_assess(args) -> int:
     else:
         if not args.survey:
             raise UsageError("independent mode needs --survey")
-        db = ingest_responses(load_survey_csv(args.survey), catalog)
+        db = _ingest_survey(args.survey, catalog)
         plan = build_stage_plan(db, catalog, applicability)
         mins = _build_independent_minimums(args, catalog, applicability)
         deltas = _mode_comparison_deltas(plan)
@@ -284,7 +300,7 @@ def _cmd_compare_modes(args) -> int:
     catalog = _load_catalog(args)
     applicability = _load_applicability(args)
     measurements = _applicable_measurements(args, catalog, applicability)
-    db = ingest_responses(load_survey_csv(args.survey), catalog)
+    db = _ingest_survey(args.survey, catalog)
     company_plan = build_stage_plan(db, catalog, applicability)
     mins_model = build_minimum_db(FixedMinimums(level=MODEL_FIXED_LEVEL), applicability, catalog)
     mins_independent = _build_independent_minimums(args, catalog, applicability)

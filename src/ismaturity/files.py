@@ -37,7 +37,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -160,6 +160,8 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text: {exc}", source=str(path)) from None
 
 
 def read_document(path: str | Path, expected_kind: str) -> dict:
@@ -171,6 +173,8 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}", source=source) from None
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+        raise ValidationError(f"unreadable JSON: {exc}", source=source) from None
     if not isinstance(document, dict):
         raise ValidationError("top-level JSON value must be an object", source=source)
     check_format_version(document, source)
@@ -316,19 +320,22 @@ def requirements_record(requirements: Mapping[ControlId, MinimumRequirement]) ->
     }
 
 
-def requirements_from_record(raw: Mapping, mode: str) -> dict[ControlId, MinimumRequirement]:
+def requirements_from_record(
+    raw: Mapping, mode: str, control_id: Callable[[str], ControlId] = parse_control_id
+) -> dict[ControlId, MinimumRequirement]:
     """Read a requirements object written under the minimum mode tag `mode`.
 
     Each requirement must be the one its mode gives: "fixed:<n>" means level
     n, no priority and a null raw score; "risk" means a raw score of 2..6 with
-    the level and priority scored_minimum derives from it. Runs inside the
-    calling reader's `reading`.
+    the level and priority scored_minimum derives from it. Keys are read with
+    `control_id`, so a reader that meets the same id texts elsewhere can parse
+    each once. Runs inside the calling reader's `reading`.
     """
     fixed = parse_mode_tag(mode)
     fixed_requirement = None if fixed is None else MinimumRequirement(required_level=fixed)
     requirements: dict[ControlId, MinimumRequirement] = {}
     for text, record in raw.items():
-        cid = parse_control_id(text)
+        cid = control_id(text)
         requirement = MinimumRequirement(
             required_level=field(record, "required_level", int),
             priority=field(record, "priority", bool),
@@ -440,26 +447,32 @@ def _csv_rows(path: str | Path, header: list[str]):
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=source) from None
+    row_no = 0  # the last row read
     with handle:
         reader = csv.reader(handle)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ValidationError(f"missing header row (expected {','.join(header)})", source=source) from None
-        if [cell.strip() for cell in first] != header:
-            raise ValidationError(
-                f"bad header {','.join(first)!r} (expected {','.join(header)})",
-                source=source,
-                row=1,
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue  # tolerate blank lines
-            if len(row) != len(header):
+            first = next(reader, None)
+            if first is None:
+                raise ValidationError(f"missing header row (expected {','.join(header)})", source=source)
+            if [cell.strip() for cell in first] != header:
                 raise ValidationError(
-                    f"expected {len(header)} fields, found {len(row)}", source=source, row=row_no
+                    f"bad header {','.join(first)!r} (expected {','.join(header)})",
+                    source=source,
+                    row=1,
                 )
-            yield row_no, [cell.strip() for cell in row]
+            row_no = 1
+            for row_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue  # tolerate blank lines
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"expected {len(header)} fields, found {len(row)}", source=source, row=row_no
+                    )
+                yield row_no, [cell.strip() for cell in row]
+        except UnicodeDecodeError as exc:  # decoding runs ahead of the rows, so no row is named
+            raise ValidationError(f"not UTF-8 text: {exc}", source=source) from None
+        except csv.Error as exc:
+            raise ValidationError(f"unreadable CSV: {exc}", source=source, row=row_no + 1) from None
 
 
 def _parse_control_cell(text: str, source: str, row_no: int) -> ControlId:

@@ -1,11 +1,16 @@
 """Assessment reports and the model-vs-independent strategy comparison.
 
 Reports exist in two formats built from the same document value: "structured"
-is canonical JSON carrying every field needed to recompute the label and all
-averages (an audit trail, round-trippable bit for bit), "human" is a fixed
-plain-text layout for stakeholders. Rendering is a pure function of the
-document; the run timestamp is an explicit input, never sampled here, so
-identical inputs always produce identical bytes.
+is canonical JSON, "human" is a fixed plain-text layout for stakeholders.
+Rendering is a pure function of the document; the run timestamp is an
+explicit input, never sampled here, so identical inputs always produce
+identical bytes.
+
+The structured report is the audit trail of its label: it carries every
+input of the evaluation (stage members, exclusions, measurements,
+requirements, modes, misallocation threshold). parse_report re-runs the
+evaluation on them and rejects a report whose derived sections (stage rows,
+label, naive average, gaps, priority controls, findings) differ from it.
 
 Averages stay exact rationals until the last moment: display rounding is
 half-up to two decimals, and the overall line names the maturity level whose
@@ -25,6 +30,8 @@ from .assessment import (
     Label,
     MisallocationFinding,
     evaluate,
+    gap_analysis,
+    misallocation_findings,
     naive_average,
 )
 from .catalog import ControlId, parse_control_id
@@ -215,10 +222,6 @@ def _label_from_fields(record) -> Label:
     )
 
 
-def _control_ids(record, key: str) -> tuple[ControlId, ...]:
-    return tuple(parse_control_id(text) for text in field(record, key, list))
-
-
 def report_document_dict(doc: ReportDocument) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -228,6 +231,20 @@ def report_document_dict(doc: ReportDocument) -> dict:
         "mode": doc.mode,
         "minimums_mode": doc.minimums_mode,
         "misallocation_threshold": doc.misallocation_threshold,
+        **_derived_sections(doc),
+        "not_applicable": [
+            {"control": str(cid), "justification": justification}
+            for cid, justification in doc.not_applicable
+        ],
+        "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
+        "measurements": {str(cid): lvl for cid, lvl in doc.measurements.items()},
+        "requirements": requirements_record(doc.requirements),
+    }
+
+
+def _derived_sections(doc: ReportDocument) -> dict:
+    """The sections of a report's document that the evaluation derives from its inputs."""
+    return {
         "stages": [
             {
                 "stage": row.stage.label,
@@ -262,84 +279,97 @@ def report_document_dict(doc: ReportDocument) -> dict:
             }
             for finding in doc.findings
         ],
-        "not_applicable": [
-            {"control": str(cid), "justification": justification}
-            for cid, justification in doc.not_applicable
-        ],
-        "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
-        "measurements": {str(cid): lvl for cid, lvl in doc.measurements.items()},
-        "requirements": requirements_record(doc.requirements),
     }
 
 
-def parse_report(text: str, source: str = "report") -> ReportDocument:
-    """Inverse of the structured rendering; used by the report subcommand.
+class _ControlIds(dict):
+    """Control-id text -> ControlId, each distinct text parsed once."""
 
-    Every field is read at its exact JSON type, without coercion; anything
-    else is a ValidationError naming the source. `mode` must be model or
-    independent, `minimums_mode` a tag minimums.parse_mode_tag accepts, each
-    requirement the one that tag gives, and the label's level_name the name
-    of its level. Averages, gaps and the label are not yet re-derived from
-    the members and measurements.
+    def __missing__(self, text) -> ControlId:
+        cid = self[text] = parse_control_id(text)
+        return cid
+
+
+def parse_report(text: str, source: str = "report") -> ReportDocument:
+    """Read a structured report by rebuilding it; used by the report subcommand.
+
+    Only the inputs are read, each at its exact JSON type (the stage rows
+    give their members, in stage order, and requirements must fit
+    minimums_mode). The rebuilt document is returned once its derived
+    sections equal the document's node for node; the first difference is a
+    ValidationError naming the source and its path. Inputs evaluate cannot
+    reconcile (a member without a measurement) are its ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
     with reading(source, "assessment report document"):
-        stage_rows = tuple(
-            StageRow(
-                stage=Stage.from_label(record["stage"]),
-                members=_control_ids(record, "members"),
-                average=_fraction_from_fields(record["average"], optional=True),
-                complete=field(record, "complete", bool),
-                failing_count=field(record, "failing_count", int),
-            )
-            for record in field(raw, "stages", list)
-        )
-        gaps = tuple(
-            Gap(
-                control=parse_control_id(record["control"]),
-                stage=Stage.from_label(record["stage"]),
-                measured=field(record, "measured", int),
-                required=field(record, "required", int),
-                priority=field(record, "priority", bool),
-            )
-            for record in field(raw, "gaps", list)
-        )
-        findings = tuple(
-            MisallocationFinding(
-                later_stage=Stage.from_label(record["later_stage"]),
-                earlier_stage=Stage.from_label(record["earlier_stage"]),
-                later_control=parse_control_id(record["later_control"]),
-                later_level=field(record, "later_level", int),
-                earlier_control=parse_control_id(record["earlier_control"]),
-                earlier_level=field(record, "earlier_level", int),
-            )
-            for record in field(raw, "misallocation_findings", list)
-        )
-        raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
-        levels = field(raw, "measurements", dict)
         mode = field(raw, "mode", str)
-        _check_mode(mode)
+        _check_mode(mode)  # as build_report does, but before minimums_mode is read
         minimums_mode = field(raw, "minimums_mode", str)
-        return ReportDocument(
+        ids = _ControlIds()
+        excluded = {
+            ids[record["control"]]: field(record, "justification", str)
+            for record in field(raw, "not_applicable", list)
+        }
+        levels = field(raw, "measurements", dict)
+        measurements = {ids[t]: field(levels, t, int) for t in levels}
+        assignment = {
+            ids[t]: stage
+            for stage, record in zip(Stage, field(raw, "stages", list))
+            for t in field(record, "members", list)
+        }
+        requirements = requirements_from_record(
+            field(raw, "requirements", dict), minimums_mode, ids.__getitem__
+        )
+        threshold = field(raw, "misallocation_threshold", int)
+        raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
+        # evaluate reads a plan's assignment and exclusions only
+        plan = StagePlan(assignment=assignment, provenance={}, boundaries_used=(), excluded=tuple(excluded))
+        minimums = MinimumLevelDatabase(mode=minimums_mode, requirements=requirements, excluded=excluded)
+        result = evaluate(plan, minimums, measurements)
+        document = build_report(
+            result,
+            gap_analysis(result),
+            misallocation_findings(result, threshold),
+            ApplicabilityMap(excluded),
+            None if raw_deltas is None else deltas_from_record(raw_deltas),
             company=field(raw, "company", str),
             timestamp=field(raw, "timestamp", str),
             mode=mode,
-            minimums_mode=minimums_mode,
-            misallocation_threshold=field(raw, "misallocation_threshold", int),
-            stage_rows=stage_rows,
-            label=_label_from_fields(raw["label"]),
-            naive=_fraction_from_fields(raw["naive_average"]),
-            gaps=gaps,
-            priority_controls=_control_ids(raw, "priority_controls"),
-            findings=findings,
-            not_applicable=tuple(
-                (parse_control_id(record["control"]), field(record, "justification", str))
-                for record in field(raw, "not_applicable", list)
-            ),
-            deltas=None if raw_deltas is None else deltas_from_record(raw_deltas),
-            measurements={parse_control_id(t): field(levels, t, int) for t in levels},
-            requirements=requirements_from_record(field(raw, "requirements", dict), minimums_mode),
+            minimums=minimums,
+            misallocation_threshold=threshold,
         )
+        for key, rebuilt in _derived_sections(document).items():
+            _check_rebuilt(raw[key], rebuilt, key)
+    return document
+
+
+def _check_rebuilt(found, rebuilt, path: str) -> None:
+    """Raise unless `found` equals `rebuilt` node for node, each at its exact JSON type."""
+    kind = type(rebuilt)
+    if type(found) is kind:
+        if kind is dict:
+            if found.keys() == rebuilt.keys():
+                for key, value in rebuilt.items():
+                    _check_rebuilt(found[key], value, f"{path}.{key}")
+                return
+        elif kind is list:
+            if len(found) == len(rebuilt):
+                for index, value in enumerate(rebuilt):
+                    _check_rebuilt(found[index], value, f"{path}[{index}]")
+                return
+        elif found == rebuilt:
+            return
+    raise ValidationError(
+        f"{path} does not follow from the report's inputs: found {_shown(found)}, rebuilt {_shown(rebuilt)}"
+    )
+
+
+def _shown(value) -> str:
+    if type(value) is list:
+        return f"a list of {len(value)}"
+    if type(value) is dict:
+        return "an object with keys " + ", ".join(map(repr, value))
+    return repr(value)
 
 
 def render_document(doc: ReportDocument, fmt: str) -> str:

@@ -156,6 +156,31 @@ def test_import_survey_writes_database(run_cli, ca, tmp_path):
     assert len(document["responses"]) == 7
 
 
+def test_import_survey_prints_an_incomplete_respondent_as_one_line(run_cli, tmp_path):
+    survey = tmp_path / "partial.csv"
+    survey.write_text("respondent_id,control_id,score\nr1,A.5.1.1,3\n", encoding="utf-8")
+    code, _, err = run_cli("import-survey", survey, "--out", tmp_path / "db.json")
+    assert code == 0
+    assert err == f"warning: {survey}: respondent r1 scored 1 of 114 controls (113 missing)\n"
+
+
+@pytest.mark.parametrize(
+    ("content", "prefix"),
+    [
+        (b"respondent_id,control_id,score\nr1,A.5.1.1,\xff\n", ": not UTF-8 text"),
+        (b"respondent_id,control_id,score\nr1,A.5.1.1,3\nr1,A.5.1.2," + b"x" * 140_000 + b"\n",
+         ", row 3: unreadable CSV"),
+    ],
+    ids=["undecodable-byte", "field-over-the-csv-limit"],
+)
+def test_import_survey_rejects_unreadable_csv_bytes(run_cli, tmp_path, content, prefix):
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(content)
+    code, out, err = run_cli("import-survey", survey, "--out", tmp_path / "db.json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {survey}{prefix}")
+
+
 def test_import_survey_merge_rejects_resubmission_without_replace(run_cli, ca, tmp_path):
     out = tmp_path / "db.json"
     assert run_cli("import-survey", ca["survey"], "--out", out)[0] == 0
@@ -470,7 +495,8 @@ def requirement(level, priority, raw_score):
          "does not fit minimum mode risk"),
         (lambda doc: doc["requirements"].update({"A.5.1.1": requirement(5, True, 5)}),
          "does not fit minimum mode risk"),
-        (lambda doc: doc["label"].update(level_name="Managed"), "level_name 'Managed' does not match its level"),
+        (lambda doc: doc["label"].update(level_name="Managed"),
+         "label.level_name does not follow from the report's inputs: found 'Managed', rebuilt 'Defined'"),
     ],
     ids=[
         "unknown-mode", "unknown-minimums-mode", "both-unknown", "fixed-mode-risk-requirements",
@@ -486,6 +512,62 @@ def test_report_rejects_values_its_modes_rule_out(run_cli, ca, tmp_path, mutate,
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {path}: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff", b"[" * 100_000, b'{"a": ' + b"9" * 5_000 + b"}"],
+    ids=["undecodable-byte", "nesting-too-deep", "integer-too-long"],
+)
+def test_report_rejects_unreadable_json_bytes(run_cli, tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    code, out, err = run_cli("report", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}: ")
+
+
+def move_first_member(document):
+    document["stages"][1]["members"].append(document["stages"][0]["members"].pop(0))
+
+
+@pytest.mark.parametrize(
+    ("mutate", "where"),
+    [
+        (lambda doc: doc["label"].update(stage="Full"), "label.stage"),
+        (lambda doc: doc.update(gaps=[], priority_controls=[]), "gaps"),
+        (lambda doc: doc["gaps"].append(dict(doc["gaps"][0])), "gaps"),
+        (lambda doc: doc["stages"][2]["average"].update(exact="100/29"), "stages[2].average.exact"),
+        (lambda doc: doc["misallocation_findings"][0].update(later_level=4),
+         "misallocation_findings[0].later_level"),
+        (move_first_member, "stages[0].average.exact"),
+        (lambda doc: doc["label"].update(incomplete=0), "label.incomplete"),
+        (lambda doc: doc["label"].update(verdict="Full"), "label"),
+    ],
+    ids=[
+        "label-stage", "no-gaps", "extra-gap", "stage-average", "finding-level", "member-moved",
+        "false-as-0", "extra-label-key",
+    ],
+)
+def test_report_rejects_derived_fields_its_inputs_contradict(run_cli, ca, tmp_path, mutate, where):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}: {where} does not follow from the report's inputs")
+
+
+def test_report_with_a_staged_control_also_excluded_exits_two(run_cli, ca, tmp_path):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    member = document["stages"][0]["members"][0]
+    document["not_applicable"].append({"control": member, "justification": "out of scope"})
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out) == (2, "")
+    assert err == f"inconsistent inputs: controls both staged and excluded: {member}\n"
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,37 @@ def test_a_mistyped_leaf_is_rejected_or_changes_nothing(mutation):
     assert render_document(parsed, HUMAN) == human
 
 
+# Stage members are the plan, an input of the evaluation: another valid id in
+# their place is a different plan, which evaluate may find inconsistent with
+# the measurements (exit 2). test_cli covers a member moved between stages.
+DERIVED = ("stages", "label", "naive_average", "gaps", "priority_controls", "misallocation_findings")
+DERIVED_LEAVES = [
+    (which, path, old)
+    for which, (document, _) in enumerate(REPORTS)
+    for path, old in nodes(document)
+    if path and path[0] in DERIVED and "members" not in path and not isinstance(old, (dict, list))
+]
+STRING_LEAVES = sorted({old for _, _, old in DERIVED_LEAVES if type(old) is str})
+SAME_TYPE = {
+    bool: st.booleans(),
+    int: st.integers(0, 6) | st.integers(),
+    str: st.sampled_from(STRING_LEAVES) | st.text(max_size=8),
+    type(None): st.none(),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(DERIVED_LEAVES).flatmap(lambda leaf: st.tuples(st.just(leaf), SAME_TYPE[type(leaf[2])])))
+def test_a_derived_leaf_changed_within_its_type_is_rejected_or_changes_nothing(mutation):
+    (which, path, _), value = mutation
+    document, _ = REPORTS[which]
+    try:
+        parsed = parse_report(json.dumps(replaced(document, path, value)))
+    except ValidationError:
+        return
+    assert render_document(parsed, STRUCTURED) == canonical_json(document)
+
+
 # ---------------------------------------------------------------------------
 # Strict reading of the other six document kinds
 
