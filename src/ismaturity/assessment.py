@@ -102,26 +102,26 @@ def _check_coverage(plan: StagePlan, mins: MinimumLevelDatabase, measurements: M
             "plan and minimum database disagree on exclusions: "
             + ", ".join(str(c) for c in odd)
         )
-    applicable = set(plan.assignment)
-    staged_and_excluded = sorted(applicable.intersection(plan.excluded))
+    applicable = plan.assignment.keys()
+    staged_and_excluded = sorted(applicable & set(plan.excluded))
     if staged_and_excluded:
         raise ConsistencyError(
             "controls both staged and excluded: " + ", ".join(str(c) for c in staged_and_excluded)
         )
-    if applicable != set(mins.requirements):
-        odd = sorted(applicable ^ set(mins.requirements))
+    if applicable != mins.requirements.keys():
+        odd = sorted(applicable ^ mins.requirements.keys())
         raise ConsistencyError(
             "plan and minimum database cover different controls: "
             + ", ".join(str(c) for c in odd)
         )
-    measured = set(measurements)
-    missing = sorted(applicable - measured)
-    if missing:
-        raise ConsistencyError(
-            "applicable controls without measurements: " + ", ".join(str(c) for c in missing)
-        )
-    extra = sorted(measured - applicable)
-    if extra:
+    measured = measurements.keys()
+    if applicable != measured:
+        missing = sorted(applicable - measured)
+        if missing:
+            raise ConsistencyError(
+                "applicable controls without measurements: " + ", ".join(str(c) for c in missing)
+            )
+        extra = sorted(measured - applicable)
         excluded = [c for c in extra if c in set(plan.excluded)]
         if excluded:
             raise ConsistencyError(
@@ -131,12 +131,16 @@ def _check_coverage(plan: StagePlan, mins: MinimumLevelDatabase, measurements: M
         raise ConsistencyError(
             "measurements for controls outside the plan: " + ", ".join(str(c) for c in extra)
         )
-    for cid in sorted(measured):
+    bad = [
+        cid for cid, value in measurements.items()
+        if not (isinstance(value, int) and not isinstance(value, bool) and LEVEL_MIN <= value <= LEVEL_MAX)
+    ]
+    if bad:
+        cid = min(bad)  # the first bad level in id order is the one named
         value = measurements[cid]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"measured level for {cid} is not an integer: {value!r}")
-        if not LEVEL_MIN <= value <= LEVEL_MAX:
-            raise ValidationError(f"measured level for {cid} outside {LEVEL_MIN}..{LEVEL_MAX}: {value}")
+        raise ValidationError(f"measured level for {cid} outside {LEVEL_MIN}..{LEVEL_MAX}: {value}")
 
 
 def evaluate(
@@ -151,9 +155,12 @@ def evaluate(
     reached.
     """
     _check_coverage(plan, mins, measurements)
+    grouped: dict[Stage, list[ControlId]] = {stage: [] for stage in Stage}
+    for cid in sorted(plan.assignment):
+        grouped[plan.assignment[cid]].append(cid)
     stage_results = []
     for stage in Stage:
-        members = plan.members(stage)
+        members = tuple(grouped[stage])
         failing = tuple(
             Gap(
                 control=cid,
@@ -227,12 +234,12 @@ def misallocation_findings(
     """
     peaks: dict[Stage, tuple[int, ControlId]] = {}
     floors: dict[Stage, tuple[int, ControlId]] = {}
+    levels = result.measurements
     for stage_result in result.stage_results:
-        # members are id-sorted, so strict comparisons keep the smallest id on ties
-        for cid in stage_result.members:
-            level = result.measurements[cid]
-            if stage_result.stage not in peaks or level > peaks[stage_result.stage][0]:
-                peaks[stage_result.stage] = (level, cid)
+        if stage_result.members:
+            # members are id-sorted and max keeps the first of equal levels: the smallest id
+            peak = max(stage_result.members, key=levels.__getitem__)
+            peaks[stage_result.stage] = (levels[peak], peak)
         if stage_result.failing:
             low = min(stage_result.failing, key=lambda gap: (gap.measured, gap.control))
             floors[stage_result.stage] = (low.measured, low.control)

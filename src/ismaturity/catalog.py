@@ -33,7 +33,7 @@ class ControlId(NamedTuple):
     control: int
 
     def __str__(self) -> str:
-        return f"A.{self.section}.{self.objective}.{self.control}"
+        return "A.%d.%d.%d" % self
 
 
 # ControlId(...) without the named tuple's Python-level __new__.

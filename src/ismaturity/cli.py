@@ -79,6 +79,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """print to stdout; text stdout cannot encode (a lone surrogate) is a ValidationError."""
+    try:
+        print(text, end=end)
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"cannot write text: {exc}", source="standard output") from None
+
+
 def _utc_now() -> str:
     from datetime import datetime, timezone  # only runs without --timestamp
 
@@ -177,7 +185,7 @@ def _cmd_import_survey(args) -> int:
         else:
             db = ingest_responses(rows, _load_catalog(args))
     write_document(args.out, importance_document(db))
-    print(f"{len(rows)} responses from {len(db.respondents)} respondents -> {args.out}")
+    _print(f"{len(rows)} responses from {len(db.respondents)} respondents -> {args.out}")
     return EXIT_OK
 
 
@@ -194,7 +202,7 @@ def _cmd_stage_plan_build(args) -> int:
     write_document(args.out, stage_plan_document(plan))
     sizes = plan.sizes()
     summary = ", ".join(f"{stage.label} {sizes[stage]}" for stage in Stage)
-    print(f"{summary}; excluded {len(plan.excluded)} -> {args.out}")
+    _print(f"{summary}; excluded {len(plan.excluded)} -> {args.out}")
     return EXIT_OK
 
 
@@ -209,8 +217,8 @@ def _cmd_stage_plan_diff(args) -> int:
     plan_b = _resolve_plan(args.plan_b)
     deltas = diff_stage_plans(plan_a, plan_b)
     for delta in deltas:
-        print(f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
-    print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
+        _print(f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
+    _print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
     if args.out:
         write_document(args.out, diff_document(deltas))
     return EXIT_OK
@@ -234,7 +242,7 @@ def _cmd_minimums_build(args) -> int:
             raise UsageError("--ratings only applies to risk mode")
         db = build_minimum_db(FixedMinimums(level=level), applicability, catalog)
     write_document(args.out, minimum_db_document(db))
-    print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
+    _print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
     return EXIT_OK
 
 
@@ -279,7 +287,7 @@ def _cmd_assess(args) -> int:
     if args.out_text:
         write_text_atomic(args.out_text, human)
     else:
-        print(human, end="")
+        _print(human, end="")
     return EXIT_OK
 
 
@@ -290,7 +298,7 @@ def _cmd_report(args) -> int:
     if args.out:
         write_text_atomic(args.out, human)
     else:
-        print(human, end="")
+        _print(human, end="")
     return EXIT_OK
 
 
@@ -316,7 +324,7 @@ def _cmd_compare_modes(args) -> int:
     if args.out_text:
         write_text_atomic(args.out_text, human)
     else:
-        print(human, end="")
+        _print(human, end="")
     return EXIT_OK
 
 

@@ -89,29 +89,48 @@ def canonical_json(document: Mapping) -> str:
     """`document` as json.dumps(indent=2, sort_keys=True, ensure_ascii=False) writes it, plus a newline.
 
     Only dicts with string keys, lists, tuples, strings, integers, booleans
-    and None are accepted; any other value is a TypeError.
+    and None are accepted; any other value is a TypeError. A dict object
+    that recurs at the same indent (requirements_record shares one record
+    per distinct requirement) is written once per call.
     """
-    return _dump(document, "\n") + "\n"
+    return _dump(document, "\n", {}) + "\n"
 
 
-def _dump(value, newline: str) -> str:
-    """`value` as JSON text; `newline` is a newline plus the indent of the line it starts on."""
+def _dump(value, newline: str, written: dict) -> str:
+    """`value` as JSON text; `newline` is a newline plus the indent of the line it starts on.
+
+    `written` maps (id, indent) of each non-empty dict written so far in
+    this call to its text; ids stay unique because the document keeps every
+    object alive until the call returns.
+    """
     kind = type(value)
     if kind is dict:
         if not value:
             return "{}"
-        inner = newline + "  "
-        items = []
-        for key in sorted(value):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring(key) + ": " + _dump(value[key], inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        key = (id(value), len(newline))
+        text = written.get(key)
+        if text is None:
+            inner = newline + "  "
+            items = []
+            for name in sorted(value):
+                if type(name) is not str:
+                    raise TypeError(f"keys must be str, not {type(name).__name__}")
+                item = value[name]
+                scalar = _SCALARS.get(type(item))
+                items.append(
+                    encode_basestring(name) + ": "
+                    + (_dump(item, inner, written) if scalar is None else scalar(item))
+                )
+            text = written[key] = "{" + inner + ("," + inner).join(items) + newline + "}"
+        return text
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_dump(item, inner) for item in value]
+        items = [
+            _dump(item, inner, written) if (scalar := _SCALARS.get(type(item))) is None else scalar(item)
+            for item in value
+        ]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     scalar = _SCALARS.get(kind)
     if scalar is None:
@@ -124,15 +143,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     The temp file is created next to the target with mode 0o666, so the
     umask sets the final permissions as for any newly created file. Any OS
-    failure (say, a missing directory) is a ValidationError naming `path`.
+    failure (say, a missing directory), and text UTF-8 cannot encode (a lone
+    surrogate), is a ValidationError naming `path`.
     """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"cannot write text as UTF-8: {exc}", source=str(path)) from None
     target = Path(path)
     temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "wb") as handle:
-                handle.write(text.encode("utf-8"))
+                handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp, target)
@@ -310,14 +334,27 @@ def read_stage_plan_file(path: str | Path) -> StagePlan:
 # Requirement records, shared by minimum databases and reports
 
 def requirements_record(requirements: Mapping[ControlId, MinimumRequirement]) -> dict:
-    return {
-        str(cid): {
-            "required_level": req.required_level,
-            "priority": req.priority,
-            "raw_score": req.raw_score,
-        }
-        for cid, req in requirements.items()
-    }
+    """One record object per distinct requirement, so canonical_json writes each once.
+
+    Requirements are told apart at the exact type of every field, so
+    priority False and priority 0 stay two records, written false and 0.
+    """
+    shared: dict[tuple, dict] = {}
+    record = {}
+    for cid, req in requirements.items():
+        key = (req, type(req.required_level), type(req.priority), type(req.raw_score))
+        if key not in shared:
+            shared[key] = {
+                "required_level": req.required_level,
+                "priority": req.priority,
+                "raw_score": req.raw_score,
+            }
+        record[str(cid)] = shared[key]
+    return record
+
+
+# MinimumRequirement(...) without the named tuple's Python-level __new__.
+_new_requirement = tuple.__new__
 
 
 def requirements_from_record(
@@ -336,10 +373,13 @@ def requirements_from_record(
     requirements: dict[ControlId, MinimumRequirement] = {}
     for text, record in raw.items():
         cid = control_id(text)
-        requirement = MinimumRequirement(
-            required_level=field(record, "required_level", int),
-            priority=field(record, "priority", bool),
-            raw_score=field(record, "raw_score", int, type(None)),
+        requirement = _new_requirement(
+            MinimumRequirement,
+            (
+                field(record, "required_level", int),
+                field(record, "priority", bool),
+                field(record, "raw_score", int, type(None)),
+            ),
         )
         raw_score = requirement.raw_score
         if fixed_requirement is not None:

@@ -10,7 +10,9 @@ The structured report is the audit trail of its label: it carries every
 input of the evaluation (stage members, exclusions, measurements,
 requirements, modes, misallocation threshold). parse_report re-runs the
 evaluation on them and rejects a report whose derived sections (stage rows,
-label, naive average, gaps, priority controls, findings) differ from it.
+label, naive average, gaps, priority controls, findings) differ from it, or
+whose stage changes against the default plan end anywhere but where the
+report itself stages or excludes the control.
 
 Averages stay exact rationals until the last moment: display rounding is
 half-up to two decimals, and the overall line names the maturity level whose
@@ -297,7 +299,9 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     give their members, in stage order, and requirements must fit
     minimums_mode). The rebuilt document is returned once its derived
     sections equal the document's node for node; the first difference is a
-    ValidationError naming the source and its path. Inputs evaluate cannot
+    ValidationError naming the source and its path. Each stage_plan_deltas
+    entry must name a control once and end at that control's stage or
+    exclusion in the report. Inputs evaluate cannot
     reconcile (a member without a measurement) are its ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
@@ -322,6 +326,9 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         )
         threshold = field(raw, "misallocation_threshold", int)
         raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
+        deltas = None if raw_deltas is None else deltas_from_record(raw_deltas)
+        if deltas:
+            _check_deltas(deltas, assignment, excluded)
         # evaluate reads a plan's assignment and exclusions only
         plan = StagePlan(assignment=assignment, provenance={}, boundaries_used=(), excluded=tuple(excluded))
         minimums = MinimumLevelDatabase(mode=minimums_mode, requirements=requirements, excluded=excluded)
@@ -331,7 +338,7 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             gap_analysis(result),
             misallocation_findings(result, threshold),
             ApplicabilityMap(excluded),
-            None if raw_deltas is None else deltas_from_record(raw_deltas),
+            deltas,
             company=field(raw, "company", str),
             timestamp=field(raw, "timestamp", str),
             mode=mode,
@@ -339,29 +346,73 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             misallocation_threshold=threshold,
         )
         for key, rebuilt in _derived_sections(document).items():
-            _check_rebuilt(raw[key], rebuilt, key)
+            difference = _difference(raw[key], rebuilt)
+            if difference is not None:
+                steps, found, rebuilt = difference
+                path = key + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in reversed(steps))
+                raise ValidationError(
+                    f"{path} does not follow from the report's inputs:"
+                    f" found {_shown(found)}, rebuilt {_shown(rebuilt)}"
+                )
     return document
 
 
-def _check_rebuilt(found, rebuilt, path: str) -> None:
-    """Raise unless `found` equals `rebuilt` node for node, each at its exact JSON type."""
+def _check_deltas(
+    deltas: Sequence[StageDelta], assignment: Mapping[ControlId, Stage], excluded: Mapping[ControlId, str]
+) -> None:
+    """Each delta names a control once and ends where the report puts it: its stage, or excluded."""
+    seen = set()
+    for index, delta in enumerate(deltas):
+        cid = delta.control
+        if cid in seen:
+            raise ValidationError(f"stage_plan_deltas[{index}].control: a second delta for {cid}")
+        seen.add(cid)
+        if cid in assignment:
+            if delta.after == assignment[cid]:
+                continue
+            where = f"stages {cid} in {assignment[cid].label!r}"
+        elif cid in excluded:
+            if delta.after is None:
+                continue
+            where = f"excludes {cid}"
+        else:
+            where = f"neither stages nor excludes {cid}"
+        raise ValidationError(
+            f"stage_plan_deltas[{index}].to is {stage_label(delta.after)!r}, but the report {where}"
+        )
+
+
+def _difference(found, rebuilt):
+    """None when `found` equals `rebuilt` node for node, each at its exact JSON type.
+
+    Otherwise the first difference as (steps, found node, rebuilt node),
+    where steps are the keys and list indexes leading to it, innermost first.
+    """
     kind = type(rebuilt)
     if type(found) is kind:
         if kind is dict:
             if found.keys() == rebuilt.keys():
-                for key, value in rebuilt.items():
-                    _check_rebuilt(found[key], value, f"{path}.{key}")
-                return
+                return _first_difference((key, found[key], value) for key, value in rebuilt.items())
         elif kind is list:
             if len(found) == len(rebuilt):
-                for index, value in enumerate(rebuilt):
-                    _check_rebuilt(found[index], value, f"{path}[{index}]")
-                return
+                return _first_difference(zip(range(len(found)), found, rebuilt))
         elif found == rebuilt:
-            return
-    raise ValidationError(
-        f"{path} does not follow from the report's inputs: found {_shown(found)}, rebuilt {_shown(rebuilt)}"
-    )
+            return None
+    return [], found, rebuilt
+
+
+def _first_difference(children):
+    """_difference over (step, found, rebuilt) children; scalars are compared here, without a call."""
+    for step, found, rebuilt in children:
+        kind = type(rebuilt)
+        if kind is dict or kind is list:
+            difference = _difference(found, rebuilt)
+            if difference is not None:
+                difference[0].append(step)
+                return difference
+        elif type(found) is not kind or found != rebuilt:
+            return [step], found, rebuilt
+    return None
 
 
 def _shown(value) -> str:

@@ -133,6 +133,15 @@ def test_measured_levels_must_be_integers_zero_to_five():
     measured[cid(EIGHT[0])] = 6
     with pytest.raises(ValidationError, match="outside 0..5"):
         evaluate(plan, mins, measured)
+    # Of several bad levels the first in id order is named, whatever the order of the mapping.
+    backwards = {cid(t): 3 for t in reversed(EIGHT)}
+    backwards[cid(EIGHT[5])] = "3"
+    backwards[cid(EIGHT[2])] = -1
+    with pytest.raises(ValidationError, match=f"level for {EIGHT[2]} outside 0..5: -1$"):
+        evaluate(plan, mins, backwards)
+    backwards[cid(EIGHT[1])] = True
+    with pytest.raises(ValidationError, match=f"level for {EIGHT[1]} is not an integer: True$"):
+        evaluate(plan, mins, backwards)
 
 
 def test_gap_analysis_orders_by_stage_priority_then_id():

@@ -600,3 +600,60 @@ def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path):
     assert code == 1
     assert "cannot write file" in err and "absent" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def second_delta_for_the_first_control(document):
+    document["stage_plan_deltas"].append(dict(document["stage_plan_deltas"][0]))
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        (lambda doc: doc["stage_plan_deltas"][0].update(to="Full"),
+         "stage_plan_deltas[0].to is 'Full', but the report stages A.5.1.2 in 'Essential'"),
+        (lambda doc: doc["stage_plan_deltas"][0].update(to="excluded"),
+         "stage_plan_deltas[0].to is 'excluded', but the report stages A.5.1.2 in 'Essential'"),
+        (second_delta_for_the_first_control, "stage_plan_deltas[11].control: a second delta for A.5.1.2"),
+        (lambda doc: doc["stage_plan_deltas"][7].update(to="Essential"),
+         "stage_plan_deltas[7].to is 'Essential', but the report excludes A.14.2.1"),
+        (lambda doc: doc["stage_plan_deltas"][0].update(control="A.18.9.9"),
+         "stage_plan_deltas[0].to is 'Essential', but the report neither stages nor excludes A.18.9.9"),
+    ],
+    ids=["to-another-stage", "to-excluded", "control-twice", "excluded-control-staged", "unknown-control"],
+)
+def test_report_rejects_deltas_its_stages_contradict(run_cli, ca, tmp_path, mutate, message):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert len(document["stage_plan_deltas"]) == 11
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {path}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# Text that UTF-8 cannot encode (a lone surrogate) is exit 1, naming where it went
+
+def test_report_whose_company_stdout_cannot_encode_exits_one(run_cli, ca, tmp_path):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["company"] = "\ud800"
+    path.write_text(json.dumps(document), encoding="utf-8")  # escaped, so the file itself is valid UTF-8
+    code, out, err = run_cli(*command)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: standard output: cannot write text: ")
+    assert "surrogates not allowed" in err
+
+
+def test_assess_with_an_undecodable_company_argument_exits_one(ca, tmp_path):
+    # The byte 0xff in argv reaches Python as the lone surrogate U+DCFF.
+    env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
+    out = tmp_path / "report.json"
+    argv = [sys.executable, "-m", "ismaturity.cli", *assess_args(ca, "--out", out, "--out-text", tmp_path / "t")]
+    argv[argv.index("company-a")] = b"\xff"
+    result = subprocess.run(argv, env=env, capture_output=True)
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.startswith(f"input error: {out}: cannot write text as UTF-8: ".encode())
+    assert b"Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []

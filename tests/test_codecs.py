@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ismaturity import (
     ApplicabilityMap,
+    ControlId,
     RiskGrade,
     Stage,
     SurveyResponse,
@@ -39,10 +40,11 @@ from ismaturity.files import (
     minimum_db_document,
     minimum_db_from_document,
     parse_document,
+    requirements_record,
     stage_plan_document,
     stage_plan_from_document,
 )
-from ismaturity.minimums import FixedMinimums, RiskMinimums
+from ismaturity.minimums import FixedMinimums, MinimumRequirement, RiskMinimums
 from ismaturity.reporting import (
     HUMAN,
     STRUCTURED,
@@ -286,12 +288,48 @@ VALUES = st.recursive(
 )
 
 
+@st.composite
+def values_sharing_dicts(draw):
+    """Values in which the same dict objects recur, at one indent and at several."""
+    inner = draw(st.dictionaries(STRINGS, VALUES, min_size=1, max_size=3))
+    outer = {**draw(st.dictionaries(STRINGS, VALUES, max_size=2)), "inner": inner}
+    return draw(
+        st.recursive(
+            st.sampled_from([inner, outer]) | LEAVES,
+            lambda children: st.lists(children, max_size=4) | st.dictionaries(STRINGS, children, max_size=4),
+            max_leaves=12,
+        )
+    )
+
+
+SHARED = {"level": 3, "priority": False, "levels": [1, True]}
+
+
 @settings(max_examples=500, deadline=None)
-@given(VALUES)
+@given(VALUES | values_sharing_dicts())
 @example([True, 1, False, 0, None, {}, [], ()])
 @example({"big": 10**40, "negative": -(2**70), "": {"": [[], {}]}})
+@example({"a": SHARED, "b": SHARED, "c": [SHARED, {"d": SHARED}], "e": {"f": SHARED}})
 def test_canonical_json_writes_what_json_dumps_writes(value):
     assert canonical_json(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def test_requirement_records_keep_the_exact_json_type_of_each_field():
+    # Equal requirements share one record, but false is not 0 and true is not 1.
+    requirements = {
+        ControlId(5, 1, 1): MinimumRequirement(3, False),
+        ControlId(5, 1, 2): MinimumRequirement(3, 0),
+        ControlId(5, 1, 3): MinimumRequirement(3, False),
+        ControlId(5, 1, 4): MinimumRequirement(1, True, 1),
+        ControlId(5, 1, 5): MinimumRequirement(True, 1, True),
+    }
+    expected = {
+        str(cid): {"required_level": req.required_level, "priority": req.priority, "raw_score": req.raw_score}
+        for cid, req in requirements.items()
+    }
+    text = canonical_json(requirements_record(requirements))
+    assert text == json.dumps(expected, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert '"priority": false' in text and '"priority": 0' in text
 
 
 class Text(str):
