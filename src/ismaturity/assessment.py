@@ -230,8 +230,11 @@ def misallocation_findings(
     the clearest example pair: the highest later-stage control against the
     lowest failing earlier-stage control, ties resolved toward the smaller
     ControlId. The threshold is a reporting heuristic, not part of the label
-    computation.
+    computation. A threshold below 1 is a ValidationError: it would report
+    pairs whose later level does not exceed the earlier one.
     """
+    if threshold < 1:
+        raise ValidationError(f"misallocation threshold {threshold} is below 1")
     peaks: dict[Stage, tuple[int, ControlId]] = {}
     floors: dict[Stage, tuple[int, ControlId]] = {}
     levels = result.measurements

@@ -16,6 +16,7 @@ the same checks as a findings report for diagnostics.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError, field, reading
@@ -23,6 +24,11 @@ from .errors import ConsistencyError, ValidationError, field, reading
 # Annex A sections run A.5 through A.18; anything outside is a typo.
 SECTION_MIN = 5
 SECTION_MAX = 18
+
+# Entries in each of the two id caches (text -> ControlId, ControlId -> text):
+# above the 4,000 controls of the largest catalog measured, so every id of a
+# run is parsed once and printed once per process.
+ID_CACHE_SIZE = 8192
 
 
 class ControlId(NamedTuple):
@@ -32,6 +38,7 @@ class ControlId(NamedTuple):
     objective: int
     control: int
 
+    @lru_cache(maxsize=ID_CACHE_SIZE)
     def __str__(self) -> str:
         return "A.%d.%d.%d" % self
 
@@ -45,11 +52,19 @@ def parse_control_id(text: str) -> ControlId:
 
     Both spellings canonicalize to the "A."-prefixed form rendered by
     ControlId.__str__. Raises ValidationError naming the offending token for
-    malformed input or for sections outside A.5 .. A.18.
+    malformed input or for sections outside A.5 .. A.18. Parsed ids are
+    cached by their stripped text, so texts equal once stripped share one
+    ControlId.
     """
     if not isinstance(text, str):
         raise ValidationError(f"control id {text!r} is not a string")
-    raw = text.strip()
+    return _parse_stripped(text.strip())
+
+
+# Keyed by the stripped text, so surrounding whitespace can neither make a
+# cached key long nor use up entries; a failure raises and is not cached.
+@lru_cache(maxsize=ID_CACHE_SIZE)
+def _parse_stripped(raw: str) -> ControlId:
     if not raw:
         raise ValidationError("empty control id")
     parts = (raw[2:] if raw[:2] in ("A.", "a.") else raw).split(".")

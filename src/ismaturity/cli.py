@@ -93,15 +93,27 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _fixed_level(text: str) -> int:
-    """Parse --fixed-level; a value outside 1..5 is a usage error."""
+def _int_argument(text: str) -> int:
     try:
-        level = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _fixed_level(text: str) -> int:
+    """Parse --fixed-level; a value outside 1..5 is a usage error."""
+    level = _int_argument(text)
     if not 1 <= level <= LEVEL_MAX:
         raise argparse.ArgumentTypeError(f"minimum level {level} outside 1..{LEVEL_MAX}")
     return level
+
+
+def _misallocation_threshold(text: str) -> int:
+    """Parse --misallocation-threshold; a value below 1 is a usage error."""
+    threshold = _int_argument(text)
+    if threshold < 1:
+        raise argparse.ArgumentTypeError(f"misallocation threshold {threshold} is below 1")
+    return threshold
 
 
 def _load_catalog(args) -> ControlCatalog:
@@ -397,7 +409,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["model", "independent"], help="strategy mode")
     p.add_argument(
         "--misallocation-threshold",
-        type=int,
+        type=_misallocation_threshold,
         default=2,
         help="level difference that counts as misallocated effort (default 2)",
     )

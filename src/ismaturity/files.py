@@ -37,7 +37,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -205,7 +205,9 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
     kind = document.get("kind")
     if kind != expected_kind:
         raise ValidationError(
-            f"expected a {expected_kind} document, found kind {kind!r}", source=source
+            f"expected {'an' if expected_kind[:1] in 'aeiou' else 'a'} {expected_kind} document,"
+            f" found kind {kind!r}",
+            source=source,
         )
     return document
 
@@ -357,22 +359,19 @@ def requirements_record(requirements: Mapping[ControlId, MinimumRequirement]) ->
 _new_requirement = tuple.__new__
 
 
-def requirements_from_record(
-    raw: Mapping, mode: str, control_id: Callable[[str], ControlId] = parse_control_id
-) -> dict[ControlId, MinimumRequirement]:
+def requirements_from_record(raw: Mapping, mode: str) -> dict[ControlId, MinimumRequirement]:
     """Read a requirements object written under the minimum mode tag `mode`.
 
     Each requirement must be the one its mode gives: "fixed:<n>" means level
     n, no priority and a null raw score; "risk" means a raw score of 2..6 with
-    the level and priority scored_minimum derives from it. Keys are read with
-    `control_id`, so a reader that meets the same id texts elsewhere can parse
-    each once. Runs inside the calling reader's `reading`.
+    the level and priority scored_minimum derives from it. Runs inside the
+    calling reader's `reading`.
     """
     fixed = parse_mode_tag(mode)
     fixed_requirement = None if fixed is None else MinimumRequirement(required_level=fixed)
     requirements: dict[ControlId, MinimumRequirement] = {}
     for text, record in raw.items():
-        cid = control_id(text)
+        cid = parse_control_id(text)
         requirement = _new_requirement(
             MinimumRequirement,
             (
@@ -502,13 +501,14 @@ def _csv_rows(path: str | Path, header: list[str]):
                 )
             row_no = 1
             for row_no, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
+                cells = [cell.strip() for cell in row]
+                if not any(cells):
                     continue  # tolerate blank lines
-                if len(row) != len(header):
+                if len(cells) != len(header):
                     raise ValidationError(
-                        f"expected {len(header)} fields, found {len(row)}", source=source, row=row_no
+                        f"expected {len(header)} fields, found {len(cells)}", source=source, row=row_no
                     )
-                yield row_no, [cell.strip() for cell in row]
+                yield row_no, cells
         except UnicodeDecodeError as exc:  # decoding runs ahead of the rows, so no row is named
             raise ValidationError(f"not UTF-8 text: {exc}", source=source) from None
         except csv.Error as exc:

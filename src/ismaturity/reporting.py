@@ -284,14 +284,6 @@ def _derived_sections(doc: ReportDocument) -> dict:
     }
 
 
-class _ControlIds(dict):
-    """Control-id text -> ControlId, each distinct text parsed once."""
-
-    def __missing__(self, text) -> ControlId:
-        cid = self[text] = parse_control_id(text)
-        return cid
-
-
 def parse_report(text: str, source: str = "report") -> ReportDocument:
     """Read a structured report by rebuilding it; used by the report subcommand.
 
@@ -309,21 +301,18 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         mode = field(raw, "mode", str)
         _check_mode(mode)  # as build_report does, but before minimums_mode is read
         minimums_mode = field(raw, "minimums_mode", str)
-        ids = _ControlIds()
         excluded = {
-            ids[record["control"]]: field(record, "justification", str)
+            parse_control_id(record["control"]): field(record, "justification", str)
             for record in field(raw, "not_applicable", list)
         }
         levels = field(raw, "measurements", dict)
-        measurements = {ids[t]: field(levels, t, int) for t in levels}
+        measurements = {parse_control_id(t): field(levels, t, int) for t in levels}
         assignment = {
-            ids[t]: stage
+            parse_control_id(t): stage
             for stage, record in zip(Stage, field(raw, "stages", list))
             for t in field(record, "members", list)
         }
-        requirements = requirements_from_record(
-            field(raw, "requirements", dict), minimums_mode, ids.__getitem__
-        )
+        requirements = requirements_from_record(field(raw, "requirements", dict), minimums_mode)
         threshold = field(raw, "misallocation_threshold", int)
         raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
         deltas = None if raw_deltas is None else deltas_from_record(raw_deltas)

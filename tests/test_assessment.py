@@ -219,6 +219,10 @@ def test_misallocation_respects_threshold():
         (Stage.FULL, Stage.ESSENTIAL)
     ]
     assert misallocation_findings(result, threshold=3) == ()
+    # below 1 a "finding" would not need the later level to exceed the earlier one
+    for threshold in (0, -1):
+        with pytest.raises(ValidationError, match=f"misallocation threshold {threshold} is below 1"):
+            misallocation_findings(result, threshold=threshold)
 
 
 def test_misallocation_without_failing_controls_is_empty():

@@ -16,7 +16,14 @@ from ismaturity import (
     topological_order,
     validate_dependencies,
 )
-from ismaturity.catalog import Control, ControlCatalog
+from ismaturity.catalog import (
+    ID_CACHE_SIZE,
+    SECTION_MAX,
+    SECTION_MIN,
+    Control,
+    ControlCatalog,
+    _parse_stripped,
+)
 from ismaturity.files import catalog_document
 
 from oracles import has_cycle
@@ -51,8 +58,9 @@ def test_parse_accepts_bare_and_lowercase_spellings():
         "", "A.5.1", "A.5.1.1.1", "A.x.1.1", "A.4.1.1", "A.19.1.1", "A.5.0.1", "A.5.1.0", "B.5.1.1",
         # digits outside ASCII: a superscript int() rejects, an Arabic-Indic five it accepts
         "A.5.1.\u00b2", "A.\u0665.1.1",
-        # not strings at all, as a mistyped JSON document delivers them
-        5, None,
+        # not strings at all, as a mistyped JSON document delivers them; a list
+        # or a dict must not reach the id cache, which would hash it
+        5, None, [], {},
     ],
 )
 def test_parse_rejects_malformed_ids(text):
@@ -126,6 +134,52 @@ def test_parse_control_id_accepts_exactly_what_the_oracle_accepts(text):
     else:
         assert parsed == expected
         assert type(parsed) is ControlId
+
+
+SPELLED_IDS = st.builds(
+    lambda before, prefix, numbers, after: before + prefix + ".".join(map(str, numbers)) + after,
+    ID_SPACES,
+    st.sampled_from(["A.", ""]),
+    st.tuples(st.integers(0, 20), st.integers(0, 99), st.integers(0, 99)),
+    ID_SPACES,
+)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | ID_TEXTS | SPELLED_IDS)
+def test_cached_parse_matches_the_uncached_body(text):
+    expected = outcome(_parse_stripped.__wrapped__, text.strip())
+    first = outcome(parse_control_id, text)
+    second = outcome(parse_control_id, text)
+    assert first == second == expected
+    assert type(first) is type(second) is type(expected)
+    if type(expected) is ControlId:
+        assert second is first  # the second call is answered from the cache
+
+
+@given(st.integers(SECTION_MIN, SECTION_MAX), st.integers(1, 10**6), st.integers(1, 10**6))
+def test_printed_id_is_the_canonical_spelling(section, objective, control):
+    cid = ControlId(section, objective, control)
+    assert str(cid) == str(cid) == f"A.{section}.{objective}.{control}"
+    assert parse_control_id(str(cid)) == cid
+
+
+def test_id_caches_stay_within_their_bound():
+    sections = range(SECTION_MIN, SECTION_MAX + 1)
+    ids = [ControlId(s, o, c) for s in sections for o in range(1, 31) for c in range(1, 31)]
+    assert len(ids) > ID_CACHE_SIZE
+    for cid in ids:
+        assert parse_control_id(str(cid)) == cid
+    for cache in (ControlId.__str__, _parse_stripped):
+        info = cache.cache_info()
+        assert (info.maxsize, info.currsize) == (ID_CACHE_SIZE, ID_CACHE_SIZE)
 
 
 def test_control_ids_order_numerically_not_lexically():

@@ -109,6 +109,13 @@ def test_fixed_level_out_of_range_is_a_usage_error(run_cli, ca, command, level):
     assert f"--fixed-level: minimum level {level} outside 1..5" in err
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_misallocation_threshold_below_one_is_a_usage_error(run_cli, ca, threshold):
+    code, out, err = run_cli(*assess_args(ca, "--misallocation-threshold", threshold))
+    assert (code, out) == (64, "")
+    assert f"--misallocation-threshold: misallocation threshold {threshold} is below 1" in err
+
+
 def test_independent_mode_needs_a_minimum_source(run_cli, ca):
     args = [a for a in assess_args(ca) if a != "--ratings" and a != ca["ratings"]]
     code, _, err = run_cli(*args)
@@ -557,6 +564,24 @@ def test_report_rejects_derived_fields_its_inputs_contradict(run_cli, ca, tmp_pa
     code, out, err = run_cli(*command)
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {path}: {where} does not follow from the report's inputs")
+
+
+def test_report_with_a_threshold_below_one_exits_one(run_cli, ca, tmp_path):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["misallocation_threshold"] = 0
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out, err) == (1, "", f"input error: {path}: misallocation threshold 0 is below 1\n")
+
+
+def test_report_on_another_document_kind_names_the_kind_it_expected(run_cli, ca_paths):
+    path = ca_paths["survey"].parent / "expected" / "compare_modes.json"
+    code, out, err = run_cli("report", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"input error: {path}: expected an assessment-report document, found kind 'mode-comparison'\n"
+    )
 
 
 def test_report_with_a_staged_control_also_excluded_exits_two(run_cli, ca, tmp_path):

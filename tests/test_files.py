@@ -56,7 +56,8 @@ def test_survey_csv_happy_path(tmp_path):
     path = write(
         tmp_path,
         "s.csv",
-        "respondent_id,control_id,score\nr1,A.5.1.1,5\nr1,A.5.1.2,3\n\nr2,A.5.1.1,4\n",
+        # blank rows of any width are skipped, however many of their cells hold spaces
+        "respondent_id,control_id,score\nr1,A.5.1.1,5\nr1,A.5.1.2,3\n\n , ,\t\n,\n r2 , A.5.1.1 ,4\n",
     )
     rows = load_survey_csv(path)
     assert [(r.respondent_id, str(r.control_id), r.score) for r in rows] == [
@@ -91,6 +92,10 @@ def test_survey_csv_rejects_duplicate_pair(tmp_path):
 def test_survey_csv_rejects_wrong_field_count(tmp_path):
     path = write(tmp_path, "s.csv", "respondent_id,control_id,score\nr1,A.5.1.1\n")
     with pytest.raises(ValidationError, match="expected 3 fields"):
+        load_survey_csv(path)
+    # skipped blank rows still count: the short row is row 5
+    path = write(tmp_path, "s.csv", "respondent_id,control_id,score\nr1,A.5.1.1,5\n\n , \nr1,A.5.1.2\n")
+    with pytest.raises(ValidationError, match="row 5: expected 3 fields, found 2"):
         load_survey_csv(path)
 
 
