@@ -78,7 +78,11 @@ def _parse_stripped(raw: str) -> ControlId:
     ):
         part = next(part for part in parts if not (part.isascii() and part.isdigit()))
         raise ValidationError(f"control id {raw!r}: field {part!r} is not a number")
-    numbers = (int(section), int(objective), int(control))
+    try:
+        numbers = (int(section), int(objective), int(control))
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        name, part = max(zip(("section", "objective", "control"), parts), key=lambda pair: len(pair[1]))
+        raise ValidationError(f"control id {raw!r}: {name} field of {len(part)} digits is too long") from None
     if not SECTION_MIN <= numbers[0] <= SECTION_MAX:
         raise ValidationError(
             f"control id {raw!r}: section {numbers[0]} is outside A.{SECTION_MIN}..A.{SECTION_MAX}"

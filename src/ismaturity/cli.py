@@ -162,17 +162,26 @@ def _build_independent_minimums(args, catalog, applicability):
 
 
 @contextmanager
-def _survey_warnings(path):
-    """Print each warning raised inside (an incomplete respondent) as one stderr line naming `path`."""
+def _ingesting(path):
+    """Name the survey file `path` on what ingesting its rows reports inside.
+
+    A warning (an incomplete respondent) prints as one stderr line naming `path`,
+    and a ValidationError that names no file (a control outside the catalog) gets it.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        yield
+        try:
+            yield
+        except ValidationError as exc:
+            if exc.source is not None:
+                raise
+            raise ValidationError(str(exc), source=str(path)) from None
     for warning in caught:
         print(f"warning: {path}: {warning.message}", file=sys.stderr)
 
 
 def _ingest_survey(path, catalog):
-    with _survey_warnings(path):
+    with _ingesting(path):
         return ingest_responses(load_survey_csv(path), catalog)
 
 
@@ -190,8 +199,10 @@ def _mode_comparison_deltas(plan):
 def _cmd_import_survey(args) -> int:
     if args.replace and not args.into:
         raise UsageError("--replace is only meaningful together with --into")
+    if args.into and args.catalog:
+        raise UsageError("--catalog does not apply with --into, whose database fixes the controls")
     rows = load_survey_csv(args.survey)
-    with _survey_warnings(args.survey):
+    with _ingesting(args.survey):
         if args.into:
             db = merge_responses(read_importance_file(args.into), rows, replace=args.replace)
         else:

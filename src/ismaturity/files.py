@@ -19,9 +19,9 @@ mandatory header row:
     measurements   control_id,level                      (level 0..5)
 
 Validation errors name the file and 1-based row so records can be fixed at
-the source. Records that appear in more than one document (requirements,
-stage deltas, the stage-or-excluded label) have one writer and one strict
-reader here. Readers take every JSON value, container or scalar, only at
+the source; _read_csv, the loaders' one error boundary, attaches both.
+Records that appear in more than one document (requirements, stage deltas,
+the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
 its exact type (errors.field: no coercion, and a boolean is not an integer)
 and run inside errors.reading, which names the file in every error. Writes
 go through a temp file in the target directory, fsynced and then atomically
@@ -37,7 +37,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -480,7 +480,12 @@ _TRUE_WORDS = {"true", "yes"}
 _FALSE_WORDS = {"false", "no"}
 
 
-def _csv_rows(path: str | Path, header: list[str]):
+def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]) -> None:
+    """Check the header, then call `read_row` with the stripped cells of each non-blank row.
+
+    The CSV loaders' one error boundary: a ValidationError that names no file
+    gets `path` and the 1-based row (the header is row 1).
+    """
     source = str(path)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -493,123 +498,103 @@ def _csv_rows(path: str | Path, header: list[str]):
             first = next(reader, None)
             if first is None:
                 raise ValidationError(f"missing header row (expected {','.join(header)})", source=source)
-            if [cell.strip() for cell in first] != header:
-                raise ValidationError(
-                    f"bad header {','.join(first)!r} (expected {','.join(header)})",
-                    source=source,
-                    row=1,
-                )
             row_no = 1
+            if [cell.strip() for cell in first] != header:
+                raise ValidationError(f"bad header {','.join(first)!r} (expected {','.join(header)})")
             for row_no, row in enumerate(reader, start=2):
                 cells = [cell.strip() for cell in row]
                 if not any(cells):
                     continue  # tolerate blank lines
                 if len(cells) != len(header):
-                    raise ValidationError(
-                        f"expected {len(header)} fields, found {len(cells)}", source=source, row=row_no
-                    )
-                yield row_no, cells
+                    raise ValidationError(f"expected {len(header)} fields, found {len(cells)}")
+                read_row(*cells)
         except UnicodeDecodeError as exc:  # decoding runs ahead of the rows, so no row is named
             raise ValidationError(f"not UTF-8 text: {exc}", source=source) from None
         except csv.Error as exc:
             raise ValidationError(f"unreadable CSV: {exc}", source=source, row=row_no + 1) from None
+        except ValidationError as exc:
+            if exc.source is not None:
+                raise
+            raise ValidationError(str(exc), source=source, row=row_no) from None
 
 
-def _parse_control_cell(text: str, source: str, row_no: int) -> ControlId:
+def _bounded_int(text: str, what: str, low: int, high: int) -> int:
     try:
-        return parse_control_id(text)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), source=source, row=row_no) from None
-
-
-def _parse_int_cell(text: str, what: str, source: str, row_no: int) -> int:
-    try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise ValidationError(f"{what} {text!r} is not an integer", source=source, row=row_no) from None
+        raise ValidationError(f"{what} {text!r} is not an integer") from None
+    if not low <= value <= high:
+        raise ValidationError(f"{what} {value} outside {low}..{high}")
+    return value
+
+
+def _read_per_control(path: str | Path, header: list[str], what: str, parse: Callable[..., object]) -> dict:
+    """Map each control to `parse(cid, *its other cells)`; its second row, once parsed, is a duplicate."""
+    values: dict[ControlId, object] = {}
+
+    def read_row(control_text: str, *rest: str) -> None:
+        cid = parse_control_id(control_text)
+        value = parse(cid, *rest)
+        if cid in values:
+            raise ValidationError(f"duplicate {what} for {cid}")
+        values[cid] = value
+
+    _read_csv(path, header, read_row)
+    return values
 
 
 def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
     """Read survey rows; duplicates of one (respondent, control) pair are errors."""
-    source = str(path)
     seen: set[tuple[str, ControlId]] = set()
     rows: list[SurveyResponse] = []
-    for row_no, (respondent, control_text, score_text) in _csv_rows(path, SURVEY_HEADER):
+
+    def read_row(respondent: str, control_text: str, score_text: str) -> None:
         if not respondent:
-            raise ValidationError("empty respondent_id", source=source, row=row_no)
-        cid = _parse_control_cell(control_text, source, row_no)
-        score = _parse_int_cell(score_text, "score", source, row_no)
-        if not LIKERT_MIN <= score <= LIKERT_MAX:
-            raise ValidationError(
-                f"score {score} outside {LIKERT_MIN}..{LIKERT_MAX}", source=source, row=row_no
-            )
+            raise ValidationError("empty respondent_id")
+        cid = parse_control_id(control_text)
+        score = _bounded_int(score_text, "score", LIKERT_MIN, LIKERT_MAX)
         key = (respondent, cid)
         if key in seen:
-            raise ValidationError(
-                f"duplicate response for ({respondent}, {cid})", source=source, row=row_no
-            )
+            raise ValidationError(f"duplicate response for ({respondent}, {cid})")
         seen.add(key)
         rows.append(SurveyResponse(respondent_id=respondent, control_id=cid, score=score))
+
+    _read_csv(path, SURVEY_HEADER, read_row)
     return rows
 
 
 def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:
     """Read measured maturity levels, one row per control."""
-    source = str(path)
-    levels: dict[ControlId, int] = {}
-    for row_no, (control_text, level_text) in _csv_rows(path, MEASUREMENTS_HEADER):
-        cid = _parse_control_cell(control_text, source, row_no)
-        level = _parse_int_cell(level_text, "level", source, row_no)
-        if not LEVEL_MIN <= level <= LEVEL_MAX:
-            raise ValidationError(
-                f"level {level} outside {LEVEL_MIN}..{LEVEL_MAX}", source=source, row=row_no
-            )
-        if cid in levels:
-            raise ValidationError(f"duplicate measurement for {cid}", source=source, row=row_no)
-        levels[cid] = level
-    return levels
+    return _read_per_control(
+        path, MEASUREMENTS_HEADER, "measurement",
+        lambda cid, level_text: _bounded_int(level_text, "level", LEVEL_MIN, LEVEL_MAX),
+    )
 
 
 def load_ratings_csv(path: str | Path) -> dict[ControlId, tuple[RiskGrade, RiskGrade]]:
     """Read per-control risk ratings (probability and impact grades)."""
-    source = str(path)
-    ratings: dict[ControlId, tuple[RiskGrade, RiskGrade]] = {}
-    for row_no, (control_text, probability_text, impact_text) in _csv_rows(path, RATINGS_HEADER):
-        cid = _parse_control_cell(control_text, source, row_no)
-        try:
-            probability = parse_risk_grade(probability_text)
-            impact = parse_risk_grade(impact_text)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), source=source, row=row_no) from None
-        if cid in ratings:
-            raise ValidationError(f"duplicate rating for {cid}", source=source, row=row_no)
-        ratings[cid] = (probability, impact)
-    return ratings
+    return _read_per_control(
+        path, RATINGS_HEADER, "rating",
+        lambda cid, probability, impact: (parse_risk_grade(probability), parse_risk_grade(impact)),
+    )
+
+
+def _exclusion(cid: ControlId, applicable_text: str, justification: str) -> str | None:
+    """None for an applicable control, else the justification of its exclusion."""
+    word = applicable_text.lower()
+    if word in _TRUE_WORDS:
+        return None
+    if word not in _FALSE_WORDS:
+        raise ValidationError(f"applicable must be true or false, found {applicable_text!r}")
+    if not justification.strip():
+        raise ValidationError(f"control {cid} marked not applicable without a justification")
+    return justification
 
 
 def load_applicability_csv(path: str | Path) -> ApplicabilityMap:
     """Read applicability decisions; not-applicable rows need a justification."""
-    source = str(path)
-    not_applicable: dict[ControlId, str] = {}
-    seen: set[ControlId] = set()
-    for row_no, (control_text, applicable_text, justification) in _csv_rows(path, APPLICABILITY_HEADER):
-        cid = _parse_control_cell(control_text, source, row_no)
-        if cid in seen:
-            raise ValidationError(f"duplicate applicability row for {cid}", source=source, row=row_no)
-        seen.add(cid)
-        word = applicable_text.lower()
-        if word in _TRUE_WORDS:
-            continue
-        if word not in _FALSE_WORDS:
-            raise ValidationError(
-                f"applicable must be true or false, found {applicable_text!r}", source=source, row=row_no
-            )
-        if not justification.strip():
-            raise ValidationError(
-                f"control {cid} marked not applicable without a justification", source=source, row=row_no
-            )
-        not_applicable[cid] = justification
-    return ApplicabilityMap(not_applicable=not_applicable)
+    exclusions = _read_per_control(path, APPLICABILITY_HEADER, "applicability row", _exclusion)
+    return ApplicabilityMap(not_applicable={cid: text for cid, text in exclusions.items() if text is not None})
 
 
 # ---------------------------------------------------------------------------

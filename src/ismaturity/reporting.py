@@ -31,6 +31,7 @@ from .assessment import (
     Gap,
     Label,
     MisallocationFinding,
+    StageResult,
     evaluate,
     gap_analysis,
     misallocation_findings,
@@ -85,16 +86,6 @@ def label_line(stage: Stage, level: Fraction | None) -> str:
     )
 
 
-class StageRow(NamedTuple):
-    """One line of the report's stage table."""
-
-    stage: Stage
-    members: tuple[ControlId, ...]
-    average: Fraction | None
-    complete: bool
-    failing_count: int
-
-
 class ReportDocument(NamedTuple):
     """Everything one assessment run produced, ready to serialize."""
 
@@ -103,7 +94,7 @@ class ReportDocument(NamedTuple):
     mode: str
     minimums_mode: str
     misallocation_threshold: int
-    stage_rows: tuple[StageRow, ...]
+    stage_rows: tuple[StageResult, ...]
     label: Label
     naive: Fraction
     gaps: tuple[Gap, ...]
@@ -146,23 +137,13 @@ def build_report(
         (cid, applicability.justification(cid) or minimums.excluded[cid])
         for cid in sorted(minimums.excluded)
     )
-    stage_rows = tuple(
-        StageRow(
-            stage=sr.stage,
-            members=sr.members,
-            average=sr.average,
-            complete=sr.complete,
-            failing_count=len(sr.failing),
-        )
-        for sr in result.stage_results
-    )
     return ReportDocument(
         company=company,
         timestamp=timestamp,
         mode=mode,
         minimums_mode=minimums.mode,
         misallocation_threshold=misallocation_threshold,
-        stage_rows=stage_rows,
+        stage_rows=result.stage_results,
         label=result.label,
         naive=result.naive_average,
         gaps=tuple(gaps),
@@ -170,7 +151,7 @@ def build_report(
         findings=tuple(findings),
         not_applicable=not_applicable,
         deltas=None if deltas is None else tuple(deltas),
-        measurements=dict(result.measurements),
+        measurements=result.measurements,
         requirements=dict(minimums.requirements),
     )
 
@@ -253,7 +234,7 @@ def _derived_sections(doc: ReportDocument) -> dict:
                 "members": [str(cid) for cid in row.members],
                 "average": _fraction_fields(row.average),
                 "complete": row.complete,
-                "failing_count": row.failing_count,
+                "failing_count": len(row.failing),
             }
             for row in doc.stage_rows
         ],
@@ -439,7 +420,7 @@ def _render_human(doc: ReportDocument) -> str:
     for row in doc.stage_rows:
         lines.append(
             f"{row.stage.label:<13}{len(row.members):>9}{_display(row.average):>9}"
-            f"{('yes' if row.complete else 'no'):>10}{row.failing_count:>9}"
+            f"{('yes' if row.complete else 'no'):>10}{len(row.failing):>9}"
         )
     lines.append("")
     lines.append(f"Overall: {label_line(doc.label.stage, doc.label.level)}")

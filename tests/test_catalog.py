@@ -61,6 +61,8 @@ def test_parse_accepts_bare_and_lowercase_spellings():
         # not strings at all, as a mistyped JSON document delivers them; a list
         # or a dict must not reach the id cache, which would hash it
         5, None, [], {},
+        # a field with more digits than int() converts (4,300 by default)
+        pytest.param("A.5.1." + "1" * 5000, id="field-past-the-int-digit-limit"),
     ],
 )
 def test_parse_rejects_malformed_ids(text):

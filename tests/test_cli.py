@@ -141,6 +141,15 @@ def test_unknown_control_in_measurements_exits_one(run_cli, ca, tmp_path, ca_pat
     assert "A.5.9.9" in err and "not in the catalog" in err
 
 
+def test_control_id_too_long_for_int_in_measurements_exits_one(run_cli, tmp_path):
+    bad = tmp_path / "m.csv"
+    bad.write_text("control_id,level\nA.5.1." + "1" * 5000 + ",3\n", encoding="utf-8")
+    code, out, err = run_cli("assess", "--mode", "model", "--measurements", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {bad}, row 2: control id 'A.5.1.111")
+    assert err.endswith(": control field of 5000 digits is too long\n")
+
+
 def test_missing_measurement_exits_two(run_cli, ca, tmp_path, ca_paths):
     lines = ca_paths["measurements"].read_text(encoding="utf-8").splitlines()
     shortened = "\n".join(lines[:-1]) + "\n"
@@ -202,6 +211,43 @@ def test_import_survey_replace_without_into_is_usage_error(run_cli, ca, tmp_path
     code, _, err = run_cli("import-survey", ca["survey"], "--out", tmp_path / "x.json", "--replace")
     assert code == 64
     assert "--into" in err
+
+
+def test_import_survey_into_with_a_catalog_is_usage_error(run_cli, ca, tmp_path):
+    # the database merged into fixes the controls, so a catalog would be silently ignored
+    db = tmp_path / "db.json"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"format_version": "1", "kind": "control-catalog"}), encoding="utf-8")
+    assert run_cli("import-survey", ca["survey"], "--out", db)[0] == 0
+    code, out, err = run_cli(
+        "import-survey", ca["survey"], "--into", db, "--replace", "--catalog", catalog, "--out", db
+    )
+    assert (code, out) == (64, "")
+    assert "--catalog" in err and "--into" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("import-survey", "{survey}", "--out", "{out}"),
+        ("import-survey", "{survey}", "--into", "{db}", "--replace", "--out", "{out}"),
+        ("stage-plan", "build", "--survey", "{survey}", "--out", "{out}"),
+        ("assess", "--mode", "independent", "--survey", "{survey}", "--fixed-level", "3",
+         "--measurements", "{measurements}"),
+        ("compare-modes", "--survey", "{survey}", "--fixed-level", "3", "--measurements", "{measurements}"),
+    ],
+    ids=["import-survey", "import-survey-into", "stage-plan-build", "assess", "compare-modes"],
+)
+def test_survey_control_outside_the_catalog_names_the_survey_file(run_cli, ca, tmp_path, command):
+    # A.5.9.9 parses as an id, so only ingesting the rows against the catalog rejects it
+    survey = tmp_path / "s.csv"
+    survey.write_text("respondent_id,control_id,score\nr1,A.5.9.9,3\n", encoding="utf-8")
+    db = tmp_path / "db.json"
+    assert run_cli("import-survey", ca["survey"], "--out", db)[0] == 0
+    paths = {"survey": survey, "db": db, "out": tmp_path / "out.json", "measurements": ca["measurements"]}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in command))
+    assert (code, out) == (1, "")
+    assert err == f"input error: {survey}: entry 1: control A.5.9.9 is not in the catalog\n"
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +610,17 @@ def test_report_rejects_derived_fields_its_inputs_contradict(run_cli, ca, tmp_pa
     code, out, err = run_cli(*command)
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {path}: {where} does not follow from the report's inputs")
+
+
+def test_report_with_a_control_id_too_long_for_int_exits_one(run_cli, ca, tmp_path):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["measurements"]["A.5.1." + "1" * 5000] = 3
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}: control id 'A.5.1.111")
+    assert err.endswith(": control field of 5000 digits is too long\n")
 
 
 def test_report_with_a_threshold_below_one_exits_one(run_cli, ca, tmp_path):

@@ -155,6 +155,62 @@ def test_missing_file_is_a_validation_error(tmp_path):
         load_survey_csv(tmp_path / "absent.csv")
 
 
+# Each loader with its header and one valid data row, row 2.
+CSV_LOADERS = {
+    "survey": (load_survey_csv, "respondent_id,control_id,score", "r1,A.5.1.1,3"),
+    "measurements": (load_measurements_csv, "control_id,level", "A.5.1.1,3"),
+    "ratings": (load_ratings_csv, "control_id,probability,impact", "A.5.1.1,low,high"),
+    "applicability": (load_applicability_csv, "control_id,applicable,justification", "A.5.1.1,no,outsourced"),
+}
+
+
+@pytest.mark.parametrize(
+    ("loader", "text", "error"),
+    [
+        ("survey", "{header}\n{valid}\n,A.5.1.2,3\n", "row 3: empty respondent_id"),
+        ("survey", "{header}\n{valid}\nr1,A.5.1,3\n", "row 3: control id 'A.5.1' must have three numeric fields"),
+        ("survey", "{header}\n{valid}\nr1,A.5.1.2,x\n", "row 3: score 'x' is not an integer"),
+        ("survey", "{header}\n{valid}\nr1,A.5.1.2,6\n", "row 3: score 6 outside 1..5"),
+        ("survey", "{header}\n{valid}\nr1,A.5.1.1,4\n", "row 3: duplicate response for (r1, A.5.1.1)"),
+        ("survey", "{header}\n{valid}\n\n , ,\nr1,A.5.1.2\n", "row 5: expected 3 fields, found 2"),
+        ("survey", "{header}\n{valid}\nr1,A.5.1.2,{long}\n",
+         "row 3: unreadable CSV: field larger than field limit (131072)"),
+        ("survey", "who,control,value\n{valid}\n",
+         "row 1: bad header 'who,control,value' (expected respondent_id,control_id,score)"),
+        ("survey", "{header},{long}\n{valid}\n", "row 1: unreadable CSV: field larger than field limit (131072)"),
+        ("measurements", "{header}\n{valid}\nA.x.1.2,3\n",
+         "row 3: control id 'A.x.1.2': field 'x' is not a number"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,3.5\n", "row 3: level '3.5' is not an integer"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,-1\n", "row 3: level -1 outside 0..5"),
+        ("measurements", "{header}\n{valid}\nA.5.1.1,2\n", "row 3: duplicate measurement for A.5.1.1"),
+        ("measurements", "{header}\n{valid}\n\nA.5.1.2,2,1\n", "row 4: expected 2 fields, found 3"),
+        ("measurements", "{long}\n", "row 1: unreadable CSV: field larger than field limit (131072)"),
+        ("ratings", "{header}\n{valid}\nA.4.1.1,low,low\n",
+         "row 3: control id 'A.4.1.1': section 4 is outside A.5..A.18"),
+        ("ratings", "{header}\n{valid}\nA.5.1.2,severe,low\n",
+         "row 3: unknown risk grade 'severe' (expected low, medium or high)"),
+        ("ratings", "{header}\n{valid}\nA.5.1.2,low,huge\n",
+         "row 3: unknown risk grade 'huge' (expected low, medium or high)"),
+        ("ratings", "{header}\n{valid}\nA.5.1.1,medium,medium\n", "row 3: duplicate rating for A.5.1.1"),
+        ("ratings", "control_id,probability\n{valid}\n",
+         "row 1: bad header 'control_id,probability' (expected control_id,probability,impact)"),
+        ("applicability", "{header}\n{valid}\nA.5.1.2,maybe,x\n",
+         "row 3: applicable must be true or false, found 'maybe'"),
+        ("applicability", "{header}\n{valid}\nA.5.1.2,false, \n",
+         "row 3: control A.5.1.2 marked not applicable without a justification"),
+        ("applicability", "{header}\n{valid}\nA.5.1.1,yes,\n", "row 3: duplicate applicability row for A.5.1.1"),
+        ("applicability", "{header}\n{valid}\nA.5.1.2,no,{long}\n",
+         "row 3: unreadable CSV: field larger than field limit (131072)"),
+    ],
+)
+def test_csv_row_errors_name_file_and_row(tmp_path, loader, text, error):
+    load, header, valid = CSV_LOADERS[loader]
+    path = write(tmp_path, f"{loader}.csv", text.format(header=header, valid=valid, long="x" * 140_000))
+    with pytest.raises(ValidationError) as err:
+        load(path)
+    assert str(err.value) == f"{path}, {error}"
+
+
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
