@@ -70,7 +70,7 @@ MODEL_FIXED_LEVEL = 3  # the published model's single minimum level
 
 
 class UsageError(Exception):
-    """Bad flag combination; maps to exit code 64."""
+    """Bad flag combination, raised before any input file is read; maps to exit code 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,19 +117,15 @@ def _misallocation_threshold(text: str) -> int:
 
 
 def _load_catalog(args) -> ControlCatalog:
-    if getattr(args, "catalog", None):
-        return files.read_catalog_file(args.catalog)
-    return files.default_catalog()
+    return files.read_catalog_file(args.catalog) if args.catalog else files.default_catalog()
 
 
 def _load_applicability(args) -> ApplicabilityMap:
-    if getattr(args, "applicability", None):
-        return load_applicability_csv(args.applicability)
-    return ApplicabilityMap()
+    return load_applicability_csv(args.applicability) if args.applicability else ApplicabilityMap()
 
 
-def _check_known_controls(ids, catalog: ControlCatalog, what: str, source) -> None:
-    unknown = sorted(set(ids) - set(catalog.control_ids()))
+def _check_known_controls(ids, known, what: str, source) -> None:
+    unknown = sorted(set(ids).difference(known))
     if unknown:
         raise ValidationError(
             f"{what} for controls not in the catalog: " + ", ".join(str(c) for c in unknown),
@@ -137,37 +133,47 @@ def _check_known_controls(ids, catalog: ControlCatalog, what: str, source) -> No
         )
 
 
-def _applicable_measurements(args, catalog, applicability):
-    """Load measurements and drop rows for excluded controls.
+def _check_minimum_source(args) -> None:
+    """Independent mode takes its minimums from exactly one of --ratings and --fixed-level."""
+    if args.ratings and args.fixed_level is not None:
+        raise UsageError("pass either --ratings or --fixed-level, not both")
+    if not args.ratings and args.fixed_level is None:
+        raise UsageError("independent mode needs --ratings or --fixed-level")
+
+
+def _load_assessment_inputs(args):
+    """The catalog, the applicability map, and the measurements without rows for excluded controls.
 
     Dropping (rather than erroring) realizes the guarantee that an excluded
     control's presence or absence in input files never changes any result.
     """
+    catalog = _load_catalog(args)
+    applicability = _load_applicability(args)
     raw = load_measurements_csv(args.measurements)
-    _check_known_controls(raw, catalog, "measurements", args.measurements)
+    _check_known_controls(raw, catalog.control_ids(), "measurements", args.measurements)
     excluded = set(applicability.excluded_within(catalog))
-    return {cid: level for cid, level in raw.items() if cid not in excluded}
+    return catalog, applicability, {cid: level for cid, level in raw.items() if cid not in excluded}
 
 
-def _build_independent_minimums(args, catalog, applicability):
-    if args.ratings and args.fixed_level is not None:
-        raise UsageError("pass either --ratings or --fixed-level, not both")
-    if args.ratings:
-        ratings = load_ratings_csv(args.ratings)
-        _check_known_controls(ratings, catalog, "ratings", args.ratings)
-        return build_minimum_db(RiskMinimums(ratings=ratings), applicability, catalog)
-    if args.fixed_level is not None:
-        return build_minimum_db(FixedMinimums(level=args.fixed_level), applicability, catalog)
-    raise UsageError("independent mode needs --ratings or --fixed-level")
+def _minimums(catalog, applicability, ratings_path, level):
+    """The minimum database from the ratings file `ratings_path`, or without one from the fixed `level`."""
+    if ratings_path:
+        ratings = load_ratings_csv(ratings_path)
+        _check_known_controls(ratings, catalog.control_ids(), "ratings", ratings_path)
+        source = RiskMinimums(ratings=ratings)
+    else:
+        source = FixedMinimums(level=level)
+    return build_minimum_db(source, applicability, catalog)
 
 
 @contextmanager
-def _ingesting(path):
-    """Name the survey file `path` on what ingesting its rows reports inside.
+def _ingesting(path, rows, known):
+    """Reject survey `rows` for controls outside `known`, then name `path` on what ingesting them reports.
 
     A warning (an incomplete respondent) prints as one stderr line naming `path`,
-    and a ValidationError that names no file (a control outside the catalog) gets it.
+    and a ValidationError that names no file (a resubmitted respondent) gets it.
     """
+    _check_known_controls((row.control_id for row in rows), known, "survey rows", path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -180,17 +186,20 @@ def _ingesting(path):
         print(f"warning: {path}: {warning.message}", file=sys.stderr)
 
 
-def _ingest_survey(path, catalog):
-    with _ingesting(path):
-        return ingest_responses(load_survey_csv(path), catalog)
+def _survey_plan(path, catalog, applicability):
+    """The stage plan built from the importance survey in `path`."""
+    rows = load_survey_csv(path)
+    with _ingesting(path, rows, catalog.control_ids()):
+        db = ingest_responses(rows, catalog)
+    return build_stage_plan(db, catalog, applicability)
 
 
-def _mode_comparison_deltas(plan):
-    """Stage changes vs the bundled default, when the universes line up."""
-    default = default_stage_plan()
-    if plan.universe() != default.universe():
-        return None
-    return diff_stage_plans(default, plan)
+def _write_text(path, text: str) -> None:
+    """Write human-readable `text` to the file `path`, or to stdout when there is none."""
+    if path:
+        write_text_atomic(path, text)
+    else:
+        _print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +211,14 @@ def _cmd_import_survey(args) -> int:
     if args.into and args.catalog:
         raise UsageError("--catalog does not apply with --into, whose database fixes the controls")
     rows = load_survey_csv(args.survey)
-    with _ingesting(args.survey):
-        if args.into:
-            db = merge_responses(read_importance_file(args.into), rows, replace=args.replace)
-        else:
-            db = ingest_responses(rows, _load_catalog(args))
+    if args.into:
+        into = read_importance_file(args.into)
+        with _ingesting(args.survey, rows, into.controls):
+            db = merge_responses(into, rows, replace=args.replace)
+    else:
+        catalog = _load_catalog(args)
+        with _ingesting(args.survey, rows, catalog.control_ids()):
+            db = ingest_responses(rows, catalog)
     write_document(args.out, importance_document(db))
     _print(f"{len(rows)} responses from {len(db.respondents)} respondents -> {args.out}")
     return EXIT_OK
@@ -218,10 +230,9 @@ def _cmd_stage_plan_build(args) -> int:
     catalog = _load_catalog(args)
     applicability = _load_applicability(args)
     if args.survey:
-        db = _ingest_survey(args.survey, catalog)
+        plan = _survey_plan(args.survey, catalog, applicability)
     else:
-        db = read_importance_file(args.importance)
-    plan = build_stage_plan(db, catalog, applicability)
+        plan = build_stage_plan(read_importance_file(args.importance), catalog, applicability)
     write_document(args.out, stage_plan_document(plan))
     sizes = plan.sizes()
     summary = ", ".join(f"{stage.label} {sizes[stage]}" for stage in Stage)
@@ -229,16 +240,11 @@ def _cmd_stage_plan_build(args) -> int:
     return EXIT_OK
 
 
-def _resolve_plan(token: str):
-    if token == "default":
-        return default_stage_plan()
-    return read_stage_plan_file(token)
-
-
 def _cmd_stage_plan_diff(args) -> int:
-    plan_a = _resolve_plan(args.plan_a)
-    plan_b = _resolve_plan(args.plan_b)
-    deltas = diff_stage_plans(plan_a, plan_b)
+    deltas = diff_stage_plans(*(
+        default_stage_plan() if token == "default" else read_stage_plan_file(token)
+        for token in (args.plan_a, args.plan_b)
+    ))
     for delta in deltas:
         _print(f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
     _print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
@@ -252,43 +258,37 @@ def _cmd_minimums_build(args) -> int:
         level = parse_mode_tag(args.mode)
     except ValidationError:
         raise UsageError(f"--mode must be risk or fixed:<level>, got {args.mode!r}") from None
+    if level is None and not args.ratings:
+        raise UsageError("risk mode needs --ratings")
+    if level is not None and args.ratings:
+        raise UsageError("--ratings only applies to risk mode")
     catalog = _load_catalog(args)
-    applicability = _load_applicability(args)
-    if level is None:
-        if not args.ratings:
-            raise UsageError("risk mode needs --ratings")
-        ratings = load_ratings_csv(args.ratings)
-        _check_known_controls(ratings, catalog, "ratings", args.ratings)
-        db = build_minimum_db(RiskMinimums(ratings=ratings), applicability, catalog)
-    else:
-        if args.ratings:
-            raise UsageError("--ratings only applies to risk mode")
-        db = build_minimum_db(FixedMinimums(level=level), applicability, catalog)
+    db = _minimums(catalog, _load_applicability(args), args.ratings, level)
     write_document(args.out, minimum_db_document(db))
     _print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_assess(args) -> int:
-    catalog = _load_catalog(args)
-    applicability = _load_applicability(args)
-    measurements = _applicable_measurements(args, catalog, applicability)
     if args.mode == "model":
         if args.survey:
             raise UsageError("model mode uses the bundled stage database; --survey is not allowed")
         if args.ratings:
             raise UsageError("model mode uses a fixed minimum level; --ratings is not allowed")
-        level = MODEL_FIXED_LEVEL if args.fixed_level is None else args.fixed_level
-        plan = exclude_from_plan(default_stage_plan(), applicability.excluded_within(catalog))
-        mins = build_minimum_db(FixedMinimums(level=level), applicability, catalog)
-        deltas = None
     else:
         if not args.survey:
             raise UsageError("independent mode needs --survey")
-        db = _ingest_survey(args.survey, catalog)
-        plan = build_stage_plan(db, catalog, applicability)
-        mins = _build_independent_minimums(args, catalog, applicability)
-        deltas = _mode_comparison_deltas(plan)
+        _check_minimum_source(args)
+    catalog, applicability, measurements = _load_assessment_inputs(args)
+    if args.mode == "model":
+        plan = exclude_from_plan(default_stage_plan(), applicability.excluded_within(catalog))
+        deltas = None
+    else:
+        plan = _survey_plan(args.survey, catalog, applicability)
+        default = default_stage_plan()  # stage changes against it, when the universes line up
+        deltas = diff_stage_plans(default, plan) if plan.universe() == default.universe() else None
+    # MODEL_FIXED_LEVEL is model mode's default: independent mode has --ratings or --fixed-level
+    mins = _minimums(catalog, applicability, args.ratings, args.fixed_level or MODEL_FIXED_LEVEL)
     result = evaluate(plan, mins, measurements)
     gaps = gap_analysis(result)
     findings = misallocation_findings(result, args.misallocation_threshold)
@@ -306,35 +306,24 @@ def _cmd_assess(args) -> int:
     )
     if args.out:
         write_text_atomic(args.out, render_document(report, STRUCTURED))
-    human = render_document(report, HUMAN)
-    if args.out_text:
-        write_text_atomic(args.out_text, human)
-    else:
-        _print(human, end="")
+    _write_text(args.out_text, render_document(report, HUMAN))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.report)
-    document = parse_report(files.read_text(path), source=str(path))
-    human = render_document(document, HUMAN)
-    if args.out:
-        write_text_atomic(args.out, human)
-    else:
-        _print(human, end="")
+    path = str(Path(args.report))
+    _write_text(args.out, render_document(parse_report(files.read_text(path), source=path), HUMAN))
     return EXIT_OK
 
 
 def _cmd_compare_modes(args) -> int:
     if not args.survey:
         raise UsageError("compare-modes needs --survey")
-    catalog = _load_catalog(args)
-    applicability = _load_applicability(args)
-    measurements = _applicable_measurements(args, catalog, applicability)
-    db = _ingest_survey(args.survey, catalog)
-    company_plan = build_stage_plan(db, catalog, applicability)
-    mins_model = build_minimum_db(FixedMinimums(level=MODEL_FIXED_LEVEL), applicability, catalog)
-    mins_independent = _build_independent_minimums(args, catalog, applicability)
+    _check_minimum_source(args)
+    catalog, applicability, measurements = _load_assessment_inputs(args)
+    company_plan = _survey_plan(args.survey, catalog, applicability)
+    mins_model = _minimums(catalog, applicability, None, MODEL_FIXED_LEVEL)
+    mins_independent = _minimums(catalog, applicability, args.ratings, args.fixed_level)
     comparison = compare_modes(
         default_stage_plan(), company_plan, mins_model, mins_independent, measurements
     )
@@ -343,11 +332,7 @@ def _cmd_compare_modes(args) -> int:
         write_text_atomic(
             args.out, render_comparison(comparison, STRUCTURED, company=args.company, timestamp=timestamp)
         )
-    human = render_comparison(comparison, HUMAN, company=args.company, timestamp=timestamp)
-    if args.out_text:
-        write_text_atomic(args.out_text, human)
-    else:
-        _print(human, end="")
+    _write_text(args.out_text, render_comparison(comparison, HUMAN, company=args.company, timestamp=timestamp))
     return EXIT_OK
 
 

@@ -18,12 +18,15 @@ mandatory header row:
     applicability  control_id,applicable,justification   (true|false)
     measurements   control_id,level                      (level 0..5)
 
-Validation errors name the file and 1-based row so records can be fixed at
-the source; _read_csv, the loaders' one error boundary, attaches both.
+Validation errors name the file and the 1-based line the record starts on, so
+records can be fixed at the source; _read_csv, the loaders' one error
+boundary, attaches both.
 Records that appear in more than one document (requirements, stage deltas,
 the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
 its exact type (errors.field: no coercion, and a boolean is not an integer)
-and run inside errors.reading, which names the file in every error. Writes
+and run inside errors.reading, which names the file in every error; a
+control a document names twice, by one id or by two spellings of it, is an
+error (check_distinct), never a silent collapse into one entry. Writes
 go through a temp file in the target directory, fsynced and then atomically
 renamed; a failing command never leaves a partial output behind.
 """
@@ -37,7 +40,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence, Sized
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -212,6 +215,22 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
     return document
 
 
+def check_distinct(parsed: Sized, texts: Collection[str], what: str) -> None:
+    """Reject the control id `texts` of `what` when two of them name one control.
+
+    `parsed` is what the reader built from `texts`, keyed by control, so it is
+    shorter exactly when a control repeats; only then are the texts parsed
+    again to find it. Runs inside the calling reader's `reading`.
+    """
+    if len(parsed) != len(texts):
+        seen = set()
+        for text in texts:
+            cid = parse_control_id(text)
+            if cid in seen:
+                raise ValidationError(f"{what} names control {cid} twice")
+            seen.add(cid)
+
+
 def write_document(path: str | Path, document: Mapping) -> None:
     write_text_atomic(path, canonical_json(document))
 
@@ -260,8 +279,10 @@ def importance_document(db: ImportanceDatabase) -> dict:
 
 def importance_from_document(document: Mapping, source: str = "importance document") -> ImportanceDatabase:
     with reading(source, "importance database document"):
-        controls = tuple(parse_control_id(text) for text in field(document, "controls", list))
+        texts = field(document, "controls", list)
+        controls = tuple(parse_control_id(text) for text in texts)
         known = set(controls)
+        check_distinct(known, texts, "'controls'")
         raw_responses = field(document, "responses", dict)
         responses: dict[str, dict[ControlId, int]] = {}
         for respondent in raw_responses:
@@ -277,6 +298,7 @@ def importance_from_document(document: Mapping, source: str = "importance docume
                         f"respondent {respondent}, control {cid}: score {score} outside {LIKERT_MIN}..{LIKERT_MAX}"
                     )
                 parsed[cid] = score
+            check_distinct(parsed, scores, f"respondent {respondent}")
             responses[respondent] = parsed
     return ImportanceDatabase(controls=controls, responses=responses)
 
@@ -301,17 +323,21 @@ def stage_plan_document(plan: StagePlan) -> dict:
 
 def stage_plan_from_document(document: Mapping, source: str = "stage plan document") -> StagePlan:
     with reading(source, "stage plan document"):
-        assignment: dict[ControlId, Stage] = {}
-        for text, label in field(document, "assignment", dict).items():
-            assignment[parse_control_id(text)] = Stage.from_label(label)
+        raw_assignment = field(document, "assignment", dict)
+        assignment = {parse_control_id(text): Stage.from_label(label) for text, label in raw_assignment.items()}
+        check_distinct(assignment, raw_assignment, "'assignment'")
+        raw_provenance = field(document, "provenance", dict)
         provenance: dict[ControlId, str] = {}
-        for text, tag in field(document, "provenance", dict).items():
+        for text, tag in raw_provenance.items():
             if tag not in (PARTITIONED, PROMOTED):
                 raise ValidationError(f"unknown provenance tag {tag!r} for {text}")
             provenance[parse_control_id(text)] = tag
+        check_distinct(provenance, raw_provenance, "'provenance'")
         if set(provenance) != set(assignment):
             raise ValidationError("provenance must cover exactly the assigned controls")
-        excluded = tuple(sorted(parse_control_id(text) for text in field(document, "excluded", list)))
+        raw_excluded = field(document, "excluded", list)
+        excluded = tuple(sorted({parse_control_id(text) for text in raw_excluded}))
+        check_distinct(excluded, raw_excluded, "'excluded'")
         overlap = set(excluded) & set(assignment)
         if overlap:
             raise ValidationError(
@@ -393,6 +419,7 @@ def requirements_from_record(raw: Mapping, mode: str) -> dict[ControlId, Minimum
                 f" {requirement.priority}, raw score {raw_score}) does not fit minimum mode {mode}"
             )
         requirements[cid] = requirement
+    check_distinct(requirements, raw, "'requirements'")
     return requirements
 
 
@@ -421,6 +448,7 @@ def minimum_db_from_document(document: Mapping, source: str = "minimum database 
             if not justification.strip():
                 raise ValidationError(f"excluded control {cid} lacks a justification")
             excluded[cid] = justification
+        check_distinct(excluded, raw_excluded, "'excluded'")
     return MinimumLevelDatabase(mode=mode, requirements=requirements, excluded=excluded)
 
 
@@ -484,38 +512,40 @@ def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]
     """Check the header, then call `read_row` with the stripped cells of each non-blank row.
 
     The CSV loaders' one error boundary: a ValidationError that names no file
-    gets `path` and the 1-based row (the header is row 1).
+    gets `path` and the 1-based line its record starts on (the header is line
+    1), so a quoted cell spanning lines shifts no later row; a csv.Error names
+    the line it was found on.
     """
     source = str(path)
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=source) from None
-    row_no = 0  # the last row read
+    line = 1  # where the record being read starts
     with handle:
         reader = csv.reader(handle)
         try:
             first = next(reader, None)
             if first is None:
                 raise ValidationError(f"missing header row (expected {','.join(header)})", source=source)
-            row_no = 1
             if [cell.strip() for cell in first] != header:
                 raise ValidationError(f"bad header {','.join(first)!r} (expected {','.join(header)})")
-            for row_no, row in enumerate(reader, start=2):
+            line = reader.line_num + 1
+            for row in reader:
                 cells = [cell.strip() for cell in row]
-                if not any(cells):
-                    continue  # tolerate blank lines
-                if len(cells) != len(header):
-                    raise ValidationError(f"expected {len(header)} fields, found {len(cells)}")
-                read_row(*cells)
+                if any(cells):  # tolerate blank lines
+                    if len(cells) != len(header):
+                        raise ValidationError(f"expected {len(header)} fields, found {len(cells)}")
+                    read_row(*cells)
+                line = reader.line_num + 1
         except UnicodeDecodeError as exc:  # decoding runs ahead of the rows, so no row is named
             raise ValidationError(f"not UTF-8 text: {exc}", source=source) from None
         except csv.Error as exc:
-            raise ValidationError(f"unreadable CSV: {exc}", source=source, row=row_no + 1) from None
+            raise ValidationError(f"unreadable CSV: {exc}", source=source, row=reader.line_num) from None
         except ValidationError as exc:
             if exc.source is not None:
                 raise
-            raise ValidationError(str(exc), source=source, row=row_no) from None
+            raise ValidationError(str(exc), source=source, row=line) from None
 
 
 def _bounded_int(text: str, what: str, low: int, high: int) -> int:

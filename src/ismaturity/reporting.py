@@ -42,6 +42,7 @@ from .errors import ConsistencyError, ValidationError, field, reading
 from .files import (
     FORMAT_VERSION,
     canonical_json,
+    check_distinct,
     deltas_from_record,
     deltas_record,
     parse_document,
@@ -282,12 +283,12 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         mode = field(raw, "mode", str)
         _check_mode(mode)  # as build_report does, but before minimums_mode is read
         minimums_mode = field(raw, "minimums_mode", str)
-        excluded = {
-            parse_control_id(record["control"]): field(record, "justification", str)
-            for record in field(raw, "not_applicable", list)
-        }
+        records = field(raw, "not_applicable", list)
+        excluded = {parse_control_id(record["control"]): field(record, "justification", str) for record in records}
+        check_distinct(excluded, [record["control"] for record in records], "'not_applicable'")
         levels = field(raw, "measurements", dict)
         measurements = {parse_control_id(t): field(levels, t, int) for t in levels}
+        check_distinct(measurements, levels, "'measurements'")
         assignment = {
             parse_control_id(t): stage
             for stage, record in zip(Stage, field(raw, "stages", list))

@@ -123,6 +123,50 @@ def test_independent_mode_needs_a_minimum_source(run_cli, ca):
     assert "--ratings or --fixed-level" in err
 
 
+ASSESS_FILES = (
+    "--measurements", "{missing}/m.csv", "--applicability", "{missing}/a.csv", "--catalog", "{missing}/c.json",
+    "--out", "{tmp}/out.json", "--out-text", "{tmp}/out.txt",
+)
+MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/c.json", "--out", "{tmp}/out.json")
+
+
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        (("assess", "--mode", "model", "--survey", "{missing}/s.csv", *ASSESS_FILES),
+         "model mode uses the bundled stage database; --survey is not allowed"),
+        (("assess", "--mode", "model", "--ratings", "{missing}/r.csv", *ASSESS_FILES),
+         "model mode uses a fixed minimum level; --ratings is not allowed"),
+        (("assess", "--mode", "independent", "--ratings", "{missing}/r.csv", *ASSESS_FILES),
+         "independent mode needs --survey"),
+        (("assess", "--mode", "independent", "--survey", "{missing}/s.csv", "--ratings", "{missing}/r.csv",
+          "--fixed-level", "3", *ASSESS_FILES),
+         "pass either --ratings or --fixed-level, not both"),
+        (("assess", "--mode", "independent", "--survey", "{missing}/s.csv", *ASSESS_FILES),
+         "independent mode needs --ratings or --fixed-level"),
+        (("compare-modes", "--survey", "{missing}/s.csv", "--ratings", "{missing}/r.csv", "--fixed-level", "3",
+          *ASSESS_FILES),
+         "pass either --ratings or --fixed-level, not both"),
+        (("compare-modes", "--survey", "{missing}/s.csv", *ASSESS_FILES),
+         "independent mode needs --ratings or --fixed-level"),
+        (("minimums", "build", "--mode", "risk", *MINIMUMS_FILES), "risk mode needs --ratings"),
+        (("minimums", "build", "--mode", "fixed:3", "--ratings", "{missing}/r.csv", *MINIMUMS_FILES),
+         "--ratings only applies to risk mode"),
+    ],
+    ids=[
+        "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
+        "assess-no-minimums", "compare-modes-both-minimums", "compare-modes-no-minimums",
+        "minimums-risk-no-ratings", "minimums-fixed-with-ratings",
+    ],
+)
+def test_usage_errors_come_before_any_file_is_read(run_cli, tmp_path, command, message):
+    # every input file named does not exist, so reading any of them first would exit 1
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in command))
+    assert (code, out, err) == (64, "", f"usage error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_csv_exits_one_and_names_the_row(run_cli, ca, tmp_path):
     bad = tmp_path / "m.csv"
     bad.write_text("control_id,level\nA.5.1.1,7\n", encoding="utf-8")
@@ -247,7 +291,7 @@ def test_survey_control_outside_the_catalog_names_the_survey_file(run_cli, ca, t
     paths = {"survey": survey, "db": db, "out": tmp_path / "out.json", "measurements": ca["measurements"]}
     code, out, err = run_cli(*(arg.format(**paths) for arg in command))
     assert (code, out) == (1, "")
-    assert err == f"input error: {survey}: entry 1: control A.5.9.9 is not in the catalog\n"
+    assert err == f"input error: {survey}: survey rows for controls not in the catalog: A.5.9.9\n"
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +665,25 @@ def test_report_with_a_control_id_too_long_for_int_exits_one(run_cli, ca, tmp_pa
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {path}: control id 'A.5.1.111")
     assert err.endswith(": control field of 5000 digits is too long\n")
+
+
+@pytest.mark.parametrize(
+    ("mutate", "message"),
+    [
+        (lambda doc: doc["measurements"].update({"10.1.1": doc["measurements"]["A.10.1.1"]}),
+         "'measurements' names control A.10.1.1 twice"),
+        (lambda doc: doc["not_applicable"].append(dict(doc["not_applicable"][0])),
+         "'not_applicable' names control A.14.2.1 twice"),
+    ],
+    ids=["measurements", "not-applicable"],
+)
+def test_report_naming_a_control_twice_exits_one(run_cli, ca, tmp_path, mutate, message):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    mutate(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(*command)
+    assert (code, out, err) == (1, "", f"input error: {path}: {message}\n")
 
 
 def test_report_with_a_threshold_below_one_exits_one(run_cli, ca, tmp_path):

@@ -201,6 +201,8 @@ CSV_LOADERS = {
         ("applicability", "{header}\n{valid}\nA.5.1.1,yes,\n", "row 3: duplicate applicability row for A.5.1.1"),
         ("applicability", "{header}\n{valid}\nA.5.1.2,no,{long}\n",
          "row 3: unreadable CSV: field larger than field limit (131072)"),
+        # a quoted cell spanning lines 2-3: the next record starts on line 4
+        ("survey", '{header}\nr1,A.5.1.1,"3\n"\nr1,A.5.1.2,9\n', "row 4: score 9 outside 1..5"),
     ],
 )
 def test_csv_row_errors_name_file_and_row(tmp_path, loader, text, error):
@@ -392,6 +394,46 @@ def test_delta_document_rejects_unknown_stage_label():
     document["deltas"][0]["to"] = "Ultimate"
     with pytest.raises(ValidationError, match="Ultimate"):
         deltas_from_document(document)
+
+
+def edited_plan(edit):
+    document = stage_plan_document(make_plan({"A.5.1.1": 1, "A.5.1.2": 2, "A.6.1.1": 3, "A.6.1.2": 4}))
+    edit(document)
+    return document
+
+
+FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
+
+
+@pytest.mark.parametrize(
+    ("read", "document", "message"),
+    [
+        (importance_from_document, {"controls": ["A.5.1.1", "5.1.1"], "responses": {}},
+         "'controls' names control A.5.1.1 twice"),
+        (importance_from_document, {"controls": ["A.5.1.1"], "responses": {"r1": {"A.5.1.1": 1, "5.1.1": 5}}},
+         "respondent r1 names control A.5.1.1 twice"),
+        (stage_plan_from_document, edited_plan(lambda doc: doc["assignment"].update({"5.1.1": "Essential"})),
+         "'assignment' names control A.5.1.1 twice"),
+        (stage_plan_from_document, edited_plan(lambda doc: doc["provenance"].update({" A.5.1.1": "partitioned"})),
+         "'provenance' names control A.5.1.1 twice"),
+        (stage_plan_from_document,
+         edited_plan(lambda doc: doc.update(excluded=["A.7.1.1", "A.7.1.1"], boundaries=[1, 2, 3, 5])),
+         "'excluded' names control A.7.1.1 twice"),
+        (minimum_db_from_document, {"mode": "fixed:3", "requirements": {"A.5.1.1": FIXED_3, "5.1.1": FIXED_3},
+                                    "excluded": {}},
+         "'requirements' names control A.5.1.1 twice"),
+        (minimum_db_from_document, {"mode": "fixed:3", "requirements": {"A.5.1.1": FIXED_3},
+                                    "excluded": {"A.7.1.1": "outsourced", "7.1.1": "outsourced"}},
+         "'excluded' names control A.7.1.1 twice"),
+    ],
+    ids=["importance-controls", "importance-scores", "plan-assignment", "plan-provenance", "plan-excluded",
+         "minimums-requirements", "minimums-excluded"],
+)
+def test_document_readers_reject_a_control_named_twice(read, document, message):
+    # two spellings of one id, or one id listed twice, would otherwise collapse into one entry
+    with pytest.raises(ValidationError) as raised:
+        read(document, source="doc.json")
+    assert str(raised.value) == f"doc.json: {message}"
 
 
 def test_bundled_defaults_load_and_agree(catalog, default_plan):
