@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
@@ -32,16 +31,16 @@ from .files import (
     load_applicability_csv,
     load_measurements_csv,
     load_ratings_csv,
-    load_survey_csv,
     minimum_db_document,
     read_importance_file,
     read_stage_plan_file,
+    read_survey,
     stage_label,
     stage_plan_document,
     write_document,
     write_text_atomic,
 )
-from .importance import ingest_responses, merge_responses
+from .importance import ImportanceDatabase, fold_scores
 from .minimums import (
     LEVEL_MAX,
     ApplicabilityMap,
@@ -133,12 +132,12 @@ def _check_known_controls(ids, known, what: str, source) -> None:
         )
 
 
-def _check_minimum_source(args) -> None:
-    """Independent mode takes its minimums from exactly one of --ratings and --fixed-level."""
+def _check_minimum_source(args, what: str) -> None:
+    """Minimums come from exactly one of --ratings and --fixed-level; `what` names who needs them."""
     if args.ratings and args.fixed_level is not None:
         raise UsageError("pass either --ratings or --fixed-level, not both")
     if not args.ratings and args.fixed_level is None:
-        raise UsageError("independent mode needs --ratings or --fixed-level")
+        raise UsageError(f"{what} needs --ratings or --fixed-level")
 
 
 def _load_assessment_inputs(args):
@@ -166,31 +165,26 @@ def _minimums(catalog, applicability, ratings_path, level):
     return build_minimum_db(source, applicability, catalog)
 
 
-@contextmanager
-def _ingesting(path, rows, known):
-    """Reject survey `rows` for controls outside `known`, then name `path` on what ingesting them reports.
+def _fold_survey(path, scores, db, replace: bool = False):
+    """`db` with the survey `scores` read from `path` folded in (importance.fold_scores), naming `path`.
 
     A warning (an incomplete respondent) prints as one stderr line naming `path`,
-    and a ValidationError that names no file (a resubmitted respondent) gets it.
+    and so does an error (a control outside `db`'s catalog, a resubmitted respondent).
     """
-    _check_known_controls((row.control_id for row in rows), known, "survey rows", path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            yield
+            db = fold_scores(db, scores, replace=replace, replace_flag="--replace")
         except ValidationError as exc:
-            if exc.source is not None:
-                raise
             raise ValidationError(str(exc), source=str(path)) from None
     for warning in caught:
         print(f"warning: {path}: {warning.message}", file=sys.stderr)
+    return db
 
 
 def _survey_plan(path, catalog, applicability):
     """The stage plan built from the importance survey in `path`."""
-    rows = load_survey_csv(path)
-    with _ingesting(path, rows, catalog.control_ids()):
-        db = ingest_responses(rows, catalog)
+    db = _fold_survey(path, read_survey(path), ImportanceDatabase(catalog.control_ids(), {}))
     return build_stage_plan(db, catalog, applicability)
 
 
@@ -210,17 +204,13 @@ def _cmd_import_survey(args) -> int:
         raise UsageError("--replace is only meaningful together with --into")
     if args.into and args.catalog:
         raise UsageError("--catalog does not apply with --into, whose database fixes the controls")
-    rows = load_survey_csv(args.survey)
+    scores = read_survey(args.survey)
     if args.into:
-        into = read_importance_file(args.into)
-        with _ingesting(args.survey, rows, into.controls):
-            db = merge_responses(into, rows, replace=args.replace)
+        db = _fold_survey(args.survey, scores, read_importance_file(args.into), args.replace)
     else:
-        catalog = _load_catalog(args)
-        with _ingesting(args.survey, rows, catalog.control_ids()):
-            db = ingest_responses(rows, catalog)
+        db = _fold_survey(args.survey, scores, ImportanceDatabase(_load_catalog(args).control_ids(), {}))
     write_document(args.out, importance_document(db))
-    _print(f"{len(rows)} responses from {len(db.respondents)} respondents -> {args.out}")
+    _print(f"{sum(map(len, scores.values()))} responses from {len(db.respondents)} respondents -> {args.out}")
     return EXIT_OK
 
 
@@ -278,7 +268,7 @@ def _cmd_assess(args) -> int:
     else:
         if not args.survey:
             raise UsageError("independent mode needs --survey")
-        _check_minimum_source(args)
+        _check_minimum_source(args, "independent mode")
     catalog, applicability, measurements = _load_assessment_inputs(args)
     if args.mode == "model":
         plan = exclude_from_plan(default_stage_plan(), applicability.excluded_within(catalog))
@@ -319,7 +309,7 @@ def _cmd_report(args) -> int:
 def _cmd_compare_modes(args) -> int:
     if not args.survey:
         raise UsageError("compare-modes needs --survey")
-    _check_minimum_source(args)
+    _check_minimum_source(args, "compare-modes")
     catalog, applicability, measurements = _load_assessment_inputs(args)
     company_plan = _survey_plan(args.survey, catalog, applicability)
     mins_model = _minimums(catalog, applicability, None, MODEL_FIXED_LEVEL)

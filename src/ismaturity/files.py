@@ -20,7 +20,8 @@ mandatory header row:
 
 Validation errors name the file and the 1-based line the record starts on, so
 records can be fixed at the source; _read_csv, the loaders' one error
-boundary, attaches both.
+boundary, attaches both. A survey's rules are importance.add_score's, which
+read_survey applies to each row's cells inside that boundary.
 Records that appear in more than one document (requirements, stage deltas,
 the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
 its exact type (errors.field: no coercion, and a boolean is not an integer)
@@ -44,12 +45,7 @@ from typing import Callable, Collection, Mapping, Sequence, Sized
 
 from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
-from .importance import (
-    LIKERT_MAX,
-    LIKERT_MIN,
-    ImportanceDatabase,
-    SurveyResponse,
-)
+from .importance import LIKERT_MAX, LIKERT_MIN, ImportanceDatabase, SurveyResponse, add_score
 from .minimums import (
     LEVEL_MAX,
     LEVEL_MIN,
@@ -493,7 +489,10 @@ def diff_document(deltas: Sequence[StageDelta]) -> dict:
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
     with reading(source, "diff document"):
-        return deltas_from_record(field(document, "deltas", list))
+        raw = field(document, "deltas", list)
+        deltas = deltas_from_record(raw)
+        check_distinct({delta.control for delta in deltas}, [record["control"] for record in raw], "'deltas'")
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +572,29 @@ def _read_per_control(path: str | Path, header: list[str], what: str, parse: Cal
     return values
 
 
-def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
-    """Read survey rows; duplicates of one (respondent, control) pair are errors."""
-    seen: set[tuple[str, ControlId]] = set()
-    rows: list[SurveyResponse] = []
+def read_survey(path: str | Path) -> dict[str, dict[ControlId, int]]:
+    """The survey in `path` as {respondent: {control: score}}, each row checked by importance.add_score."""
+    scores: dict[str, dict[ControlId, int]] = {}
 
     def read_row(respondent: str, control_text: str, score_text: str) -> None:
-        if not respondent:
-            raise ValidationError("empty respondent_id")
-        cid = parse_control_id(control_text)
-        score = _bounded_int(score_text, "score", LIKERT_MIN, LIKERT_MAX)
-        key = (respondent, cid)
-        if key in seen:
-            raise ValidationError(f"duplicate response for ({respondent}, {cid})")
-        seen.add(key)
-        rows.append(SurveyResponse(respondent_id=respondent, control_id=cid, score=score))
+        try:
+            score = int(score_text)
+        except ValueError:
+            score = score_text  # add_score names it as not an integer
+        # add_score checks the respondent first, so a row without one names no control id
+        add_score(scores, respondent, parse_control_id(control_text) if respondent else None, score)
 
     _read_csv(path, SURVEY_HEADER, read_row)
-    return rows
+    return scores
+
+
+def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
+    """Read survey rows, grouped by respondent: respondents in order of first appearance, each in file order."""
+    return [
+        SurveyResponse(respondent, cid, score)
+        for respondent, by_control in read_survey(path).items()
+        for cid, score in by_control.items()
+    ]
 
 
 def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:

@@ -12,6 +12,12 @@ earlier submission must subtract their old answers, which aggregate
 (sum, count) pairs alone cannot do. The aggregates, computed once per
 database in a single pass over the raw scores, remain the published surface
 via sum_and_count()/average().
+
+The survey's rules are written here once: add_score checks a row into
+{respondent: {control: score}}, and fold_scores checks that table against the
+catalog and the respondents present and warns of incomplete ones. The CSV
+reader (files.read_survey), the CLI and ingest_responses/merge_responses
+(whose errors name the 1-based entry) all use both.
 """
 
 from __future__ import annotations
@@ -93,85 +99,83 @@ class ImportanceDatabase:
         return Fraction(total, count)
 
 
-def _check_response(response: SurveyResponse, known: set[ControlId], entry: int) -> None:
-    if response.control_id not in known:
-        raise ValidationError(f"entry {entry}: control {response.control_id} is not in the catalog")
-    if not isinstance(response.score, int) or isinstance(response.score, bool):
-        raise ValidationError(f"entry {entry}: score {response.score!r} is not an integer")
-    if not LIKERT_MIN <= response.score <= LIKERT_MAX:
+def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: ControlId, score) -> None:
+    """Check one survey row and store it as `scores[respondent][cid]`: the survey's row rules, written once.
+
+    The respondent must be non-empty, the score an integer (not a bool) in
+    1..5, and the (respondent, control) pair new to `scores`: a silent
+    overwrite would corrupt the exact sums. Whether `cid` is in a catalog is
+    fold_scores' check, made once every row has passed this one.
+    """
+    if not respondent:
+        raise ValidationError("empty respondent_id")
+    if not isinstance(score, int) or isinstance(score, bool):
+        raise ValidationError(f"score {score!r} is not an integer")
+    if not LIKERT_MIN <= score <= LIKERT_MAX:
+        raise ValidationError(f"score {score} outside {LIKERT_MIN}..{LIKERT_MAX}")
+    by_control = scores.setdefault(respondent, {})
+    if cid in by_control:
+        raise ValidationError(f"duplicate response for ({respondent}, {cid})")
+    by_control[cid] = score
+
+
+def fold_scores(
+    db: ImportanceDatabase, scores: Mapping[str, dict[ControlId, int]], *,
+    replace: bool = False, replace_flag: str = "replace=True",
+) -> ImportanceDatabase:
+    """`db` with the per-respondent `scores`, as add_score builds them, folded in.
+
+    Every control scored must be one of `db.controls`; the unknown ones are
+    named together, sorted. A respondent already in `db` is an error naming
+    `replace_flag`, the caller's way to set `replace`, which swaps in the new
+    submission wholesale. Each new respondent who skipped controls triggers an
+    IncompleteSurveyWarning: partial coverage is tolerated, conflicting is not.
+    """
+    known = set(db.controls)
+    unknown = sorted(set().union(*scores.values()) - known)
+    if unknown:
+        raise ValidationError("survey rows for controls not in the catalog: " + ", ".join(map(str, unknown)))
+    clash = sorted(scores.keys() & db.responses.keys())
+    if clash and not replace:
         raise ValidationError(
-            f"entry {entry}: score {response.score} outside {LIKERT_MIN}..{LIKERT_MAX}"
+            f"respondents already in the database: {', '.join(clash)} (pass {replace_flag} to resubmit)"
         )
-    if not response.respondent_id:
-        raise ValidationError(f"entry {entry}: empty respondent id")
-
-
-def _collect(
-    responses: Iterable[SurveyResponse], known: set[ControlId]
-) -> dict[str, dict[ControlId, int]]:
-    by_respondent: dict[str, dict[ControlId, int]] = {}
-    for entry, response in enumerate(responses, start=1):
-        _check_response(response, known, entry)
-        scores = by_respondent.setdefault(response.respondent_id, {})
-        if response.control_id in scores:
-            raise ValidationError(
-                f"duplicate response for ({response.respondent_id}, {response.control_id}) at entry {entry}"
-            )
-        scores[response.control_id] = response.score
-    return by_respondent
-
-
-def _warn_incomplete(by_respondent: Mapping[str, Mapping[ControlId, int]], known: set[ControlId]) -> None:
-    for respondent in sorted(by_respondent):
-        missing = len(known) - len(by_respondent[respondent])
+    for respondent in sorted(scores):
+        scored, missing = len(scores[respondent]), len(known) - len(scores[respondent])
         if missing:
             warnings.warn(
-                f"respondent {respondent} scored {len(by_respondent[respondent])} of "
-                f"{len(known)} controls ({missing} missing)",
+                f"respondent {respondent} scored {scored} of {len(known)} controls ({missing} missing)",
                 IncompleteSurveyWarning,
                 stacklevel=3,
             )
+    merged = {respondent: dict(by_control) for respondent, by_control in db.responses.items()}
+    merged.update(scores)
+    return ImportanceDatabase(controls=db.controls, responses=merged)
 
 
-def ingest_responses(
-    responses: Iterable[SurveyResponse], catalog: ControlCatalog
-) -> ImportanceDatabase:
-    """Build a fresh database from survey rows.
+def _scores_of(responses: Iterable[SurveyResponse]) -> dict[str, dict[ControlId, int]]:
+    """The per-respondent scores of `responses`; an error names the 1-based entry it is about."""
+    scores: dict[str, dict[ControlId, int]] = {}
+    for entry, (respondent, cid, score) in enumerate(responses, start=1):
+        try:
+            add_score(scores, respondent, cid, score)
+        except ValidationError as exc:
+            raise ValidationError(f"entry {entry}: {exc}") from None
+    return scores
 
-    Every control id must exist in the catalog and every score must be a 1..5
-    integer. A duplicate (respondent, control) pair is rejected, naming the
-    offending entry: silent overwrites would corrupt the exact sums. A
-    respondent who skipped controls triggers an IncompleteSurveyWarning;
-    partial coverage is tolerated, conflicting coverage is not.
-    """
-    known = set(catalog.control_ids())
-    by_respondent = _collect(responses, known)
-    _warn_incomplete(by_respondent, known)
-    return ImportanceDatabase(controls=catalog.control_ids(), responses=by_respondent)
+
+def ingest_responses(responses: Iterable[SurveyResponse], catalog: ControlCatalog) -> ImportanceDatabase:
+    """Build a fresh database from survey rows, under add_score's and fold_scores' rules."""
+    return fold_scores(ImportanceDatabase(catalog.control_ids(), {}), _scores_of(responses))
 
 
 def merge_responses(
     db: ImportanceDatabase, new: Iterable[SurveyResponse], *, replace: bool = False
 ) -> ImportanceDatabase:
-    """Fold a new batch of responses into an existing database.
+    """Fold a new batch of responses into an existing database, under fold_scores' rules.
 
-    A respondent already in the registry is rejected unless `replace` is set,
-    in which case the new submission replaces the old one wholesale. Merging
-    an empty batch returns an equal database, and merging batches over
-    disjoint respondent sets is order-independent, so ingest-all-at-once and
-    ingest-in-batches agree.
+    Merging an empty batch returns an equal database, and merging batches
+    over disjoint respondent sets is order-independent, so ingest-all-at-once
+    and ingest-in-batches agree.
     """
-    known = set(db.controls)
-    incoming = _collect(new, known)
-    clash = sorted(set(incoming) & set(db.responses))
-    if clash and not replace:
-        raise ValidationError(
-            "respondents already in the database: "
-            + ", ".join(clash)
-            + " (pass replace=True to resubmit)"
-        )
-    _warn_incomplete(incoming, known)
-    merged = {respondent: dict(scores) for respondent, scores in db.responses.items()}
-    for respondent, scores in incoming.items():
-        merged[respondent] = scores
-    return ImportanceDatabase(controls=db.controls, responses=merged)
+    return fold_scores(db, _scores_of(new), replace=replace)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -148,7 +149,7 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
           *ASSESS_FILES),
          "pass either --ratings or --fixed-level, not both"),
         (("compare-modes", "--survey", "{missing}/s.csv", *ASSESS_FILES),
-         "independent mode needs --ratings or --fixed-level"),
+         "compare-modes needs --ratings or --fixed-level"),
         (("minimums", "build", "--mode", "risk", *MINIMUMS_FILES), "risk mode needs --ratings"),
         (("minimums", "build", "--mode", "fixed:3", "--ratings", "{missing}/r.csv", *MINIMUMS_FILES),
          "--ratings only applies to risk mode"),
@@ -246,7 +247,11 @@ def test_import_survey_merge_rejects_resubmission_without_replace(run_cli, ca, t
     assert run_cli("import-survey", ca["survey"], "--out", out)[0] == 0
     code, _, err = run_cli("import-survey", ca["survey"], "--into", out, "--out", out)
     assert code == 1
-    assert "already in the database" in err
+    respondents = ", ".join(f"ca-resp-{n}" for n in range(1, 8))
+    assert err == (
+        f"input error: {ca['survey']}: respondents already in the database: {respondents}"
+        " (pass --replace to resubmit)\n"
+    )
     code, _, _ = run_cli("import-survey", ca["survey"], "--into", out, "--out", out, "--replace")
     assert code == 0
 
@@ -270,7 +275,8 @@ def test_import_survey_into_with_a_catalog_is_usage_error(run_cli, ca, tmp_path)
     assert "--catalog" in err and "--into" in err
 
 
-@pytest.mark.parametrize(
+# Every command that reads a survey, with the placeholders survey_command fills in.
+SURVEY_COMMANDS = pytest.mark.parametrize(
     "command",
     [
         ("import-survey", "{survey}", "--out", "{out}"),
@@ -282,16 +288,64 @@ def test_import_survey_into_with_a_catalog_is_usage_error(run_cli, ca, tmp_path)
     ],
     ids=["import-survey", "import-survey-into", "stage-plan-build", "assess", "compare-modes"],
 )
-def test_survey_control_outside_the_catalog_names_the_survey_file(run_cli, ca, tmp_path, command):
-    # A.5.9.9 parses as an id, so only ingesting the rows against the catalog rejects it
+
+
+def survey_command(run_cli, ca, tmp_path, command, rows):
+    """Run `command` on a survey of the data `rows`; returns the survey's path and (code, out, err)."""
     survey = tmp_path / "s.csv"
-    survey.write_text("respondent_id,control_id,score\nr1,A.5.9.9,3\n", encoding="utf-8")
+    survey.write_text("respondent_id,control_id,score\n" + rows, encoding="utf-8")
     db = tmp_path / "db.json"
     assert run_cli("import-survey", ca["survey"], "--out", db)[0] == 0
     paths = {"survey": survey, "db": db, "out": tmp_path / "out.json", "measurements": ca["measurements"]}
-    code, out, err = run_cli(*(arg.format(**paths) for arg in command))
+    return survey, run_cli(*(arg.format(**paths) for arg in command))
+
+
+@SURVEY_COMMANDS
+def test_survey_control_outside_the_catalog_names_the_survey_file(run_cli, ca, tmp_path, command):
+    # A.5.9.9 parses as an id, so only ingesting the rows against the catalog rejects it
+    survey, (code, out, err) = survey_command(run_cli, ca, tmp_path, command, "r1,A.5.9.9,3\n")
     assert (code, out) == (1, "")
     assert err == f"input error: {survey}: survey rows for controls not in the catalog: A.5.9.9\n"
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("r1,A.5.1.1,3\n,A.5.1.2,3\n", ", row 3: empty respondent_id"),
+        # the respondent is checked before the control id is read
+        ("r1,A.5.1.1,3\n,bad,x\n", ", row 3: empty respondent_id"),
+        ("r1,A.5.1.1,3\nr1,A.5.1,3\n", ", row 3: control id 'A.5.1' must have three numeric fields"),
+        ("r1,A.5.1.1,3\nr1,A.5.1.2,x\n", ", row 3: score 'x' is not an integer"),
+        ("r1,A.5.1.1,3\nr1,A.5.1.2,6\n", ", row 3: score 6 outside 1..5"),
+        ("r1,A.5.1.1,3\nr1,5.1.1,4\n", ", row 3: duplicate response for (r1, A.5.1.1)"),
+        ("r1,A.5.1.1,3\nr1,A.5.1.2\n", ", row 3: expected 3 fields, found 2"),
+        # sorted as ids, not as text
+        ("r1,A.18.9.9,3\nr1,A.5.9.9,3\n", ": survey rows for controls not in the catalog: A.5.9.9, A.18.9.9"),
+        # the catalog check waits for every row, so a row error after an unknown control wins
+        ("r1,A.5.9.9,3\nr1,A.5.1.2,7\n", ", row 3: score 7 outside 1..5"),
+    ],
+    ids=["empty-respondent", "empty-respondent-and-bad-id", "unparsable-id", "non-integer-score",
+         "score-out-of-range", "duplicate-in-two-spellings", "wrong-field-count", "two-unknown-controls",
+         "row-error-after-unknown"],
+)
+@SURVEY_COMMANDS
+def test_survey_faults_give_one_message_on_every_survey_command(run_cli, ca, tmp_path, command, rows, message):
+    survey, result = survey_command(run_cli, ca, tmp_path, command, rows)
+    assert result == (1, "", f"input error: {survey}{message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_row_order_of_a_survey_leaves_its_importance_document_unchanged(run_cli, ca, ca_paths, tmp_path):
+    header, *rows = ca_paths["survey"].read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(11).shuffle(rows)
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text(header + "".join(rows), encoding="utf-8")
+    documents = []
+    for survey in (ca["survey"], permuted):
+        out = tmp_path / f"{len(documents)}.json"
+        assert run_cli("import-survey", survey, "--out", out)[0] == 0
+        documents.append(out.read_bytes())
+    assert documents[0] == documents[1]
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,12 @@ FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
         (minimum_db_from_document, {"mode": "fixed:3", "requirements": {"A.5.1.1": FIXED_3},
                                     "excluded": {"A.7.1.1": "outsourced", "7.1.1": "outsourced"}},
          "'excluded' names control A.7.1.1 twice"),
+        (deltas_from_document, {"deltas": [{"control": "A.5.1.1", "from": "Essential", "to": "Full"},
+                                           {"control": "5.1.1", "from": "Essential", "to": "Advanced"}]},
+         "'deltas' names control A.5.1.1 twice"),
     ],
     ids=["importance-controls", "importance-scores", "plan-assignment", "plan-provenance", "plan-excluded",
-         "minimums-requirements", "minimums-excluded"],
+         "minimums-requirements", "minimums-excluded", "diff-deltas"],
 )
 def test_document_readers_reject_a_control_named_twice(read, document, message):
     # two spellings of one id, or one id listed twice, would otherwise collapse into one entry
