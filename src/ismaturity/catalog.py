@@ -10,14 +10,15 @@ tracking a reduced control set.
 Prerequisite edges point from the prerequisite to the dependent control and
 must form a directed acyclic graph. Loading rejects duplicate ids, unknown
 edge endpoints, self-edges and cycles outright; validate_dependencies exposes
-the same checks as a findings report for diagnostics.
+the same checks as a findings report for diagnostics. Every reader of
+control ids shares check_distinct (no control named twice) and check_known.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence, Sized
 
 from .errors import ConsistencyError, ValidationError, field, reading
 
@@ -92,6 +93,31 @@ def _parse_stripped(raw: str) -> ControlId:
     return _new_control_id(ControlId, numbers)
 
 
+def check_distinct(parsed: Sized, texts: Collection[str], what: str) -> None:
+    """Reject the control id `texts` of `what` when two of them name one control.
+
+    `parsed` is what the reader built from `texts`, keyed by control, so it is
+    shorter exactly when a control repeats; only then are the texts parsed
+    again to find it. Runs inside the calling reader's `reading`.
+    """
+    if len(parsed) != len(texts):
+        seen = set()
+        for text in texts:
+            cid = parse_control_id(text)
+            if cid in seen:
+                raise ValidationError(f"{what} names control {cid} twice")
+            seen.add(cid)
+
+
+def check_known(ids: Iterable[ControlId], known: Container[ControlId], what: str, source: str | None = None) -> None:
+    """Reject the `ids` of `what` that are not in `known`, naming them all, sorted, and `source` if given."""
+    unknown = sorted({cid for cid in ids if cid not in known})
+    if unknown:
+        raise ValidationError(
+            f"{what} for controls not in the catalog: " + ", ".join(map(str, unknown)), source=source
+        )
+
+
 class Control(NamedTuple):
     """One catalog entry. Texts are display-only; the id is the contract."""
 
@@ -158,31 +184,27 @@ def load_catalog(document: Mapping, *, source: str = "catalog document") -> Cont
     {id, title, section_name, objective_text} records and a "dependencies"
     list of {prerequisite, dependent} records. Controls are reordered by id,
     so loading is insensitive to input order. Raises ValidationError naming
-    `source` on duplicate ids, malformed records, or any dependency finding
-    (unknown endpoint, self-edge, cycle).
+    `source` on a control named twice (check_distinct), malformed records, or
+    any dependency finding (unknown endpoint, self-edge, cycle).
     """
     with reading(source, "catalog document"):
-        controls: list[Control] = []
-        seen: set[ControlId] = set()
-        for record in field(document, "controls", list):
+        records = field(document, "controls", list)
+        controls: dict[ControlId, Control] = {}
+        for record in records:
             cid = parse_control_id(record["id"])
-            if cid in seen:
-                raise ValidationError(f"duplicate control id {cid}")
-            seen.add(cid)
-            controls.append(
-                Control(
-                    id=cid,
-                    title=field(record, "title", str),
-                    section_name=field(record, "section_name", str),
-                    objective_text=field(record, "objective_text", str),
-                )
+            controls[cid] = Control(
+                id=cid,
+                title=field(record, "title", str),
+                section_name=field(record, "section_name", str),
+                objective_text=field(record, "objective_text", str),
             )
+        check_distinct(controls, [record["id"] for record in records], "'controls'")
         pairs = [
             (parse_control_id(record["prerequisite"]), parse_control_id(record["dependent"]))
             for record in field(document, "dependencies", list)
         ]
         catalog = ControlCatalog(
-            controls=tuple(sorted(controls, key=lambda c: c.id)),
+            controls=tuple(controls[cid] for cid in sorted(controls)),
             dependencies=DependencyGraph.from_pairs(pairs),
         )
         findings = validate_dependencies(catalog)

@@ -21,11 +21,12 @@ import warnings
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
-from .catalog import ControlCatalog
+from .catalog import ControlCatalog, check_known
 from .errors import ConsistencyError, ValidationError
 from . import files
 from .files import (
     default_stage_plan,
+    delta_line,
     diff_document,
     importance_document,
     load_applicability_csv,
@@ -35,7 +36,6 @@ from .files import (
     read_importance_file,
     read_stage_plan_file,
     read_survey,
-    stage_label,
     stage_plan_document,
     write_document,
     write_text_atomic,
@@ -123,15 +123,6 @@ def _load_applicability(args) -> ApplicabilityMap:
     return load_applicability_csv(args.applicability) if args.applicability else ApplicabilityMap()
 
 
-def _check_known_controls(ids, known, what: str, source) -> None:
-    unknown = sorted(set(ids).difference(known))
-    if unknown:
-        raise ValidationError(
-            f"{what} for controls not in the catalog: " + ", ".join(str(c) for c in unknown),
-            source=str(source),
-        )
-
-
 def _check_minimum_source(args, what: str) -> None:
     """Minimums come from exactly one of --ratings and --fixed-level; `what` names who needs them."""
     if args.ratings and args.fixed_level is not None:
@@ -149,7 +140,7 @@ def _load_assessment_inputs(args):
     catalog = _load_catalog(args)
     applicability = _load_applicability(args)
     raw = load_measurements_csv(args.measurements)
-    _check_known_controls(raw, catalog.control_ids(), "measurements", args.measurements)
+    check_known(raw, catalog, "measurements", source=str(args.measurements))
     excluded = set(applicability.excluded_within(catalog))
     return catalog, applicability, {cid: level for cid, level in raw.items() if cid not in excluded}
 
@@ -158,7 +149,7 @@ def _minimums(catalog, applicability, ratings_path, level):
     """The minimum database from the ratings file `ratings_path`, or without one from the fixed `level`."""
     if ratings_path:
         ratings = load_ratings_csv(ratings_path)
-        _check_known_controls(ratings, catalog.control_ids(), "ratings", ratings_path)
+        check_known(ratings, catalog, "ratings", source=str(ratings_path))
         source = RiskMinimums(ratings=ratings)
     else:
         source = FixedMinimums(level=level)
@@ -236,7 +227,7 @@ def _cmd_stage_plan_diff(args) -> int:
         for token in (args.plan_a, args.plan_b)
     ))
     for delta in deltas:
-        _print(f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
+        _print(delta_line(delta))
     _print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
     if args.out:
         write_document(args.out, diff_document(deltas))

@@ -20,16 +20,21 @@ mandatory header row:
 
 Validation errors name the file and the 1-based line the record starts on, so
 records can be fixed at the source; _read_csv, the loaders' one error
-boundary, attaches both. A survey's rules are importance.add_score's, which
-read_survey applies to each row's cells inside that boundary.
+boundary, attaches both. Each input rule has one implementation, which every
+reader of that input calls: a score is importance.add_score's, in a survey
+row and in an importance document; an exclusion's justification is a
+non-blank string (minimums.check_justification), in the applicability CSV and
+the minimum database; controls outside the catalog are named together
+(catalog.check_known).
 Records that appear in more than one document (requirements, stage deltas,
 the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
 its exact type (errors.field: no coercion, and a boolean is not an integer)
 and run inside errors.reading, which names the file in every error; a
 control a document names twice, by one id or by two spellings of it, is an
-error (check_distinct), never a silent collapse into one entry. Writes
-go through a temp file in the target directory, fsynced and then atomically
-renamed; a failing command never leaves a partial output behind.
+error (catalog.check_distinct, also for a catalog's controls), never a
+silent collapse into one entry. Writes go through a temp file in the target
+directory, fsynced and then atomically renamed; a failing command never
+leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence, Sized
+from typing import Callable, Mapping, Sequence
 
-from .catalog import ControlCatalog, ControlId, load_catalog, parse_control_id
+from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
-from .importance import LIKERT_MAX, LIKERT_MIN, ImportanceDatabase, SurveyResponse, add_score
+from .importance import ImportanceDatabase, SurveyResponse, add_score
 from .minimums import (
     LEVEL_MAX,
     LEVEL_MIN,
@@ -53,6 +58,7 @@ from .minimums import (
     MinimumLevelDatabase,
     MinimumRequirement,
     RiskGrade,
+    check_justification,
     parse_mode_tag,
     parse_risk_grade,
     scored_minimum,
@@ -211,22 +217,6 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
     return document
 
 
-def check_distinct(parsed: Sized, texts: Collection[str], what: str) -> None:
-    """Reject the control id `texts` of `what` when two of them name one control.
-
-    `parsed` is what the reader built from `texts`, keyed by control, so it is
-    shorter exactly when a control repeats; only then are the texts parsed
-    again to find it. Runs inside the calling reader's `reading`.
-    """
-    if len(parsed) != len(texts):
-        seen = set()
-        for text in texts:
-            cid = parse_control_id(text)
-            if cid in seen:
-                raise ValidationError(f"{what} names control {cid} twice")
-            seen.add(cid)
-
-
 def write_document(path: str | Path, document: Mapping) -> None:
     write_text_atomic(path, canonical_json(document))
 
@@ -283,19 +273,15 @@ def importance_from_document(document: Mapping, source: str = "importance docume
         responses: dict[str, dict[ControlId, int]] = {}
         for respondent in raw_responses:
             scores = field(raw_responses, respondent, dict)
-            parsed: dict[ControlId, int] = {}
-            for text in scores:
-                cid = parse_control_id(text)
-                if cid not in known:
-                    raise ValidationError(f"respondent {respondent} scores unknown control {cid}")
-                score = field(scores, text, int)
-                if not LIKERT_MIN <= score <= LIKERT_MAX:
-                    raise ValidationError(
-                        f"respondent {respondent}, control {cid}: score {score} outside {LIKERT_MIN}..{LIKERT_MAX}"
-                    )
-                parsed[cid] = score
+            parsed = {parse_control_id(text): score for text, score in scores.items()}
             check_distinct(parsed, scores, f"respondent {respondent}")
-            responses[respondent] = parsed
+            responses[respondent] = {}
+            for cid, score in parsed.items():
+                try:
+                    add_score(responses, respondent, cid, score)
+                except ValidationError as exc:
+                    raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
+        check_known(set().union(*responses.values()), known, "scores")
     return ImportanceDatabase(controls=controls, responses=responses)
 
 
@@ -438,12 +424,9 @@ def minimum_db_from_document(document: Mapping, source: str = "minimum database 
         requirements = requirements_from_record(field(document, "requirements", dict), mode)
         raw_excluded = field(document, "excluded", dict)
         excluded: dict[ControlId, str] = {}
-        for text in raw_excluded:
+        for text, justification in raw_excluded.items():
             cid = parse_control_id(text)
-            justification = field(raw_excluded, text, str)
-            if not justification.strip():
-                raise ValidationError(f"excluded control {cid} lacks a justification")
-            excluded[cid] = justification
+            excluded[cid] = check_justification(cid, justification)
         check_distinct(excluded, raw_excluded, "'excluded'")
     return MinimumLevelDatabase(mode=mode, requirements=requirements, excluded=excluded)
 
@@ -458,6 +441,11 @@ def read_minimum_db_file(path: str | Path) -> MinimumLevelDatabase:
 def stage_label(stage: Stage | None) -> str:
     """A stage's label, or the excluded marker for None."""
     return EXCLUDED_LABEL if stage is None else stage.label
+
+
+def delta_line(delta: StageDelta) -> str:
+    """One stage change as text, as `stage-plan diff` and the human report print it."""
+    return f"{delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}"
 
 
 def _stage_from_label(label: str) -> Stage | None:
@@ -620,9 +608,7 @@ def _exclusion(cid: ControlId, applicable_text: str, justification: str) -> str 
         return None
     if word not in _FALSE_WORDS:
         raise ValidationError(f"applicable must be true or false, found {applicable_text!r}")
-    if not justification.strip():
-        raise ValidationError(f"control {cid} marked not applicable without a justification")
-    return justification
+    return check_justification(cid, justification)
 
 
 def load_applicability_csv(path: str | Path) -> ApplicabilityMap:

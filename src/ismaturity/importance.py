@@ -17,7 +17,8 @@ The survey's rules are written here once: add_score checks a row into
 {respondent: {control: score}}, and fold_scores checks that table against the
 catalog and the respondents present and warns of incomplete ones. The CSV
 reader (files.read_survey), the CLI and ingest_responses/merge_responses
-(whose errors name the 1-based entry) all use both.
+(whose errors name the 1-based entry) all use both; an importance document
+(files.importance_from_document) checks each stored score with add_score.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .catalog import ControlCatalog, ControlId
+from .catalog import ControlCatalog, ControlId, check_known
 from .errors import ConsistencyError, ValidationError
 
 LIKERT_MIN = 1
@@ -132,9 +133,7 @@ def fold_scores(
     IncompleteSurveyWarning: partial coverage is tolerated, conflicting is not.
     """
     known = set(db.controls)
-    unknown = sorted(set().union(*scores.values()) - known)
-    if unknown:
-        raise ValidationError("survey rows for controls not in the catalog: " + ", ".join(map(str, unknown)))
+    check_known(set().union(*scores.values()), known, "survey rows")
     clash = sorted(scores.keys() & db.responses.keys())
     if clash and not replace:
         raise ValidationError(

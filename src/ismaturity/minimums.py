@@ -8,7 +8,7 @@ Medium=2, High=3 are summed, sums up to 5 map straight to the required
 level, and the maxed-out 3+3 cell maps to level 5 with a priority flag
 that travels into gap reporting. Not-applicable controls require a written
 justification, carry required level 0, and are excluded from every
-computation.
+computation; check_justification is that rule for every reader of one.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ def scored_minimum(raw_score: int) -> MinimumRequirement:
     )
 
 
+def check_justification(cid: ControlId, justification) -> str:
+    """The one rule for excluding a control: its justification is a non-blank string. Returns it."""
+    if not isinstance(justification, str) or not justification.strip():
+        raise ValidationError(f"control {cid} marked not applicable without a justification")
+    return justification
+
+
 class ApplicabilityMap:
     """Sparse map of not-applicable controls to their mandatory justifications.
 
@@ -106,8 +113,7 @@ class ApplicabilityMap:
     def __init__(self, not_applicable: Mapping[ControlId, str] | None = None) -> None:
         not_applicable = {} if not_applicable is None else not_applicable
         for cid, justification in not_applicable.items():
-            if not justification or not justification.strip():
-                raise ValidationError(f"control {cid} marked not applicable without a justification")
+            check_justification(cid, justification)
         object.__setattr__(self, "not_applicable", not_applicable)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -131,21 +137,15 @@ class ApplicabilityMap:
 def mark_not_applicable(
     amap: ApplicabilityMap, cid: ControlId, justification: str
 ) -> ApplicabilityMap:
-    """Exclude one control, recording why. The justification must be non-empty."""
-    if not justification or not justification.strip():
-        raise ValidationError(f"control {cid} needs a non-empty justification to be excluded")
-    entries = dict(amap.not_applicable)
-    entries[cid] = justification
-    return ApplicabilityMap(not_applicable=entries)
+    """Exclude one control, recording why (check_justification's rule)."""
+    return ApplicabilityMap(not_applicable={**amap.not_applicable, cid: justification})
 
 
 def mark_applicable(amap: ApplicabilityMap, cid: ControlId) -> ApplicabilityMap:
     """Inverse of mark_not_applicable; a no-op for controls already applicable."""
     if cid not in amap.not_applicable:
         return amap
-    entries = dict(amap.not_applicable)
-    del entries[cid]
-    return ApplicabilityMap(not_applicable=entries)
+    return ApplicabilityMap(not_applicable={other: why for other, why in amap.not_applicable.items() if other != cid})
 
 
 class FixedMinimums(NamedTuple):

@@ -37,12 +37,12 @@ from .assessment import (
     misallocation_findings,
     naive_average,
 )
-from .catalog import ControlId, parse_control_id
+from .catalog import ControlId, check_distinct, parse_control_id
 from .errors import ConsistencyError, ValidationError, field, reading
 from .files import (
     FORMAT_VERSION,
     canonical_json,
-    check_distinct,
+    delta_line,
     deltas_from_record,
     deltas_record,
     parse_document,
@@ -83,7 +83,7 @@ def label_line(stage: Stage, level: Fraction | None) -> str:
         return f"{stage.label} Stage, Maturity Level n/a (no controls)"
     return (
         f"{stage.label} Stage, Maturity Level {format_level(level)}"
-        f" ({level_name(math.floor(level))})"
+        f" ({_level_name(level)})"
     )
 
 
@@ -427,9 +427,8 @@ def _render_human(doc: ReportDocument) -> str:
     lines.append(f"Overall: {label_line(doc.label.stage, doc.label.level)}")
     if doc.label.incomplete:
         lines.append("Note: the Essential stage itself is not yet complete; the label marks the entry stage.")
-    naive_name = level_name(math.floor(doc.naive))
     lines.append(
-        f"Naive average over all applicable controls: {format_level(doc.naive)} ({naive_name})"
+        f"Naive average over all applicable controls: {format_level(doc.naive)} ({_level_name(doc.naive)})"
     )
     lines.append("")
     lines.append("Gaps (measured below minimum):")
@@ -471,7 +470,7 @@ def _render_human(doc: ReportDocument) -> str:
         lines.append("Stage changes vs the default plan:")
         if doc.deltas:
             for delta in doc.deltas:
-                lines.append(f"  {delta.control}: {stage_label(delta.before)} -> {stage_label(delta.after)}")
+                lines.append("  " + delta_line(delta))
         else:
             lines.append("  none")
     lines.append("")
@@ -545,7 +544,6 @@ def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, tim
     if fmt == STRUCTURED:
         return canonical_json(comparison_document_dict(comparison, company=company, timestamp=timestamp))
     if fmt == HUMAN:
-        naive_name = level_name(math.floor(comparison.naive))
         lines = [
             "Strategy Mode Comparison",
             "========================",
@@ -554,7 +552,7 @@ def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, tim
             "",
             f"independent:   {label_line(comparison.independent.stage, comparison.independent.level)}",
             f"model:         {label_line(comparison.model.stage, comparison.model.level)}",
-            f"naive average: {format_level(comparison.naive)} ({naive_name})",
+            f"naive average: {format_level(comparison.naive)} ({_level_name(comparison.naive)})",
             "",
         ]
         return "\n".join(lines)

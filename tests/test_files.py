@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from ismaturity import ValidationError, parse_control_id
+from ismaturity import ValidationError, load_catalog, parse_control_id
 from ismaturity.files import (
     EXCLUDED_LABEL,
     canonical_json,
@@ -298,7 +298,7 @@ def test_importance_document_rejects_unknown_control():
         "controls": ["A.5.1.1"],
         "responses": {"r1": {"A.6.1.1": 3}},
     }
-    with pytest.raises(ValidationError, match="unknown control"):
+    with pytest.raises(ValidationError, match="scores for controls not in the catalog: A.6.1.1"):
         importance_from_document(document)
 
 
@@ -403,11 +403,14 @@ def edited_plan(edit):
 
 
 FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
+CONTROL_RECORD = {"id": "A.5.1.1", "title": "x", "section_name": "s", "objective_text": "o"}
 
 
 @pytest.mark.parametrize(
     ("read", "document", "message"),
     [
+        (load_catalog, {"controls": [CONTROL_RECORD, dict(CONTROL_RECORD, id="5.1.1")], "dependencies": []},
+         "'controls' names control A.5.1.1 twice"),
         (importance_from_document, {"controls": ["A.5.1.1", "5.1.1"], "responses": {}},
          "'controls' names control A.5.1.1 twice"),
         (importance_from_document, {"controls": ["A.5.1.1"], "responses": {"r1": {"A.5.1.1": 1, "5.1.1": 5}}},
@@ -429,7 +432,7 @@ FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
                                            {"control": "5.1.1", "from": "Essential", "to": "Advanced"}]},
          "'deltas' names control A.5.1.1 twice"),
     ],
-    ids=["importance-controls", "importance-scores", "plan-assignment", "plan-provenance", "plan-excluded",
+    ids=["catalog-controls", "importance-controls", "importance-scores", "plan-assignment", "plan-provenance", "plan-excluded",
          "minimums-requirements", "minimums-excluded", "diff-deltas"],
 )
 def test_document_readers_reject_a_control_named_twice(read, document, message):

@@ -80,6 +80,11 @@ def test_only_the_double_high_cell_is_priority():
 def test_applicability_requires_justification():
     with pytest.raises(ValidationError):
         ApplicabilityMap(not_applicable={cid("A.5.1.1"): "  "})
+    # a justification that is not a string is the same input error, not an AttributeError
+    with pytest.raises(ValidationError, match="control A.5.1.1 marked not applicable without a justification"):
+        ApplicabilityMap(not_applicable={cid("A.5.1.1"): 5})
+    with pytest.raises(ValidationError, match="control A.5.1.1 marked not applicable without a justification"):
+        mark_not_applicable(ApplicabilityMap(), cid("A.5.1.1"), 5)
 
 
 def test_mark_not_applicable_and_back():
