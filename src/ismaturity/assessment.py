@@ -6,7 +6,7 @@ prefix (itself and every earlier stage) is complete; if even Essential is
 incomplete the label stays Essential with an explicit incomplete flag. All
 four stage averages are always computed, also past the label, so progress in
 later stages stays visible. Averages are exact rationals; only rendering
-rounds.
+rounds. A measured level follows minimums.check_level; an error names its control.
 
 The naive average over all applicable controls is computed alongside as the
 non-gated baseline: two organizations can share a naive average to two
@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 
 from .catalog import ControlId
 from .errors import ConsistencyError, ValidationError
-from .minimums import LEVEL_MAX, LEVEL_MIN, MinimumLevelDatabase
+from .minimums import LEVEL_MAX, LEVEL_MIN, MinimumLevelDatabase, check_level
 from .staging import Stage, StagePlan
 
 # Measured maturity levels per control; must cover the applicable set exactly.
@@ -131,16 +131,17 @@ def _check_coverage(plan: StagePlan, mins: MinimumLevelDatabase, measurements: M
         raise ConsistencyError(
             "measurements for controls outside the plan: " + ", ".join(str(c) for c in extra)
         )
+    # A scan without a call per control; check_level words the first bad level in id order.
     bad = [
         cid for cid, value in measurements.items()
         if not (isinstance(value, int) and not isinstance(value, bool) and LEVEL_MIN <= value <= LEVEL_MAX)
     ]
     if bad:
-        cid = min(bad)  # the first bad level in id order is the one named
-        value = measurements[cid]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"measured level for {cid} is not an integer: {value!r}")
-        raise ValidationError(f"measured level for {cid} outside {LEVEL_MIN}..{LEVEL_MAX}: {value}")
+        cid = min(bad)
+        try:
+            check_level(measurements[cid])
+        except ValidationError as exc:
+            raise ValidationError(f"control {cid}: {exc}") from None
 
 
 def evaluate(

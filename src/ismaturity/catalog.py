@@ -10,7 +10,8 @@ tracking a reduced control set.
 Prerequisite edges point from the prerequisite to the dependent control and
 must form a directed acyclic graph. Loading rejects duplicate ids, unknown
 edge endpoints, self-edges and cycles outright; validate_dependencies exposes
-the same checks as a findings report for diagnostics. Every reader of
+the same checks as a findings report for diagnostics, finding cycles among
+the controls that topological_order's walk leaves behind. Every reader of
 control ids shares check_distinct (no control named twice) and check_known.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence, Sized
+from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sized
 
 from .errors import ConsistencyError, ValidationError, field, reading
 
@@ -217,7 +218,9 @@ def validate_dependencies(catalog: ControlCatalog) -> tuple[Finding, ...]:
     """Check the dependency graph, returning zero findings iff it is sound.
 
     Reported kinds: "unknown-endpoint" (edge references a control not in the
-    catalog), "self-edge", and "cycle" (one finding per cycle, listing it).
+    catalog), "self-edge", and "cycle" (a cycle listed from its smallest id).
+    The cycles reported share no control, and every cycle of the graph passes
+    through one of them.
     """
     findings: list[Finding] = []
     usable: list[tuple[ControlId, ControlId]] = []
@@ -233,49 +236,26 @@ def validate_dependencies(catalog: ControlCatalog) -> tuple[Finding, ...]:
             findings.append(Finding("self-edge", f"self-edge ({prereq} -> {dep})"))
             continue
         usable.append((prereq, dep))
-    findings.extend(_cycle_findings(usable))
+    # A node the topological walk leaves behind has a predecessor it also left behind, so
+    # following predecessors from one closes a cycle. Dropping that cycle's nodes and walking
+    # again finds the next, until none is left.
+    nodes = {cid for edge in usable for cid in edge}
+    while left := _walk(nodes, usable)[1]:
+        predecessor: dict[ControlId, ControlId] = {}
+        for prereq, dep in usable:  # sorted, so each node follows its smallest predecessor
+            if prereq in left:
+                predecessor.setdefault(dep, prereq)
+        node, position = min(left), {}
+        while node not in position:
+            position[node] = len(position)
+            node = predecessor[node]
+        cycle = list(position)[position[node]:][::-1]
+        first = cycle.index(min(cycle))
+        cycle = cycle[first:] + cycle[:first]
+        findings.append(Finding("cycle", "dependency cycle: " + " -> ".join(map(str, cycle + cycle[:1]))))
+        nodes.difference_update(cycle)
+        usable = [(prereq, dep) for prereq, dep in usable if prereq in nodes and dep in nodes]
     return tuple(findings)
-
-
-def _cycle_findings(edges: Sequence[tuple[ControlId, ControlId]]) -> list[Finding]:
-    # Iterative DFS with an explicit path stack; each node joins at most one
-    # reported cycle, so disjoint cycles each get their own finding.
-    successors: dict[ControlId, list[ControlId]] = {}
-    for prereq, dep in edges:
-        successors.setdefault(prereq, []).append(dep)
-    for dependents in successors.values():
-        dependents.sort()
-    findings: list[Finding] = []
-    done: set[ControlId] = set()
-    for start in sorted(successors):
-        if start in done:
-            continue
-        path: list[ControlId] = []
-        on_path: set[ControlId] = set()
-        stack: list[tuple[ControlId, int]] = [(start, 0)]
-        while stack:
-            node, next_child = stack[-1]
-            if next_child == 0:
-                path.append(node)
-                on_path.add(node)
-            children = successors.get(node, [])
-            if next_child < len(children):
-                stack[-1] = (node, next_child + 1)
-                child = children[next_child]
-                if child in on_path:
-                    cycle = path[path.index(child):] + [child]
-                    findings.append(
-                        Finding("cycle", "dependency cycle: " + " -> ".join(str(c) for c in cycle))
-                    )
-                    done.update(cycle)
-                elif child not in done:
-                    stack.append((child, 0))
-            else:
-                stack.pop()
-                path.pop()
-                on_path.discard(node)
-                done.add(node)
-    return findings
 
 
 def topological_order(
@@ -289,6 +269,16 @@ def topological_order(
     sequence. Every edge endpoint must be one of `nodes`; a cycle raises
     ConsistencyError.
     """
+    order, left = _walk(nodes, edges)
+    if left:
+        raise ConsistencyError("dependency graph contains a cycle")
+    return tuple(order)
+
+
+def _walk(
+    nodes: Iterable[ControlId], edges: Iterable[tuple[ControlId, ControlId]]
+) -> tuple[list[ControlId], set[ControlId]]:
+    """Kahn's walk with a heap: the nodes in topological order, and the set it leaves behind on cycles."""
     indegree: dict[ControlId, int] = dict.fromkeys(nodes, 0)
     successors: dict[ControlId, list[ControlId]] = {cid: [] for cid in indegree}
     for prereq, dep in edges:
@@ -306,6 +296,4 @@ def topological_order(
             indegree[dep] -= 1
             if indegree[dep] == 0:
                 heapq.heappush(ready, dep)
-    if len(order) != len(indegree):
-        raise ConsistencyError("dependency graph contains a cycle")
-    return tuple(order)
+    return order, {cid for cid, deg in indegree.items() if deg}

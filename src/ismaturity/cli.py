@@ -42,11 +42,11 @@ from .files import (
 )
 from .importance import ImportanceDatabase, fold_scores
 from .minimums import (
-    LEVEL_MAX,
     ApplicabilityMap,
     FixedMinimums,
     RiskMinimums,
     build_minimum_db,
+    check_level,
     parse_mode_tag,
 )
 from .reporting import (
@@ -100,11 +100,11 @@ def _int_argument(text: str) -> int:
 
 
 def _fixed_level(text: str) -> int:
-    """Parse --fixed-level; a value outside 1..5 is a usage error."""
-    level = _int_argument(text)
-    if not 1 <= level <= LEVEL_MAX:
-        raise argparse.ArgumentTypeError(f"minimum level {level} outside 1..{LEVEL_MAX}")
-    return level
+    """Parse --fixed-level; a level outside 1..5 (minimums.check_level) is a usage error."""
+    try:
+        return check_level(_int_argument(text), minimum=1)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _misallocation_threshold(text: str) -> int:

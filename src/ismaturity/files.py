@@ -22,10 +22,11 @@ Validation errors name the file and the 1-based line the record starts on, so
 records can be fixed at the source; _read_csv, the loaders' one error
 boundary, attaches both. Each input rule has one implementation, which every
 reader of that input calls: a score is importance.add_score's, in a survey
-row and in an importance document; an exclusion's justification is a
-non-blank string (minimums.check_justification), in the applicability CSV and
-the minimum database; controls outside the catalog are named together
-(catalog.check_known).
+row and in an importance document (whose respondents without scores meet
+importance.check_respondent too); a measured level is minimums.check_level's;
+an exclusion's justification is a non-blank string
+(minimums.check_justification); controls outside the catalog are named
+together (catalog.check_known).
 Records that appear in more than one document (requirements, stage deltas,
 the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
 its exact type (errors.field: no coercion, and a boolean is not an integer)
@@ -50,15 +51,14 @@ from typing import Callable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
-from .importance import ImportanceDatabase, SurveyResponse, add_score
+from .importance import ImportanceDatabase, SurveyResponse, add_score, check_respondent
 from .minimums import (
-    LEVEL_MAX,
-    LEVEL_MIN,
     ApplicabilityMap,
     MinimumLevelDatabase,
     MinimumRequirement,
     RiskGrade,
     check_justification,
+    check_level,
     parse_mode_tag,
     parse_risk_grade,
     scored_minimum,
@@ -272,6 +272,7 @@ def importance_from_document(document: Mapping, source: str = "importance docume
         raw_responses = field(document, "responses", dict)
         responses: dict[str, dict[ControlId, int]] = {}
         for respondent in raw_responses:
+            check_respondent(respondent)  # also for a respondent without scores, whom add_score never sees
             scores = field(raw_responses, respondent, dict)
             parsed = {parse_control_id(text): score for text, score in scores.items()}
             check_distinct(parsed, scores, f"respondent {respondent}")
@@ -459,9 +460,9 @@ def deltas_record(deltas: Sequence[StageDelta]) -> list[dict]:
     ]
 
 
-def deltas_from_record(raw: Sequence) -> tuple[StageDelta, ...]:
-    """Read a list of delta records; runs inside the calling reader's `reading`."""
-    return tuple(
+def deltas_from_record(raw: Sequence, what: str) -> tuple[StageDelta, ...]:
+    """Read the delta records of the list `what`, one per control at most; runs inside the caller's `reading`."""
+    deltas = tuple(
         StageDelta(
             control=parse_control_id(record["control"]),
             before=_stage_from_label(record["from"]),
@@ -469,6 +470,8 @@ def deltas_from_record(raw: Sequence) -> tuple[StageDelta, ...]:
         )
         for record in raw
     )
+    check_distinct({delta.control for delta in deltas}, [record["control"] for record in raw], what)
+    return deltas
 
 
 def diff_document(deltas: Sequence[StageDelta]) -> dict:
@@ -477,10 +480,7 @@ def diff_document(deltas: Sequence[StageDelta]) -> dict:
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
     with reading(source, "diff document"):
-        raw = field(document, "deltas", list)
-        deltas = deltas_from_record(raw)
-        check_distinct({delta.control for delta in deltas}, [record["control"] for record in raw], "'deltas'")
-    return deltas
+        return deltas_from_record(field(document, "deltas", list), "'deltas'")
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +535,12 @@ def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]
             raise ValidationError(str(exc), source=source, row=line) from None
 
 
-def _bounded_int(text: str, what: str, low: int, high: int) -> int:
+def _integer_cell(text: str) -> int | str:
+    """`text` as an integer, or unchanged when it spells none, for add_score or check_level to name."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise ValidationError(f"{what} {text!r} is not an integer") from None
-    if not low <= value <= high:
-        raise ValidationError(f"{what} {value} outside {low}..{high}")
-    return value
+        return text
 
 
 def _read_per_control(path: str | Path, header: list[str], what: str, parse: Callable[..., object]) -> dict:
@@ -565,12 +563,10 @@ def read_survey(path: str | Path) -> dict[str, dict[ControlId, int]]:
     scores: dict[str, dict[ControlId, int]] = {}
 
     def read_row(respondent: str, control_text: str, score_text: str) -> None:
-        try:
-            score = int(score_text)
-        except ValueError:
-            score = score_text  # add_score names it as not an integer
         # add_score checks the respondent first, so a row without one names no control id
-        add_score(scores, respondent, parse_control_id(control_text) if respondent else None, score)
+        add_score(
+            scores, respondent, parse_control_id(control_text) if respondent else None, _integer_cell(score_text)
+        )
 
     _read_csv(path, SURVEY_HEADER, read_row)
     return scores
@@ -586,10 +582,9 @@ def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
 
 
 def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:
-    """Read measured maturity levels, one row per control."""
+    """Read measured maturity levels, one row per control, each checked by minimums.check_level."""
     return _read_per_control(
-        path, MEASUREMENTS_HEADER, "measurement",
-        lambda cid, level_text: _bounded_int(level_text, "level", LEVEL_MIN, LEVEL_MAX),
+        path, MEASUREMENTS_HEADER, "measurement", lambda cid, level_text: check_level(_integer_cell(level_text))
     )
 
 

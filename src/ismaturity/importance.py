@@ -18,7 +18,8 @@ The survey's rules are written here once: add_score checks a row into
 catalog and the respondents present and warns of incomplete ones. The CSV
 reader (files.read_survey), the CLI and ingest_responses/merge_responses
 (whose errors name the 1-based entry) all use both; an importance document
-(files.importance_from_document) checks each stored score with add_score.
+(files.importance_from_document) checks each respondent with check_respondent,
+also one with no scores, and each stored score with add_score.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class ImportanceDatabase:
         return Fraction(total, count)
 
 
+def check_respondent(respondent: str) -> None:
+    """The one rule for a respondent id, whether or not scores come with it: it is non-empty."""
+    if not respondent:
+        raise ValidationError("empty respondent_id")
+
+
 def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: ControlId, score) -> None:
     """Check one survey row and store it as `scores[respondent][cid]`: the survey's row rules, written once.
 
@@ -108,8 +115,7 @@ def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: Con
     overwrite would corrupt the exact sums. Whether `cid` is in a catalog is
     fold_scores' check, made once every row has passed this one.
     """
-    if not respondent:
-        raise ValidationError("empty respondent_id")
+    check_respondent(respondent)
     if not isinstance(score, int) or isinstance(score, bool):
         raise ValidationError(f"score {score!r} is not an integer")
     if not LIKERT_MIN <= score <= LIKERT_MAX:

@@ -1,13 +1,14 @@
 """Maturity scale, the probability x impact matrix, and minimum-level databases.
 
 Maturity is measured on the six-step 0..5 process scale (Non-existent,
-Initial, Repeatable, Defined, Managed, Optimized). Each applicable control
-gets a minimum required level, either one fixed floor for the whole catalog
-or a per-control level derived from a risk rating: grade weights Low=1,
-Medium=2, High=3 are summed, sums up to 5 map straight to the required
-level, and the maxed-out 3+3 cell maps to level 5 with a priority flag
-that travels into gap reporting. Not-applicable controls require a written
-justification, carry required level 0, and are excluded from every
+Initial, Repeatable, Defined, Managed, Optimized); check_level is the rule
+for every reader of a level, and holds a fixed minimum to 1..5. Each
+applicable control gets a minimum required level, either one fixed floor for
+the whole catalog or a per-control level derived from a risk rating: grade
+weights Low=1, Medium=2, High=3 are summed, sums up to 5 map straight to the
+required level, and the maxed-out 3+3 cell maps to level 5 with a priority
+flag that travels into gap reporting. Not-applicable controls require a
+written justification, carry required level 0, and are excluded from every
 computation; check_justification is that rule for every reader of one.
 """
 

@@ -12,7 +12,9 @@ requirements, modes, misallocation threshold). parse_report re-runs the
 evaluation on them and rejects a report whose derived sections (stage rows,
 label, naive average, gaps, priority controls, findings) differ from it, or
 whose stage changes against the default plan end anywhere but where the
-report itself stages or excludes the control.
+report itself stages or excludes the control. Its inputs follow the rules
+their other readers share (check_distinct, check_justification, check_level).
+An average's display form must be its exact value's, in a comparison too.
 
 Averages stay exact rationals until the last moment: display rounding is
 half-up to two decimals, and the overall line names the maturity level whose
@@ -54,6 +56,7 @@ from .minimums import (
     ApplicabilityMap,
     MinimumLevelDatabase,
     MinimumRequirement,
+    check_justification,
     level_name,
 )
 from .staging import Stage, StageDelta, StagePlan, exclude_from_plan
@@ -134,10 +137,7 @@ def build_report(
             raise ConsistencyError(
                 f"minimum database excludes {cid} but the applicability map does not"
             )
-    not_applicable = tuple(
-        (cid, applicability.justification(cid) or minimums.excluded[cid])
-        for cid in sorted(minimums.excluded)
-    )
+    not_applicable = tuple((cid, applicability.justification(cid)) for cid in sorted(minimums.excluded))
     return ReportDocument(
         company=company,
         timestamp=timestamp,
@@ -174,11 +174,15 @@ def _fraction_fields(value: Fraction | None) -> dict | None:
 def _fraction_from_fields(record, *, optional: bool = False) -> Fraction | None:
     if record is None and optional:
         return None
-    field(record, "display", str)
+    display = field(record, "display", str)
+    exact = field(record, "exact", str)
     try:
-        return Fraction(field(record, "exact", str))
+        value = Fraction(exact)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"malformed average record: {record!r}") from None
+    if display != format_level(value):
+        raise ValidationError(f"average display {display!r} does not match its exact value {exact!r}")
+    return value
 
 
 def _level_name(level: Fraction | None) -> str | None:
@@ -273,10 +277,11 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     give their members, in stage order, and requirements must fit
     minimums_mode). The rebuilt document is returned once its derived
     sections equal the document's node for node; the first difference is a
-    ValidationError naming the source and its path. Each stage_plan_deltas
-    entry must name a control once and end at that control's stage or
-    exclusion in the report. Inputs evaluate cannot
-    reconcile (a member without a measurement) are its ConsistencyError.
+    ValidationError naming the source and its path. No control may be named
+    twice among the stage members, nor in stage_plan_deltas, and each delta
+    must end at its control's stage or exclusion in the report. Inputs
+    evaluate cannot reconcile (a member without a measurement) are its
+    ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
     with reading(source, "assessment report document"):
@@ -284,20 +289,22 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         _check_mode(mode)  # as build_report does, but before minimums_mode is read
         minimums_mode = field(raw, "minimums_mode", str)
         records = field(raw, "not_applicable", list)
-        excluded = {parse_control_id(record["control"]): field(record, "justification", str) for record in records}
+        excluded: dict[ControlId, str] = {}
+        for record in records:
+            cid = parse_control_id(record["control"])
+            excluded[cid] = check_justification(cid, record["justification"])
         check_distinct(excluded, [record["control"] for record in records], "'not_applicable'")
         levels = field(raw, "measurements", dict)
-        measurements = {parse_control_id(t): field(levels, t, int) for t in levels}
+        measurements = {parse_control_id(t): level for t, level in levels.items()}  # evaluate checks each level
         check_distinct(measurements, levels, "'measurements'")
-        assignment = {
-            parse_control_id(t): stage
-            for stage, record in zip(Stage, field(raw, "stages", list))
-            for t in field(record, "members", list)
-        }
+        members = [field(record, "members", list) for _, record in zip(Stage, field(raw, "stages", list))]
+        assignment = {parse_control_id(t): stage for stage, texts in zip(Stage, members) for t in texts}
+        if len(assignment) != sum(map(len, members)):  # a control repeats; only now are the texts listed
+            check_distinct(assignment, [t for texts in members for t in texts], "'stages'")
         requirements = requirements_from_record(field(raw, "requirements", dict), minimums_mode)
         threshold = field(raw, "misallocation_threshold", int)
         raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
-        deltas = None if raw_deltas is None else deltas_from_record(raw_deltas)
+        deltas = None if raw_deltas is None else deltas_from_record(raw_deltas, "'stage_plan_deltas'")
         if deltas:
             _check_deltas(deltas, assignment, excluded)
         # evaluate reads a plan's assignment and exclusions only
@@ -331,13 +338,9 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
 def _check_deltas(
     deltas: Sequence[StageDelta], assignment: Mapping[ControlId, Stage], excluded: Mapping[ControlId, str]
 ) -> None:
-    """Each delta names a control once and ends where the report puts it: its stage, or excluded."""
-    seen = set()
+    """Each delta ends where the report puts its control: its stage, or excluded."""
     for index, delta in enumerate(deltas):
         cid = delta.control
-        if cid in seen:
-            raise ValidationError(f"stage_plan_deltas[{index}].control: a second delta for {cid}")
-        seen.add(cid)
         if cid in assignment:
             if delta.after == assignment[cid]:
                 continue

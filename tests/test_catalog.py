@@ -26,7 +26,7 @@ from ismaturity.catalog import (
 )
 from ismaturity.files import catalog_document
 
-from oracles import has_cycle
+from oracles import has_cycle, id_key
 
 
 def make_catalog(ids, edges=()):
@@ -264,8 +264,15 @@ def test_cycle_detection_matches_oracle_on_random_graphs():
             (parse_control_id(a), parse_control_id(b)) for a, b in edges
         )
         catalog = ControlCatalog(controls=catalog.controls, dependencies=graph)
-        found_cycle = any(f.kind == "cycle" for f in validate_dependencies(catalog))
-        assert found_cycle == has_cycle(ids, edges)
+        findings = validate_dependencies(catalog)
+        assert any(f.kind == "cycle" for f in findings) == has_cycle(ids, edges)
+        cycles = [f.message.removeprefix("dependency cycle: ").split(" -> ") for f in findings]
+        for cycle in cycles:  # a real cycle from its smallest id: each step an edge, closing on its first id
+            assert cycle[0] == cycle[-1] == min(cycle, key=id_key)
+            assert all((a, b) in edges for a, b in zip(cycle, cycle[1:]))
+        members = [cid for cycle in cycles for cid in cycle[1:]]
+        assert len(members) == len(set(members))  # disjoint, and every cycle passes through one of them
+        assert not has_cycle([i for i in ids if i not in members], [e for e in edges if not set(e) & set(members)])
 
 
 def test_topological_order_respects_edges_and_breaks_ties_by_id():

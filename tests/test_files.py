@@ -180,8 +180,8 @@ CSV_LOADERS = {
         ("survey", "{header},{long}\n{valid}\n", "row 1: unreadable CSV: field larger than field limit (131072)"),
         ("measurements", "{header}\n{valid}\nA.x.1.2,3\n",
          "row 3: control id 'A.x.1.2': field 'x' is not a number"),
-        ("measurements", "{header}\n{valid}\nA.5.1.2,3.5\n", "row 3: level '3.5' is not an integer"),
-        ("measurements", "{header}\n{valid}\nA.5.1.2,-1\n", "row 3: level -1 outside 0..5"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,3.5\n", "row 3: maturity level '3.5' is not an integer"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,-1\n", "row 3: maturity level -1 outside 0..5"),
         ("measurements", "{header}\n{valid}\nA.5.1.1,2\n", "row 3: duplicate measurement for A.5.1.1"),
         ("measurements", "{header}\n{valid}\n\nA.5.1.2,2,1\n", "row 4: expected 2 fields, found 3"),
         ("measurements", "{long}\n", "row 1: unreadable CSV: field larger than field limit (131072)"),

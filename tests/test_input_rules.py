@@ -7,6 +7,7 @@ the file) and a library call.
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +15,41 @@ from ismaturity import (
     ApplicabilityMap,
     SurveyResponse,
     ValidationError,
+    build_minimum_db,
+    default_stage_plan,
+    evaluate,
     ingest_responses,
     load_applicability_csv,
+    load_measurements_csv,
     load_survey_csv,
     mark_not_applicable,
     parse_control_id,
 )
-from ismaturity.files import catalog_document, default_catalog, importance_from_document, minimum_db_from_document
+from ismaturity.files import (
+    catalog_document,
+    deltas_from_document,
+    default_catalog,
+    importance_from_document,
+    minimum_db_from_document,
+)
 from ismaturity.importance import ImportanceDatabase, fold_scores
+from ismaturity.minimums import FixedMinimums
+from ismaturity.reporting import parse_report
 
 A5 = parse_control_id("A.5.1.1")
 FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
+EXPECTED = Path(__file__).parent / "data" / "company_a" / "expected"
+
+
+def edited_report(edit):
+    """A call of parse_report on company_a's independent-mode report, as `edit` changes it, named r.json."""
+
+    def read():
+        report = json.loads((EXPECTED / "assess_independent.json").read_text(encoding="utf-8"))
+        edit(report)
+        return parse_report(json.dumps(report), source="r.json")
+
+    return read
 
 
 def message_of(call) -> str:
@@ -48,7 +73,8 @@ def document_reader(tmp_path, respondent, score):
     document = {"controls": ["A.5.1.1", "A.5.1.2"], "responses": {"r0": {"A.5.1.2": 3}, respondent: {"A.5.1.1": score}}}
     return (
         lambda: importance_from_document(document, source="db.json"),
-        f"db.json: respondent {respondent}, control A.5.1.1: ",
+        # a respondent is checked before its scores, so an empty one names no control
+        f"db.json: respondent {respondent}, control A.5.1.1: " if respondent else "db.json: ",
     )
 
 
@@ -73,41 +99,50 @@ def test_one_score_rule_for_every_reader(tmp_path, reader, respondent, score, cs
     assert message_of(call) == prefix + message
 
 
+STAGE_PLAN_BUILD = ("stage-plan", "build", "--importance", "{db}", "--out", "{out}")
+IMPORT_SURVEY_INTO = ("import-survey", "{survey}", "--into", "{db}", "--out", "{out}")
+
+
+# A respondent id: importance.check_respondent, for a respondent with scores and one without
 @pytest.mark.parametrize(
-    "command",
-    [
-        ("stage-plan", "build", "--importance", "{db}", "--out", "{out}"),
-        ("import-survey", "{survey}", "--into", "{db}", "--out", "{out}"),
-    ],
-    ids=["stage-plan-build", "import-survey-into"],
+    ("command", "with_scores"),
+    [(STAGE_PLAN_BUILD, True), (IMPORT_SURVEY_INTO, True), (STAGE_PLAN_BUILD, False), (IMPORT_SURVEY_INTO, False)],
+    ids=["stage-plan-build", "import-survey-into", "stage-plan-build-no-scores", "import-survey-into-no-scores"],
 )
-def test_an_importance_database_with_an_empty_respondent_exits_one(run_cli, ca_paths, tmp_path, command):
+def test_an_importance_database_with_an_empty_respondent_exits_one(run_cli, ca_paths, tmp_path, command, with_scores):
     db = tmp_path / "db.json"
     assert run_cli("import-survey", ca_paths["survey"], "--out", db)[0] == 0
     document = json.loads(db.read_text(encoding="utf-8"))
-    document["responses"][""] = document["responses"].pop("ca-resp-1")
+    document["responses"][""] = document["responses"].pop("ca-resp-1") if with_scores else {}
     db.write_text(json.dumps(document), encoding="utf-8")
     paths = {"db": db, "out": tmp_path / "out.json", "survey": ca_paths["survey"]}
     code, out, err = run_cli(*(arg.format(**paths) for arg in command))
     assert (code, out) == (1, "")
-    assert err == f"input error: {db}: respondent , control A.10.1.1: empty respondent_id\n"
+    assert err == f"input error: {db}: empty respondent_id\n"
     assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------
 # An exclusion's justification: minimums.check_justification
 
+UNJUSTIFIED = "control {} marked not applicable without a justification"
+
+
 def justification_readers(tmp_path, justification):
-    """(call, prefix) for each reader of one exclusion of A.5.1.1 with `justification`."""
+    """(call, message) for each reader of one exclusion with `justification`."""
     readers = {
-        "map": (lambda: ApplicabilityMap({A5: justification}), ""),
-        "mark": (lambda: mark_not_applicable(ApplicabilityMap(), A5, justification), ""),
+        "map": (lambda: ApplicabilityMap({A5: justification}), UNJUSTIFIED.format(A5)),
+        "mark": (lambda: mark_not_applicable(ApplicabilityMap(), A5, justification), UNJUSTIFIED.format(A5)),
         "minimum-db": (
             lambda: minimum_db_from_document(
                 {"mode": "fixed:3", "requirements": {"A.5.1.2": FIXED_3}, "excluded": {"A.5.1.1": justification}},
                 source="m.json",
             ),
-            "m.json: ",
+            "m.json: " + UNJUSTIFIED.format(A5),
+        ),
+        "report": (  # its first exclusion is A.14.2.1's
+            edited_report(lambda report: report["not_applicable"][0].update(justification=justification)),
+            "r.json: " + UNJUSTIFIED.format("A.14.2.1"),
         ),
     }
     if isinstance(justification, str):  # a CSV cell is always text
@@ -115,21 +150,91 @@ def justification_readers(tmp_path, justification):
         path.write_text(
             f"control_id,applicable,justification\nA.5.1.2,true,\nA.5.1.1,false,{justification}\n", encoding="utf-8"
         )
-        readers["csv"] = (lambda: load_applicability_csv(path), f"{path}, row 3: ")
+        readers["csv"] = (lambda: load_applicability_csv(path), f"{path}, row 3: " + UNJUSTIFIED.format(A5))
     return readers
 
 
 @pytest.mark.parametrize("justification", ["", "   ", 5, None], ids=["empty", "blank", "number", "null"])
 def test_one_justification_rule_for_every_reader(tmp_path, justification):
     readers = justification_readers(tmp_path, justification)
-    assert len(readers) == (4 if isinstance(justification, str) else 3)
-    for name, (call, prefix) in readers.items():
-        assert message_of(call) == prefix + "control A.5.1.1 marked not applicable without a justification", name
+    assert len(readers) == (5 if isinstance(justification, str) else 4)
+    for name, (call, message) in readers.items():
+        assert message_of(call) == message, name
+
+
+# ---------------------------------------------------------------------------
+# A maturity level: minimums.check_level, for the measurements CSV, a report, evaluate and --fixed-level
+
+def measurements_csv_reader(tmp_path, run_cli, level):
+    path = tmp_path / "m.csv"
+    path.write_text(f"control_id,level\nA.5.1.2,3\nA.5.1.1,{level}\n", encoding="utf-8")
+    return message_of(lambda: load_measurements_csv(path)), f"{path}, row 3: "
+
+
+def report_measurement_reader(tmp_path, run_cli, level):
+    read = edited_report(lambda report: report["measurements"].update({"A.5.1.1": level}))
+    return message_of(read), "r.json: control A.5.1.1: "
+
+
+def evaluate_reader(tmp_path, run_cli, level):
+    catalog = default_catalog()
+    minimums = build_minimum_db(FixedMinimums(3), ApplicabilityMap(), catalog)
+    measurements = {**dict.fromkeys(catalog.control_ids(), 3), A5: level}
+    return message_of(lambda: evaluate(default_stage_plan(), minimums, measurements)), "control A.5.1.1: "
+
+
+def fixed_level_reader(tmp_path, run_cli, level):
+    code, out, err = run_cli("assess", "--mode", "model", "--measurements", "m.csv", "--fixed-level", level)
+    assert (code, out) == (64, "")
+    return err.splitlines()[-1], "ismaturity assess: error: argument --fixed-level: "
+
+
+@pytest.mark.parametrize(
+    ("reader", "level", "message"),
+    [
+        (measurements_csv_reader, "7", "maturity level 7 outside 0..5"),
+        (measurements_csv_reader, "-1", "maturity level -1 outside 0..5"),
+        (measurements_csv_reader, "x", "maturity level 'x' is not an integer"),
+        (report_measurement_reader, 9, "maturity level 9 outside 0..5"),
+        (report_measurement_reader, True, "maturity level True is not an integer"),
+        (evaluate_reader, 9, "maturity level 9 outside 0..5"),
+        (evaluate_reader, True, "maturity level True is not an integer"),
+        (evaluate_reader, "x", "maturity level 'x' is not an integer"),
+        (fixed_level_reader, 7, "maturity level 7 outside 1..5"),  # a fixed minimum is 1..5
+    ],
+    ids=["csv-7", "csv-minus-1", "csv-x", "report-9", "report-true", "evaluate-9", "evaluate-true", "evaluate-x", "fixed-level-7"],
+)
+def test_one_level_rule_for_every_reader(tmp_path, run_cli, reader, level, message):
+    found, prefix = reader(tmp_path, run_cli, level)
+    assert found == prefix + message
 
 
 # ---------------------------------------------------------------------------
 # A control named twice: catalog.check_distinct, for every document kind (the table is
-# test_files.py::test_document_readers_reject_a_control_named_twice); here a catalog file on the CLI
+# test_files.py::test_document_readers_reject_a_control_named_twice); here a report's
+# stage deltas and stage members, a diff document's deltas and a catalog file on the CLI
+
+DELTA = {"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}  # the report's first delta
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (edited_report(lambda report: report["stage_plan_deltas"].append(DELTA)),
+         "r.json: 'stage_plan_deltas' names control A.5.1.2 twice"),
+        # A.5.1.2 is the second member of the first stage
+        (edited_report(lambda report: report["stages"][0]["members"].append("5.1.2")),
+         "r.json: 'stages' names control A.5.1.2 twice"),
+        (edited_report(lambda report: report["stages"][1]["members"].append("A.5.1.2")),
+         "r.json: 'stages' names control A.5.1.2 twice"),
+        (lambda: deltas_from_document({"deltas": [DELTA, DELTA]}, source="d.json"),
+         "d.json: 'deltas' names control A.5.1.2 twice"),
+    ],
+    ids=["report-deltas", "report-members-one-stage", "report-members-two-stages", "diff-deltas"],
+)
+def test_one_repeat_rule_for_every_reader(call, message):
+    assert message_of(call) == message
+
 
 def test_a_catalog_file_naming_a_control_twice_exits_one(run_cli, tmp_path):
     document = catalog_document(default_catalog())

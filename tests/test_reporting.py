@@ -1,5 +1,6 @@
 """Level formatting, report assembly, rendering, and mode comparison."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -259,6 +260,11 @@ def test_comparison_round_trip_and_human_rendering(catalog, default_plan, ca_pla
     assert canonical_json(
         comparison_document_dict(again, company="company-a", timestamp="t")
     ) == text
+    edited = json.loads(text)
+    edited["independent"]["level"]["display"] = "9.99"
+    with pytest.raises(ValidationError) as raised:
+        parse_comparison(json.dumps(edited), source="c.json")
+    assert str(raised.value) == "c.json: average display '9.99' does not match its exact value '89/27'"
 
     human = render_comparison(comparison, "human", company="company-a", timestamp="t")
     assert human.startswith("Strategy Mode Comparison\n")
