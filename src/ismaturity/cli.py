@@ -29,6 +29,7 @@ from .files import (
     delta_line,
     diff_document,
     importance_document,
+    integer_cell,
     load_applicability_csv,
     load_measurements_csv,
     load_ratings_csv,
@@ -92,24 +93,20 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _int_argument(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _fixed_level(text: str) -> int:
-    """Parse --fixed-level; a level outside 1..5 (minimums.check_level) is a usage error."""
+    """Parse --fixed-level; a level that is not an integer in 1..5 (minimums.check_level) is a usage error."""
     try:
-        return check_level(_int_argument(text), minimum=1)
+        return check_level(integer_cell(text), minimum=1)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _misallocation_threshold(text: str) -> int:
-    """Parse --misallocation-threshold; a value below 1 is a usage error."""
-    threshold = _int_argument(text)
+    """Parse --misallocation-threshold; a value that is not an integer, or is below 1, is a usage error."""
+    try:
+        threshold = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if threshold < 1:
         raise argparse.ArgumentTypeError(f"misallocation threshold {threshold} is below 1")
     return threshold
@@ -119,8 +116,13 @@ def _load_catalog(args) -> ControlCatalog:
     return files.read_catalog_file(args.catalog) if args.catalog else files.default_catalog()
 
 
-def _load_applicability(args) -> ApplicabilityMap:
-    return load_applicability_csv(args.applicability) if args.applicability else ApplicabilityMap()
+def _load_applicability(args, catalog: ControlCatalog) -> ApplicabilityMap:
+    """The exclusions of --applicability, each naming a control of `catalog`; none without the flag."""
+    if not args.applicability:
+        return ApplicabilityMap()
+    applicability = load_applicability_csv(args.applicability)
+    check_known(applicability.not_applicable, catalog, "applicability rows", source=str(args.applicability))
+    return applicability
 
 
 def _check_minimum_source(args, what: str) -> None:
@@ -138,11 +140,10 @@ def _load_assessment_inputs(args):
     control's presence or absence in input files never changes any result.
     """
     catalog = _load_catalog(args)
-    applicability = _load_applicability(args)
+    applicability = _load_applicability(args, catalog)
     raw = load_measurements_csv(args.measurements)
     check_known(raw, catalog, "measurements", source=str(args.measurements))
-    excluded = set(applicability.excluded_within(catalog))
-    return catalog, applicability, {cid: level for cid, level in raw.items() if cid not in excluded}
+    return catalog, applicability, {cid: level for cid, level in raw.items() if applicability.is_applicable(cid)}
 
 
 def _minimums(catalog, applicability, ratings_path, level):
@@ -209,7 +210,7 @@ def _cmd_stage_plan_build(args) -> int:
     if bool(args.survey) == bool(args.importance):
         raise UsageError("pass exactly one of --survey or --importance")
     catalog = _load_catalog(args)
-    applicability = _load_applicability(args)
+    applicability = _load_applicability(args, catalog)
     if args.survey:
         plan = _survey_plan(args.survey, catalog, applicability)
     else:
@@ -244,7 +245,7 @@ def _cmd_minimums_build(args) -> int:
     if level is not None and args.ratings:
         raise UsageError("--ratings only applies to risk mode")
     catalog = _load_catalog(args)
-    db = _minimums(catalog, _load_applicability(args), args.ratings, level)
+    db = _minimums(catalog, _load_applicability(args, catalog), args.ratings, level)
     write_document(args.out, minimum_db_document(db))
     _print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
     return EXIT_OK

@@ -535,7 +535,7 @@ def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]
             raise ValidationError(str(exc), source=source, row=line) from None
 
 
-def _integer_cell(text: str) -> int | str:
+def integer_cell(text: str) -> int | str:
     """`text` as an integer, or unchanged when it spells none, for add_score or check_level to name."""
     try:
         return int(text)
@@ -565,7 +565,7 @@ def read_survey(path: str | Path) -> dict[str, dict[ControlId, int]]:
     def read_row(respondent: str, control_text: str, score_text: str) -> None:
         # add_score checks the respondent first, so a row without one names no control id
         add_score(
-            scores, respondent, parse_control_id(control_text) if respondent else None, _integer_cell(score_text)
+            scores, respondent, parse_control_id(control_text) if respondent else None, integer_cell(score_text)
         )
 
     _read_csv(path, SURVEY_HEADER, read_row)
@@ -584,7 +584,7 @@ def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
 def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:
     """Read measured maturity levels, one row per control, each checked by minimums.check_level."""
     return _read_per_control(
-        path, MEASUREMENTS_HEADER, "measurement", lambda cid, level_text: check_level(_integer_cell(level_text))
+        path, MEASUREMENTS_HEADER, "measurement", lambda cid, level_text: check_level(integer_cell(level_text))
     )
 
 

@@ -6,6 +6,11 @@ Rendering is a pure function of the document; the run timestamp is an
 explicit input, never sampled here, so identical inputs always produce
 identical bytes.
 
+A report document keeps the records its evaluation used, uncopied: the
+AssessmentResult (measurements, stage rows, label, naive average) and the
+MinimumLevelDatabase (mode, requirements, and the exclusions evaluate checked
+against the plan, whose justifications are the not-applicable section).
+
 The structured report is the audit trail of its label: it carries every
 input of the evaluation (stage members, exclusions, measurements,
 requirements, modes, misallocation threshold). parse_report re-runs the
@@ -26,14 +31,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .assessment import (
     AssessmentResult,
     Gap,
     Label,
     MisallocationFinding,
-    StageResult,
     evaluate,
     gap_analysis,
     misallocation_findings,
@@ -55,7 +59,6 @@ from .files import (
 from .minimums import (
     ApplicabilityMap,
     MinimumLevelDatabase,
-    MinimumRequirement,
     check_justification,
     level_name,
 )
@@ -84,30 +87,26 @@ def label_line(stage: Stage, level: Fraction | None) -> str:
     """The overall result line, always in the same sentence shape."""
     if level is None:
         return f"{stage.label} Stage, Maturity Level n/a (no controls)"
-    return (
-        f"{stage.label} Stage, Maturity Level {format_level(level)}"
-        f" ({_level_name(level)})"
-    )
+    return f"{stage.label} Stage, Maturity Level {_average(level)}"
+
+
+def _average(value: Fraction) -> str:
+    """An average with the name of the level it has reached, e.g. "3.30 (Defined)"."""
+    return f"{format_level(value)} ({_level_name(value)})"
 
 
 class ReportDocument(NamedTuple):
-    """Everything one assessment run produced, ready to serialize."""
+    """Everything one assessment run produced, ready to serialize; each fact is read from one record."""
 
     company: str
     timestamp: str
     mode: str
-    minimums_mode: str
     misallocation_threshold: int
-    stage_rows: tuple[StageResult, ...]
-    label: Label
-    naive: Fraction
+    result: AssessmentResult
     gaps: tuple[Gap, ...]
-    priority_controls: tuple[ControlId, ...]
     findings: tuple[MisallocationFinding, ...]
-    not_applicable: tuple[tuple[ControlId, str], ...]
+    minimums: MinimumLevelDatabase
     deltas: tuple[StageDelta, ...] | None
-    measurements: Mapping[ControlId, int]
-    requirements: Mapping[ControlId, MinimumRequirement]
 
 
 def build_report(
@@ -123,13 +122,13 @@ def build_report(
     minimums: MinimumLevelDatabase,
     misallocation_threshold: int = 2,
 ) -> ReportDocument:
-    """Assemble the report document for one finished evaluation.
+    """Assemble the report document for one finished evaluation, copying nothing out of `result` or `minimums`.
 
     `deltas` is the stage-change list against the default plan (independent
     runs) or None when no comparison applies (model runs). The applicability
-    map must agree with the exclusions the minimums were built with; each
-    excluded control surfaces with its justification even when there are
-    none (the section stays present, just empty).
+    map must agree with the minimums' exclusions; those exclusions, with the
+    justifications stored in `minimums`, are the report's not-applicable
+    section, present even when empty.
     """
     _check_mode(mode)
     for cid in minimums.excluded:
@@ -137,23 +136,16 @@ def build_report(
             raise ConsistencyError(
                 f"minimum database excludes {cid} but the applicability map does not"
             )
-    not_applicable = tuple((cid, applicability.justification(cid)) for cid in sorted(minimums.excluded))
     return ReportDocument(
         company=company,
         timestamp=timestamp,
         mode=mode,
-        minimums_mode=minimums.mode,
         misallocation_threshold=misallocation_threshold,
-        stage_rows=result.stage_results,
-        label=result.label,
-        naive=result.naive_average,
+        result=result,
         gaps=tuple(gaps),
-        priority_controls=tuple(gap.control for gap in gaps if gap.priority),
         findings=tuple(findings),
-        not_applicable=not_applicable,
+        minimums=minimums,
         deltas=None if deltas is None else tuple(deltas),
-        measurements=result.measurements,
-        requirements=dict(minimums.requirements),
     )
 
 
@@ -217,16 +209,16 @@ def report_document_dict(doc: ReportDocument) -> dict:
         "company": doc.company,
         "timestamp": doc.timestamp,
         "mode": doc.mode,
-        "minimums_mode": doc.minimums_mode,
+        "minimums_mode": doc.minimums.mode,
         "misallocation_threshold": doc.misallocation_threshold,
         **_derived_sections(doc),
         "not_applicable": [
             {"control": str(cid), "justification": justification}
-            for cid, justification in doc.not_applicable
+            for cid, justification in sorted(doc.minimums.excluded.items())
         ],
         "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
-        "measurements": {str(cid): lvl for cid, lvl in doc.measurements.items()},
-        "requirements": requirements_record(doc.requirements),
+        "measurements": {str(cid): lvl for cid, lvl in doc.result.measurements.items()},
+        "requirements": requirements_record(doc.minimums.requirements),
     }
 
 
@@ -241,10 +233,10 @@ def _derived_sections(doc: ReportDocument) -> dict:
                 "complete": row.complete,
                 "failing_count": len(row.failing),
             }
-            for row in doc.stage_rows
+            for row in doc.result.stage_results
         ],
-        "label": _label_fields(doc.label),
-        "naive_average": _fraction_fields(doc.naive),
+        "label": _label_fields(doc.result.label),
+        "naive_average": _fraction_fields(doc.result.naive_average),
         "gaps": [
             {
                 "control": str(gap.control),
@@ -255,7 +247,7 @@ def _derived_sections(doc: ReportDocument) -> dict:
             }
             for gap in doc.gaps
         ],
-        "priority_controls": [str(cid) for cid in doc.priority_controls],
+        "priority_controls": [str(gap.control) for gap in doc.gaps if gap.priority],
         "misallocation_findings": [
             {
                 "later_stage": finding.later_stage.label,
@@ -410,74 +402,56 @@ def _display(value: Fraction | None) -> str:
 
 
 def _render_human(doc: ReportDocument) -> str:
-    lines: list[str] = []
+    result = doc.result
     title = "Security Maturity Assessment"
-    lines.append(title)
-    lines.append("=" * len(title))
-    lines.append(f"Company:    {doc.company}")
-    lines.append(f"Generated:  {doc.timestamp}")
-    lines.append(f"Mode:       {doc.mode}")
-    lines.append(f"Minimums:   {doc.minimums_mode}")
-    lines.append("")
-    lines.append(f"{'Stage':<13}{'Controls':>9}{'Average':>9}{'Complete':>10}{'Failing':>9}")
-    lines.append("-" * 50)
-    for row in doc.stage_rows:
+    lines = [
+        title,
+        "=" * len(title),
+        f"Company:    {doc.company}",
+        f"Generated:  {doc.timestamp}",
+        f"Mode:       {doc.mode}",
+        f"Minimums:   {doc.minimums.mode}",
+        "",
+        f"{'Stage':<13}{'Controls':>9}{'Average':>9}{'Complete':>10}{'Failing':>9}",
+        "-" * 50,
+    ]
+    for row in result.stage_results:
         lines.append(
             f"{row.stage.label:<13}{len(row.members):>9}{_display(row.average):>9}"
             f"{('yes' if row.complete else 'no'):>10}{len(row.failing):>9}"
         )
-    lines.append("")
-    lines.append(f"Overall: {label_line(doc.label.stage, doc.label.level)}")
-    if doc.label.incomplete:
+    lines += ["", f"Overall: {label_line(result.label.stage, result.label.level)}"]
+    if result.label.incomplete:
         lines.append("Note: the Essential stage itself is not yet complete; the label marks the entry stage.")
-    lines.append(
-        f"Naive average over all applicable controls: {format_level(doc.naive)} ({_level_name(doc.naive)})"
-    )
-    lines.append("")
-    lines.append("Gaps (measured below minimum):")
-    if doc.gaps:
-        for gap in doc.gaps:
-            flag = "  [priority]" if gap.priority else ""
-            lines.append(
-                f"  {str(gap.control):<11} {gap.stage.label:<13} measured {gap.measured}, minimum {gap.required}{flag}"
-            )
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append("Priority controls below minimum:")
-    if doc.priority_controls:
-        for cid in doc.priority_controls:
-            lines.append(f"  {cid}")
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append(f"Misallocation findings (heuristic, threshold {doc.misallocation_threshold}):")
-    if doc.findings:
-        for finding in doc.findings:
-            lines.append(
-                f"  {finding.later_stage.label} control {finding.later_control} at level {finding.later_level}"
-                f" vs {finding.earlier_stage.label} failing control {finding.earlier_control}"
-                f" at level {finding.earlier_level}"
-            )
-    else:
-        lines.append("  none")
-    lines.append("")
-    lines.append("Not applicable (with justification):")
-    if doc.not_applicable:
-        for cid, justification in doc.not_applicable:
-            lines.append(f"  {cid}: {justification}")
-    else:
-        lines.append("  none")
+    lines.append(f"Naive average over all applicable controls: {_average(result.naive_average)}")
+    _section(lines, "Gaps (measured below minimum):", (
+        f"{str(gap.control):<11} {gap.stage.label:<13} measured {gap.measured}, minimum {gap.required}"
+        + ("  [priority]" if gap.priority else "")
+        for gap in doc.gaps
+    ))
+    _section(lines, "Priority controls below minimum:", (str(gap.control) for gap in doc.gaps if gap.priority))
+    _section(lines, f"Misallocation findings (heuristic, threshold {doc.misallocation_threshold}):", (
+        f"{finding.later_stage.label} control {finding.later_control} at level {finding.later_level}"
+        f" vs {finding.earlier_stage.label} failing control {finding.earlier_control}"
+        f" at level {finding.earlier_level}"
+        for finding in doc.findings
+    ))
+    _section(lines, "Not applicable (with justification):", (
+        f"{cid}: {justification}" for cid, justification in sorted(doc.minimums.excluded.items())
+    ))
     if doc.deltas is not None:
-        lines.append("")
-        lines.append("Stage changes vs the default plan:")
-        if doc.deltas:
-            for delta in doc.deltas:
-                lines.append("  " + delta_line(delta))
-        else:
-            lines.append("  none")
+        _section(lines, "Stage changes vs the default plan:", map(delta_line, doc.deltas))
     lines.append("")
     return "\n".join(lines)
+
+
+def _section(lines: list[str], title: str, items: Iterable[str]) -> None:
+    """Append a blank line, `title` and each item indented, or `none` when there is no item."""
+    lines += ["", title]
+    count = len(lines)
+    lines.extend("  " + item for item in items)
+    if len(lines) == count:
+        lines.append("  none")
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +529,7 @@ def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, tim
             "",
             f"independent:   {label_line(comparison.independent.stage, comparison.independent.level)}",
             f"model:         {label_line(comparison.model.stage, comparison.model.level)}",
-            f"naive average: {format_level(comparison.naive)} ({_level_name(comparison.naive)})",
+            f"naive average: {_average(comparison.naive)}",
             "",
         ]
         return "\n".join(lines)

@@ -484,7 +484,7 @@ def test_assess_structured_output_and_report_subcommand_agree(run_cli, ca, tmp_p
 
     document = parse_report(doc_path.read_text(encoding="utf-8"))
     assert document.mode == "independent"
-    assert document.minimums_mode == "risk"
+    assert document.minimums.mode == "risk"
 
     code, rendered, _ = run_cli("report", doc_path)
     assert code == 0

@@ -201,8 +201,12 @@ def fixed_level_reader(tmp_path, run_cli, level):
         (evaluate_reader, True, "maturity level True is not an integer"),
         (evaluate_reader, "x", "maturity level 'x' is not an integer"),
         (fixed_level_reader, 7, "maturity level 7 outside 1..5"),  # a fixed minimum is 1..5
+        (fixed_level_reader, "x", "maturity level 'x' is not an integer"),
     ],
-    ids=["csv-7", "csv-minus-1", "csv-x", "report-9", "report-true", "evaluate-9", "evaluate-true", "evaluate-x", "fixed-level-7"],
+    ids=[
+        "csv-7", "csv-minus-1", "csv-x", "report-9", "report-true", "evaluate-9", "evaluate-true", "evaluate-x",
+        "fixed-level-7", "fixed-level-x",
+    ],
 )
 def test_one_level_rule_for_every_reader(tmp_path, run_cli, reader, level, message):
     found, prefix = reader(tmp_path, run_cli, level)
@@ -259,8 +263,9 @@ SORTED = "A.5.9.9, A.18.9.9"
         ("--measurements", "control_id,level", "{cid},3", "measurements"),
         ("--ratings", "control_id,probability,impact", "{cid},low,high", "ratings"),
         ("--survey", "respondent_id,control_id,score", "r1,{cid},3", "survey rows"),
+        ("--applicability", "control_id,applicable,justification", "{cid},false,a typo", "applicability rows"),
     ],
-    ids=["measurements", "ratings", "survey"],
+    ids=["measurements", "ratings", "survey", "applicability"],
 )
 def test_one_unknown_control_rule_for_every_csv_input(run_cli, ca_paths, tmp_path, flag, header, row, what):
     path = tmp_path / "in.csv"
@@ -270,6 +275,30 @@ def test_one_unknown_control_rule_for_every_csv_input(run_cli, ca_paths, tmp_pat
     code, out, err = run_cli("assess", "--mode", "independent", *(str(a) for pair in inputs.items() for a in pair))
     assert (code, out) == (1, "")
     assert err == f"input error: {path}: {what} for controls not in the catalog: {SORTED}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["assess", "--mode", "model", "--measurements", "{measurements}"],
+        ["compare-modes", "--survey", "{survey}", "--fixed-level", "3", "--measurements", "{measurements}"],
+        ["minimums", "build", "--mode", "fixed:3", "--out", "{out}"],
+        ["stage-plan", "build", "--survey", "{survey}", "--out", "{out}"],
+    ],
+    ids=["assess", "compare-modes", "minimums-build", "stage-plan-build"],
+)
+def test_an_exclusion_outside_the_catalog_exits_one_on_every_command(run_cli, ca_paths, tmp_path, command):
+    path = tmp_path / "applicability.csv"
+    # a row that names an applicable control outside the catalog is discarded: it changes no result
+    path.write_text(
+        ca_paths["applicability"].read_text(encoding="utf-8") + "A.18.9.9,true,\nA.5.9.9,false,a typo\n",
+        encoding="utf-8",
+    )
+    paths = {"measurements": ca_paths["measurements"], "survey": ca_paths["survey"], "out": tmp_path / "out.json"}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in command), "--applicability", path)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {path}: applicability rows for controls not in the catalog: A.5.9.9\n"
+    assert not paths["out"].exists()
 
 
 def test_one_unknown_control_rule_for_documents_and_library_calls():

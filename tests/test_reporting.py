@@ -164,8 +164,8 @@ def test_structured_report_round_trips_byte_identically(ca_plan, ca_minimums, ca
     doc = parse_report(text)
     assert canonical_json(report_document_dict(doc)) == text
     assert doc.company == "company-a"
-    assert doc.label.stage is Stage.INTERMEDIATE
-    assert doc.label.level == Fraction(89, 27)
+    assert doc.result.label.stage is Stage.INTERMEDIATE
+    assert doc.result.label.level == Fraction(89, 27)
 
 
 def test_human_report_layout(ca_plan, ca_minimums, ca_inputs, ca_result):
@@ -206,6 +206,37 @@ def test_human_report_omits_delta_section_when_none():
     )
     assert "Stage changes" not in text
     assert "Gaps (measured below minimum):\n  none" in text
+
+
+def test_human_report_with_essential_incomplete_and_a_priority_gap():
+    from ismaturity.assessment import gap_analysis
+    from ismaturity.minimums import RiskGrade, RiskMinimums
+
+    plan, _, _, measurements, _ = small_setup()
+    catalog = make_catalog(IDS + ["A.7.1.1"])
+    amap = ApplicabilityMap(not_applicable={cid("A.7.1.1"): "no staff"})
+    ratings = {c: (RiskGrade.LOW, RiskGrade.MEDIUM) for c in plan.assignment}  # level 3
+    ratings[cid("A.5.1.1")] = (RiskGrade.HIGH, RiskGrade.HIGH)  # capped at level 5 and flagged priority
+    minimums = build_minimum_db(RiskMinimums(ratings=ratings), amap, catalog)
+    plan = plan._replace(excluded=(cid("A.7.1.1"),))
+    result = evaluate(plan, minimums, {**measurements, cid("A.6.1.2"): 5})
+    doc = build_report(
+        result, gap_analysis(result), misallocation_findings(result), amap, None,
+        company="x", timestamp="t", mode="independent", minimums=minimums,
+    )
+    text = render_document(doc, "human")
+    assert render_document(parse_report(render_document(doc, "structured")), "human") == text
+    assert text.split("\n\n")[2:] == [
+        "Overall: Essential Stage, Maturity Level 3.00 (Defined)\n"
+        "Note: the Essential stage itself is not yet complete; the label marks the entry stage.\n"
+        "Naive average over all applicable controls: 3.50 (Defined)",
+        "Gaps (measured below minimum):\n"
+        "  A.5.1.1     Essential     measured 3, minimum 5  [priority]",
+        "Priority controls below minimum:\n  A.5.1.1",
+        "Misallocation findings (heuristic, threshold 2):\n"
+        "  Full control A.6.1.2 at level 5 vs Essential failing control A.5.1.1 at level 3",
+        "Not applicable (with justification):\n  A.7.1.1: no staff\n",
+    ]
 
 
 def test_render_document_rejects_unknown_format():
