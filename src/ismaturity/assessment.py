@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .catalog import ControlId
+from .catalog import ControlId, check_covered, check_same
 from .errors import ConsistencyError, ValidationError
 from .minimums import LEVEL_MAX, LEVEL_MIN, MinimumLevelDatabase, check_level
 from .staging import Stage, StagePlan
@@ -88,7 +88,6 @@ class AssessmentResult(NamedTuple):
     stage_results: tuple[StageResult, StageResult, StageResult, StageResult]
     label: Label
     naive_average: Fraction
-    priority_gaps: tuple[Gap, ...]
     measurements: Mapping[ControlId, int]
 
     def stage_result(self, stage: Stage) -> StageResult:
@@ -96,37 +95,23 @@ class AssessmentResult(NamedTuple):
 
 
 def _check_coverage(plan: StagePlan, mins: MinimumLevelDatabase, measurements: MeasurementSet) -> None:
-    if set(plan.excluded) != set(mins.excluded):
-        odd = sorted(set(plan.excluded) ^ set(mins.excluded))
-        raise ConsistencyError(
-            "plan and minimum database disagree on exclusions: "
-            + ", ".join(str(c) for c in odd)
-        )
+    excluded = set(plan.excluded)
+    check_same(excluded, mins.excluded.keys(), "plan and minimum database disagree on exclusions")
     applicable = plan.assignment.keys()
-    staged_and_excluded = sorted(applicable & set(plan.excluded))
+    staged_and_excluded = sorted(applicable & excluded)
     if staged_and_excluded:
         raise ConsistencyError(
             "controls both staged and excluded: " + ", ".join(str(c) for c in staged_and_excluded)
         )
-    if applicable != mins.requirements.keys():
-        odd = sorted(applicable ^ mins.requirements.keys())
-        raise ConsistencyError(
-            "plan and minimum database cover different controls: "
-            + ", ".join(str(c) for c in odd)
-        )
+    check_same(applicable, mins.requirements.keys(), "plan and minimum database cover different controls")
     measured = measurements.keys()
-    if applicable != measured:
-        missing = sorted(applicable - measured)
-        if missing:
-            raise ConsistencyError(
-                "applicable controls without measurements: " + ", ".join(str(c) for c in missing)
-            )
+    check_covered(applicable, measured, "measurements")
+    if len(measured) != len(applicable):
         extra = sorted(measured - applicable)
-        excluded = [c for c in extra if c in set(plan.excluded)]
-        if excluded:
+        excluded_extra = [c for c in extra if c in excluded]
+        if excluded_extra:
             raise ConsistencyError(
-                "measurements provided for excluded controls: "
-                + ", ".join(str(c) for c in excluded)
+                "measurements provided for excluded controls: " + ", ".join(str(c) for c in excluded_extra)
             )
         raise ConsistencyError(
             "measurements for controls outside the plan: " + ", ".join(str(c) for c in extra)
@@ -190,14 +175,10 @@ def evaluate(
             if not result.complete:
                 break
             label_stage = result.stage
-    priority_gaps = tuple(
-        gap for result in stage_results for gap in result.failing if gap.priority
-    )
     return AssessmentResult(
         stage_results=tuple(stage_results),
         label=Label(label_stage, stage_results[label_stage - 1].average, label_incomplete),
         naive_average=naive_average(measurements),
-        priority_gaps=priority_gaps,
         measurements=dict(measurements),
     )
 

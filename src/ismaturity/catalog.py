@@ -12,14 +12,16 @@ must form a directed acyclic graph. Loading rejects duplicate ids, unknown
 edge endpoints, self-edges and cycles outright; validate_dependencies exposes
 the same checks as a findings report for diagnostics, finding cycles among
 the controls that topological_order's walk leaves behind. Every reader of
-control ids shares check_distinct (no control named twice) and check_known.
+control ids shares check_distinct (no control named twice) and check_known;
+every record that must agree with another on its controls shares check_same
+and check_covered.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sized
+from typing import AbstractSet, Collection, Container, Iterable, Mapping, NamedTuple, Sized
 
 from .errors import ConsistencyError, ValidationError, field, reading
 
@@ -117,6 +119,19 @@ def check_known(ids: Iterable[ControlId], known: Container[ControlId], what: str
         raise ValidationError(
             f"{what} for controls not in the catalog: " + ", ".join(map(str, unknown)), source=source
         )
+
+
+def check_same(first: AbstractSet[ControlId], second: AbstractSet[ControlId], what: str) -> None:
+    """Reject two records that cover different controls: "<what>: " and the controls in one only, sorted."""
+    if first != second:
+        raise ConsistencyError(f"{what}: " + ", ".join(map(str, sorted(set(first) ^ set(second)))))
+
+
+def check_covered(ids: AbstractSet[ControlId], covered: AbstractSet[ControlId], what: str) -> None:
+    """Reject applicable controls `ids` that `covered` lacks, naming them all, sorted."""
+    if not ids <= covered:
+        missing = sorted(cid for cid in ids if cid not in covered)
+        raise ConsistencyError(f"applicable controls without {what}: " + ", ".join(map(str, missing)))
 
 
 class Control(NamedTuple):

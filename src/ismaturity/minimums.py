@@ -17,8 +17,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .catalog import ControlCatalog, ControlId
-from .errors import ConsistencyError, ValidationError
+from .catalog import ControlCatalog, ControlId, check_covered
+from .errors import ValidationError
 
 LEVEL_MIN = 0
 LEVEL_MAX = 5
@@ -222,11 +222,7 @@ def build_minimum_db(
             mode=f"fixed:{mode.level}", requirements=requirements, excluded=excluded
         )
     if isinstance(mode, RiskMinimums):
-        missing = [cid for cid in applicable if cid not in mode.ratings]
-        if missing:
-            raise ConsistencyError(
-                "no risk rating for applicable controls: " + ", ".join(str(c) for c in missing)
-            )
+        check_covered(set(applicable), mode.ratings.keys(), "risk ratings")
         requirements = {cid: risk_minimum(*mode.ratings[cid]) for cid in applicable}
         return MinimumLevelDatabase(mode="risk", requirements=requirements, excluded=excluded)
     raise TypeError(f"unsupported minimum mode {mode!r}")

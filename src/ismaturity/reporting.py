@@ -43,7 +43,7 @@ from .assessment import (
     misallocation_findings,
     naive_average,
 )
-from .catalog import ControlId, check_distinct, parse_control_id
+from .catalog import ControlId, check_distinct, check_same, parse_control_id
 from .errors import ConsistencyError, ValidationError, field, reading
 from .files import (
     FORMAT_VERSION,
@@ -349,7 +349,7 @@ def _check_deltas(
 
 
 def _difference(found, rebuilt):
-    """None when `found` equals `rebuilt` node for node, each at its exact JSON type.
+    """None when `found` equals `rebuilt`, a dict or a list, node for node, each at its exact JSON type.
 
     Otherwise the first difference as (steps, found node, rebuilt node),
     where steps are the keys and list indexes leading to it, innermost first.
@@ -359,11 +359,8 @@ def _difference(found, rebuilt):
         if kind is dict:
             if found.keys() == rebuilt.keys():
                 return _first_difference((key, found[key], value) for key, value in rebuilt.items())
-        elif kind is list:
-            if len(found) == len(rebuilt):
-                return _first_difference(zip(range(len(found)), found, rebuilt))
-        elif found == rebuilt:
-            return None
+        elif len(found) == len(rebuilt):
+            return _first_difference(zip(range(len(found)), found, rebuilt))
     return [], found, rebuilt
 
 
@@ -480,11 +477,9 @@ def compare_modes(
     shared default plan is restricted to the same applicable set before the
     model-mode evaluation.
     """
-    if set(mins_model.excluded) != set(mins_independent.excluded):
-        odd = sorted(set(mins_model.excluded) ^ set(mins_independent.excluded))
-        raise ConsistencyError(
-            "inconsistent applicability between modes: " + ", ".join(str(c) for c in odd)
-        )
+    check_same(
+        mins_model.excluded.keys(), mins_independent.excluded.keys(), "inconsistent applicability between modes"
+    )
     restricted = exclude_from_plan(default_plan, mins_model.excluded)
     model_result = evaluate(restricted, mins_model, measurements)
     independent_result = evaluate(company_plan, mins_independent, measurements)

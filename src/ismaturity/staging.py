@@ -17,8 +17,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .catalog import ControlCatalog, ControlId, DependencyGraph, topological_order
-from .errors import ConsistencyError, ValidationError
+from .catalog import ControlCatalog, ControlId, DependencyGraph, check_covered, check_same, topological_order
+from .errors import ValidationError
 from .minimums import ApplicabilityMap
 from .importance import ImportanceDatabase
 
@@ -219,12 +219,7 @@ def build_stage_plan(
     excluded_set = set(excluded)
     applicable = [cid for cid in catalog.control_ids() if cid not in excluded_set]
     totals = {cid: db.sum_and_count(cid) for cid in applicable}
-    unscored = [cid for cid, (_, count) in totals.items() if count == 0]
-    if unscored:
-        raise ConsistencyError(
-            "applicable controls without survey responses: "
-            + ", ".join(str(cid) for cid in unscored)
-        )
+    check_covered(totals.keys(), {cid for cid, (_, count) in totals.items() if count}, "survey responses")
     averages = {cid: Fraction(total, count) for cid, (total, count) in totals.items()}
     plan = partition_quartiles(averages, default_boundaries(len(applicable)))
     plan = plan._replace(excluded=excluded)
@@ -258,13 +253,8 @@ def diff_stage_plans(a: StagePlan, b: StagePlan) -> tuple[StageDelta, ...]:
     covering different control universes cannot be compared meaningfully and
     raise ConsistencyError listing the mismatch.
     """
-    universe_a, universe_b = a.universe(), b.universe()
-    if universe_a != universe_b:
-        odd = sorted(universe_a ^ universe_b)
-        raise ConsistencyError(
-            "plans cover different control sets; differing controls: "
-            + ", ".join(str(cid) for cid in odd)
-        )
+    universe_a = a.universe()
+    check_same(universe_a, b.universe(), "plans cover different control sets; differing controls")
     deltas = []
     for cid in sorted(universe_a):
         before = a.assignment.get(cid)
