@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
-from .catalog import ControlCatalog, check_known
+from .catalog import ControlCatalog, check_known, check_same
 from .errors import ConsistencyError, ValidationError
 from . import files
 from .files import (
@@ -214,7 +214,10 @@ def _cmd_stage_plan_build(args) -> int:
     if args.survey:
         plan = _survey_plan(args.survey, catalog, applicability)
     else:
-        plan = build_stage_plan(read_importance_file(args.importance), catalog, applicability)
+        db = read_importance_file(args.importance)
+        what = f"{args.importance} and {args.catalog or 'the bundled catalog'} cover different controls"
+        check_same(set(db.controls), set(catalog.control_ids()), what)
+        plan = build_stage_plan(db, catalog, applicability)
     write_document(args.out, stage_plan_document(plan))
     sizes = plan.sizes()
     summary = ", ".join(f"{stage.label} {sizes[stage]}" for stage in Stage)

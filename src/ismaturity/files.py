@@ -28,14 +28,17 @@ an exclusion's justification is a non-blank string
 (minimums.check_justification); controls outside the catalog are named
 together (catalog.check_known).
 Records that appear in more than one document (requirements, stage deltas,
-the stage-or-excluded label) have one writer and one strict reader here. Readers take every JSON value, container or scalar, only at
-its exact type (errors.field: no coercion, and a boolean is not an integer)
-and run inside errors.reading, which names the file in every error; a
-control a document names twice, by one id or by two spellings of it, is an
-error (catalog.check_distinct, also for a catalog's controls), never a
-silent collapse into one entry. Writes go through a temp file in the target
-directory, fsynced and then atomically renamed; a failing command never
-leaves a partial output behind.
+the stage-or-excluded label) have one writer and one strict reader here.
+Readers take every JSON value only at its exact type (errors.field) inside
+errors.reading, which names the file in every error. No object may give a
+key twice (parse_document), and a document reads only as its writer writes
+it: a reader re-encodes the record it built with its kind's writer and
+compares the two (check_as_written), so an unknown key or a second spelling
+of an id is an error naming its path. Readers keep only the rules this
+cannot see, such as a list naming a control twice (catalog.check_distinct).
+The catalog, a hand-written input, and a report's inputs are not compared.
+Writes go through a temp file in the target directory, fsynced and then
+atomically renamed; a failing command never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -197,12 +200,22 @@ def read_document(path: str | Path, expected_kind: str) -> dict:
     return parse_document(read_text(path), expected_kind, str(path))
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key the text gives twice is an error, never its last value."""
+    record = dict(pairs)
+    if len(record) != len(pairs):
+        seen: set = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"key {key!r} appears twice in one object")
+    return record
+
+
 def parse_document(text: str, expected_kind: str, source: str) -> dict:
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}", source=source) from None
-    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long
+    except (RecursionError, ValueError) as exc:  # nesting too deep, an integer too long, a repeated key
         raise ValidationError(f"unreadable JSON: {exc}", source=source) from None
     if not isinstance(document, dict):
         raise ValidationError("top-level JSON value must be an object", source=source)
@@ -219,6 +232,75 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
 
 def write_document(path: str | Path, document: Mapping) -> None:
     write_text_atomic(path, canonical_json(document))
+
+
+# What a key found in only one of two compared objects is compared with.
+_NOTHING = object()
+
+
+def check_document(found, written: dict, message: str) -> None:
+    """Reject the parsed JSON `found` unless it is `written`, node for node and each node at its exact type.
+
+    The package's one document comparator. The error is `message` formatted
+    with the first differing node's path (the keys and list indexes leading to
+    it, as in stages[2].average.exact or assignment['A.5.1.1']) and the two
+    nodes as text; a key in one object only is compared with nothing. Objects
+    compare as key sets, lists in order.
+    """
+    difference = _difference(found, written)
+    if difference is not None:
+        steps, found, written = difference
+        path = "".join(f".{step}" if str(step).isidentifier() else f"[{step!r}]" for step in reversed(steps))
+        raise ValidationError(message.format(path=path.removeprefix("."), found=_shown(found), written=_shown(written)))
+
+
+def _difference(found, written):
+    """check_document's first difference as (steps innermost first, found node, written node), or None."""
+    kind = type(written)
+    if type(found) is kind:
+        if kind is dict:
+            if found.keys() == written.keys():
+                return _first_difference((key, found[key], value) for key, value in written.items())
+            key = next(key for key in (*found, *written) if (key in found) is not (key in written))
+            return [key], found.get(key, _NOTHING), written.get(key, _NOTHING)
+        if len(found) == len(written):
+            return _first_difference(zip(range(len(found)), found, written))
+    return [], found, written
+
+
+def _first_difference(children):
+    """_difference over (step, found, written) children; scalars are compared here, without a call."""
+    for step, found, written in children:
+        kind = type(written)
+        if kind is dict or kind is list:
+            difference = _difference(found, written)
+            if difference is not None:
+                difference[0].append(step)
+                return difference
+        elif type(found) is not kind or found != written:
+            return [step], found, written
+    return None
+
+
+def _shown(value) -> str:
+    if value is _NOTHING:
+        return "nothing"
+    if type(value) is list:
+        return f"a list of {len(value)}"
+    if type(value) is dict:
+        return "an object with keys " + ", ".join(map(repr, value))
+    return repr(value)
+
+
+def check_as_written(document: Mapping, written: dict) -> None:
+    """check_document of a reader's `document` and `written`, its writer's document of the record read from it.
+
+    The envelope is parse_document's to check: a reader takes any 1.x.
+    """
+    envelope = ("format_version", "kind")
+    found = {key: value for key, value in document.items() if key not in envelope}
+    written = {key: value for key, value in written.items() if key not in envelope}
+    check_document(found, written, "{path}: found {found}, but the writer writes {written}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +355,17 @@ def importance_from_document(document: Mapping, source: str = "importance docume
         responses: dict[str, dict[ControlId, int]] = {}
         for respondent in raw_responses:
             check_respondent(respondent)  # also for a respondent without scores, whom add_score never sees
-            scores = field(raw_responses, respondent, dict)
-            parsed = {parse_control_id(text): score for text, score in scores.items()}
-            check_distinct(parsed, scores, f"respondent {respondent}")
             responses[respondent] = {}
-            for cid, score in parsed.items():
+            for text, score in field(raw_responses, respondent, dict).items():
+                cid = parse_control_id(text)
                 try:
                     add_score(responses, respondent, cid, score)
                 except ValidationError as exc:
                     raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
         check_known(set().union(*responses.values()), known, "scores")
-    return ImportanceDatabase(controls=controls, responses=responses)
+        db = ImportanceDatabase(controls=controls, responses=responses)
+        check_as_written(document, importance_document(db))
+    return db
 
 
 def read_importance_file(path: str | Path) -> ImportanceDatabase:
@@ -308,14 +390,11 @@ def stage_plan_from_document(document: Mapping, source: str = "stage plan docume
     with reading(source, "stage plan document"):
         raw_assignment = field(document, "assignment", dict)
         assignment = {parse_control_id(text): Stage.from_label(label) for text, label in raw_assignment.items()}
-        check_distinct(assignment, raw_assignment, "'assignment'")
-        raw_provenance = field(document, "provenance", dict)
         provenance: dict[ControlId, str] = {}
-        for text, tag in raw_provenance.items():
+        for text, tag in field(document, "provenance", dict).items():
             if tag not in (PARTITIONED, PROMOTED):
                 raise ValidationError(f"unknown provenance tag {tag!r} for {text}")
             provenance[parse_control_id(text)] = tag
-        check_distinct(provenance, raw_provenance, "'provenance'")
         if set(provenance) != set(assignment):
             raise ValidationError("provenance must cover exactly the assigned controls")
         raw_excluded = field(document, "excluded", list)
@@ -326,15 +405,11 @@ def stage_plan_from_document(document: Mapping, source: str = "stage plan docume
             raise ValidationError(
                 "controls both assigned and excluded: " + ", ".join(str(c) for c in sorted(overlap))
             )
-        boundaries = check_boundaries(
-            field(document, "boundaries", list), len(assignment), len(assignment) + len(excluded)
-        )
-    return StagePlan(
-        assignment=assignment,
-        provenance=provenance,
-        boundaries_used=boundaries,
-        excluded=excluded,
-    )
+        boundaries = field(document, "boundaries", list)
+        plan = StagePlan(assignment, provenance, tuple(boundaries), excluded)
+        check_as_written(document, stage_plan_document(plan))  # first: a control named twice is not miscounted
+        check_boundaries(boundaries, len(assignment), len(assignment) + len(excluded))
+    return plan
 
 
 def read_stage_plan_file(path: str | Path) -> StagePlan:
@@ -423,13 +498,13 @@ def minimum_db_from_document(document: Mapping, source: str = "minimum database 
     with reading(source, "minimum database document"):
         mode = field(document, "mode", str)
         requirements = requirements_from_record(field(document, "requirements", dict), mode)
-        raw_excluded = field(document, "excluded", dict)
         excluded: dict[ControlId, str] = {}
-        for text, justification in raw_excluded.items():
+        for text, justification in field(document, "excluded", dict).items():
             cid = parse_control_id(text)
             excluded[cid] = check_justification(cid, justification)
-        check_distinct(excluded, raw_excluded, "'excluded'")
-    return MinimumLevelDatabase(mode=mode, requirements=requirements, excluded=excluded)
+        db = MinimumLevelDatabase(mode=mode, requirements=requirements, excluded=excluded)
+        check_as_written(document, minimum_db_document(db))
+    return db
 
 
 def read_minimum_db_file(path: str | Path) -> MinimumLevelDatabase:
@@ -480,7 +555,9 @@ def diff_document(deltas: Sequence[StageDelta]) -> dict:
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
     with reading(source, "diff document"):
-        return deltas_from_record(field(document, "deltas", list), "'deltas'")
+        deltas = deltas_from_record(field(document, "deltas", list), "'deltas'")
+        check_as_written(document, diff_document(deltas))
+    return deltas
 
 
 # ---------------------------------------------------------------------------

@@ -173,14 +173,6 @@ class MinimumLevelDatabase(NamedTuple):
     requirements: Mapping[ControlId, MinimumRequirement]
     excluded: Mapping[ControlId, str]
 
-    def required_level(self, cid: ControlId) -> int:
-        if cid in self.excluded:
-            return 0
-        try:
-            return self.requirements[cid].required_level
-        except KeyError:
-            raise ValidationError(f"control {cid} is not covered by this minimum database") from None
-
 
 # The mode tags build_minimum_db writes, each with the fixed level it names.
 _MODE_TAGS = {"risk": None, **{f"fixed:{level}": level for level in range(1, LEVEL_MAX + 1)}}

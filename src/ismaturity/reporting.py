@@ -17,9 +17,9 @@ requirements, modes, misallocation threshold). parse_report re-runs the
 evaluation on them and rejects a report whose derived sections (stage rows,
 label, naive average, gaps, priority controls, findings) differ from it, or
 whose stage changes against the default plan end anywhere but where the
-report itself stages or excludes the control. Its inputs follow the rules
-their other readers share (check_distinct, check_justification, check_level).
-An average's display form must be its exact value's, in a comparison too.
+report itself stages or excludes the control (files.check_document). Its
+inputs, unlike a mode comparison, are not compared with their writer, which
+would nearly double parse_report's time; their other readers' rules apply.
 
 Averages stay exact rationals until the last moment: display rounding is
 half-up to two decimals, and the overall line names the maturity level whose
@@ -48,6 +48,8 @@ from .errors import ConsistencyError, ValidationError, field, reading
 from .files import (
     FORMAT_VERSION,
     canonical_json,
+    check_as_written,
+    check_document,
     delta_line,
     deltas_from_record,
     deltas_record,
@@ -166,15 +168,10 @@ def _fraction_fields(value: Fraction | None) -> dict | None:
 def _fraction_from_fields(record, *, optional: bool = False) -> Fraction | None:
     if record is None and optional:
         return None
-    display = field(record, "display", str)
-    exact = field(record, "exact", str)
     try:
-        value = Fraction(exact)
+        return Fraction(field(record, "exact", str))
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"malformed average record: {record!r}") from None
-    if display != format_level(value):
-        raise ValidationError(f"average display {display!r} does not match its exact value {exact!r}")
-    return value
 
 
 def _level_name(level: Fraction | None) -> str | None:
@@ -191,13 +188,9 @@ def _label_fields(label: Label) -> dict:
 
 
 def _label_from_fields(record) -> Label:
-    level = _fraction_from_fields(record["level"], optional=True)
-    name = field(record, "level_name", str, type(None))
-    if name != _level_name(level):
-        raise ValidationError(f"label level_name {name!r} does not match its level")
     return Label(
         stage=Stage.from_label(record["stage"]),
-        level=level,
+        level=_fraction_from_fields(record["level"], optional=True),
         incomplete=field(record, "incomplete", bool),
     )
 
@@ -315,15 +308,11 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             minimums=minimums,
             misallocation_threshold=threshold,
         )
-        for key, rebuilt in _derived_sections(document).items():
-            difference = _difference(raw[key], rebuilt)
-            if difference is not None:
-                steps, found, rebuilt = difference
-                path = key + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in reversed(steps))
-                raise ValidationError(
-                    f"{path} does not follow from the report's inputs:"
-                    f" found {_shown(found)}, rebuilt {_shown(rebuilt)}"
-                )
+        derived = _derived_sections(document)
+        check_document(
+            {key: raw[key] for key in derived}, derived,
+            "{path} does not follow from the report's inputs: found {found}, rebuilt {written}",
+        )
     return document
 
 
@@ -346,44 +335,6 @@ def _check_deltas(
         raise ValidationError(
             f"stage_plan_deltas[{index}].to is {stage_label(delta.after)!r}, but the report {where}"
         )
-
-
-def _difference(found, rebuilt):
-    """None when `found` equals `rebuilt`, a dict or a list, node for node, each at its exact JSON type.
-
-    Otherwise the first difference as (steps, found node, rebuilt node),
-    where steps are the keys and list indexes leading to it, innermost first.
-    """
-    kind = type(rebuilt)
-    if type(found) is kind:
-        if kind is dict:
-            if found.keys() == rebuilt.keys():
-                return _first_difference((key, found[key], value) for key, value in rebuilt.items())
-        elif len(found) == len(rebuilt):
-            return _first_difference(zip(range(len(found)), found, rebuilt))
-    return [], found, rebuilt
-
-
-def _first_difference(children):
-    """_difference over (step, found, rebuilt) children; scalars are compared here, without a call."""
-    for step, found, rebuilt in children:
-        kind = type(rebuilt)
-        if kind is dict or kind is list:
-            difference = _difference(found, rebuilt)
-            if difference is not None:
-                difference[0].append(step)
-                return difference
-        elif type(found) is not kind or found != rebuilt:
-            return [step], found, rebuilt
-    return None
-
-
-def _shown(value) -> str:
-    if type(value) is list:
-        return f"a list of {len(value)}"
-    if type(value) is dict:
-        return "an object with keys " + ", ".join(map(repr, value))
-    return repr(value)
 
 
 def render_document(doc: ReportDocument, fmt: str) -> str:
@@ -503,13 +454,17 @@ def comparison_document_dict(comparison: ModeComparison, *, company: str, timest
 
 
 def parse_comparison(text: str, source: str = "comparison") -> ModeComparison:
+    """Read a structured mode comparison; it must be exactly what render_comparison writes for what it holds."""
     raw = parse_document(text, KIND_COMPARISON, source)
     with reading(source, "mode comparison document"):
-        return ModeComparison(
+        comparison = ModeComparison(
             independent=_label_from_fields(raw["independent"]),
             model=_label_from_fields(raw["model"]),
             naive=_fraction_from_fields(raw["naive_average"]),
         )
+        company, timestamp = field(raw, "company", str), field(raw, "timestamp", str)
+        check_as_written(raw, comparison_document_dict(comparison, company=company, timestamp=timestamp))
+    return comparison
 
 
 def render_comparison(comparison: ModeComparison, fmt: str, *, company: str, timestamp: str) -> str:

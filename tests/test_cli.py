@@ -379,6 +379,34 @@ def test_stage_plan_build_from_importance_database_matches(run_cli, ca, tmp_path
     assert via_db.read_bytes() == via_survey.read_bytes()
 
 
+def first_eight(document):
+    document["controls"] = document["controls"][:8]
+    kept = {record["id"] for record in document["controls"]}
+    document["dependencies"] = [edge for edge in document["dependencies"] if kept.issuperset(edge.values())]
+
+
+def one_more(document):
+    document["controls"].append(dict(document["controls"][0], id="A.18.9.9"))
+
+
+@pytest.mark.parametrize("edit", [first_eight, one_more], ids=["first-8-controls", "one-more-control"])
+def test_stage_plan_build_from_a_database_of_other_controls_exits_two(run_cli, ca, tmp_path, edit):
+    db = tmp_path / "db.json"
+    assert run_cli("import-survey", ca["survey"], "--out", db)[0] == 0
+    document = catalog_document(ismaturity.default_catalog())
+    edit(document)
+    catalog = tmp_path / "cat.json"
+    catalog.write_text(canonical_json(document), encoding="utf-8")
+    out = tmp_path / "plan.json"
+    code, text, err = run_cli("stage-plan", "build", "--importance", db, "--catalog", catalog, "--out", out)
+    assert (code, text) == (2, "")
+    bundled = {str(cid) for cid in ismaturity.default_catalog().control_ids()}
+    differing = bundled ^ {record["id"] for record in document["controls"]}
+    listed = ", ".join(map(str, sorted(map(ismaturity.parse_control_id, differing))))
+    assert err == f"inconsistent inputs: {db} and {catalog} cover different controls: {listed}\n"
+    assert not out.exists()
+
+
 def test_stage_plan_build_requires_exactly_one_source(run_cli, ca, tmp_path):
     out = tmp_path / "plan.json"
     code, _, err = run_cli("stage-plan", "build", "--out", out)
@@ -693,7 +721,7 @@ def move_first_member(document):
          "misallocation_findings[0].later_level"),
         (move_first_member, "stages[0].average.exact"),
         (lambda doc: doc["label"].update(incomplete=0), "label.incomplete"),
-        (lambda doc: doc["label"].update(verdict="Full"), "label"),
+        (lambda doc: doc["label"].update(verdict="Full"), "label.verdict"),
     ],
     ids=[
         "label-stage", "no-gaps", "extra-gap", "stage-average", "finding-level", "member-moved",

@@ -1,6 +1,7 @@
 """Properties of the document codecs: lossless round trips and strict reading."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from ismaturity.files import (
     minimum_db_document,
     minimum_db_from_document,
     parse_document,
+    read_minimum_db_file,
     requirements_record,
     stage_plan_document,
     stage_plan_from_document,
@@ -269,7 +271,102 @@ def test_a_mistyped_node_is_rejected_or_changes_nothing(kind, data):
         parsed = read(json.dumps(replaced(document, path, value)))
     except ValidationError:
         return
+    # Every kind but the catalog, a hand-written input, reads only as its writer writes it.
+    assert kind == "catalog"
     assert write(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# A document reads only as its writer writes it
+
+COMPARED = [kind for kind in CODECS if kind != "catalog"]
+CONTROL_ID = re.compile(r"A\.\d+\.\d+\.\d+")
+
+
+def repeating(document, path, key, value):
+    """The JSON text of `document` in which the object at `path` gives `key` once more, with `value`."""
+    marker = "\0repeated\0"
+    node = dict(nodes(document))[path]
+    pairs = [*node.items(), (key, value)]
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+    return json.dumps(replaced(document, path, marker)).replace(json.dumps(marker), text)
+
+
+@pytest.mark.parametrize("kind", COMPARED)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_document_its_writer_would_not_write_is_rejected(kind, data):
+    read, write = CODECS[kind]
+    document = json.loads(write(pipeline(data.draw(scenarios()))[kind]))
+    objects = [(path, node) for path, node in nodes(document) if type(node) is dict]
+    id_keys = [(path, node, key) for path, node in objects for key in node if CONTROL_ID.fullmatch(key)]
+    edit = data.draw(st.sampled_from(["extra key", "repeated key"] + (["re-spelled id"] if id_keys else [])))
+    if edit == "extra key":
+        path, node = data.draw(st.sampled_from(objects))
+        key = data.draw(st.text(max_size=4).filter(lambda key: key not in node))  # too short for a control id
+        text = json.dumps(replaced(document, path, {**node, key: data.draw(JSON_VALUES)}))
+    elif edit == "re-spelled id":
+        path, node, key = data.draw(st.sampled_from(id_keys))
+        spelling = data.draw(st.sampled_from([key[2:], " " + key]))
+        text = json.dumps(replaced(document, path, {spelling if k == key else k: v for k, v in node.items()}))
+    else:
+        path, node = data.draw(st.sampled_from([(path, node) for path, node in objects if node]))
+        key = data.draw(st.sampled_from(list(node)))
+        text = repeating(document, path, key, data.draw(st.just(node[key]) | JSON_VALUES))
+    with pytest.raises(ValidationError) as raised:
+        read(text)
+    assert str(raised.value).startswith("doc.json: ")
+
+
+def expected_document(name):
+    return json.loads((EXPECTED / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    ("name", "edit", "command", "message"),
+    [
+        ("stage_plan.json", lambda doc: repeating(doc, ("assignment",), "A.5.1.1", "Full"),
+         ("stage-plan", "diff", "default"), "unreadable JSON: key 'A.5.1.1' appears twice in one object"),
+        ("stage_plan.json", lambda doc: json.dumps({**doc, "note": "draft"}),
+         ("stage-plan", "diff", "default"), "note: found 'draft', but the writer writes nothing"),
+        ("assess_independent.json", lambda doc: repeating(doc, (), "company", "company-b"),
+         ("report",), "unreadable JSON: key 'company' appears twice in one object"),
+    ],
+    ids=["plan-key-twice", "plan-unknown-key", "report-company-twice"],
+)
+def test_a_document_its_writer_would_not_write_exits_one(run_cli, tmp_path, name, edit, command, message):
+    path = tmp_path / name
+    path.write_text(edit(expected_document(name)), encoding="utf-8")
+    code, out, err = run_cli(*command, path)
+    assert (code, out, err) == (1, "", f"input error: {path}: {message}\n")
+
+
+def test_a_minimum_database_with_a_bare_key_and_an_extra_field_is_rejected(tmp_path):
+    document = expected_document("minimums_risk.json")
+    document["requirements"]["5.1.1"] = {"note": "x", **document["requirements"].pop("A.5.1.1")}
+    path = tmp_path / "mins.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ValidationError) as raised:
+        read_minimum_db_file(path)
+    assert str(raised.value) == (
+        f"{path}: requirements['5.1.1']: found an object with keys 'note', 'priority', 'raw_score',"
+        " 'required_level', but the writer writes nothing"
+    )
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        ({"company": 5}, "'company' must be a string, found 5"),
+        ({"timestamp": None}, "'timestamp' must be a string, found None"),
+    ],
+    ids=["company", "timestamp"],
+)
+def test_a_comparison_reads_company_and_timestamp_as_strings(edit, message):
+    text = json.dumps({**expected_document("compare_modes.json"), **edit})
+    with pytest.raises(ValidationError) as raised:
+        parse_comparison(text, source="c.json")
+    assert str(raised.value) == f"c.json: {message}"
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,13 @@ def edited_plan(edit):
     return document
 
 
+def assigned_in_two_spellings(document):
+    """A.5.1.1 assigned and tagged once more as 5.1.1, with boundaries that count five controls."""
+    document["assignment"]["5.1.1"] = "Essential"
+    document["provenance"]["5.1.1"] = "partitioned"
+    document["boundaries"] = [1, 2, 3, 5]
+
+
 FIXED_3 = {"required_level": 3, "priority": False, "raw_score": None}
 CONTROL_RECORD = {"id": "A.5.1.1", "title": "x", "section_name": "s", "objective_text": "o"}
 
@@ -414,11 +421,13 @@ CONTROL_RECORD = {"id": "A.5.1.1", "title": "x", "section_name": "s", "objective
         (importance_from_document, {"controls": ["A.5.1.1", "5.1.1"], "responses": {}},
          "'controls' names control A.5.1.1 twice"),
         (importance_from_document, {"controls": ["A.5.1.1"], "responses": {"r1": {"A.5.1.1": 1, "5.1.1": 5}}},
-         "respondent r1 names control A.5.1.1 twice"),
+         "respondent r1, control A.5.1.1: duplicate response for (r1, A.5.1.1)"),
         (stage_plan_from_document, edited_plan(lambda doc: doc["assignment"].update({"5.1.1": "Essential"})),
-         "'assignment' names control A.5.1.1 twice"),
+         "assignment['5.1.1']: found 'Essential', but the writer writes nothing"),
         (stage_plan_from_document, edited_plan(lambda doc: doc["provenance"].update({" A.5.1.1": "partitioned"})),
-         "'provenance' names control A.5.1.1 twice"),
+         "provenance[' A.5.1.1']: found 'partitioned', but the writer writes nothing"),
+        (stage_plan_from_document, edited_plan(assigned_in_two_spellings),
+         "assignment['5.1.1']: found 'Essential', but the writer writes nothing"),
         (stage_plan_from_document,
          edited_plan(lambda doc: doc.update(excluded=["A.7.1.1", "A.7.1.1"], boundaries=[1, 2, 3, 5])),
          "'excluded' names control A.7.1.1 twice"),
@@ -427,13 +436,14 @@ CONTROL_RECORD = {"id": "A.5.1.1", "title": "x", "section_name": "s", "objective
          "'requirements' names control A.5.1.1 twice"),
         (minimum_db_from_document, {"mode": "fixed:3", "requirements": {"A.5.1.1": FIXED_3},
                                     "excluded": {"A.7.1.1": "outsourced", "7.1.1": "outsourced"}},
-         "'excluded' names control A.7.1.1 twice"),
+         "excluded['7.1.1']: found 'outsourced', but the writer writes nothing"),
         (deltas_from_document, {"deltas": [{"control": "A.5.1.1", "from": "Essential", "to": "Full"},
                                            {"control": "5.1.1", "from": "Essential", "to": "Advanced"}]},
          "'deltas' names control A.5.1.1 twice"),
     ],
-    ids=["catalog-controls", "importance-controls", "importance-scores", "plan-assignment", "plan-provenance", "plan-excluded",
-         "minimums-requirements", "minimums-excluded", "diff-deltas"],
+    ids=["catalog-controls", "importance-controls", "importance-scores", "plan-assignment", "plan-provenance",
+         "plan-assignment-and-provenance", "plan-excluded", "minimums-requirements", "minimums-excluded",
+         "diff-deltas"],
 )
 def test_document_readers_reject_a_control_named_twice(read, document, message):
     # two spellings of one id, or one id listed twice, would otherwise collapse into one entry

@@ -214,9 +214,9 @@ def test_one_level_rule_for_every_reader(tmp_path, run_cli, reader, level, messa
 
 
 # ---------------------------------------------------------------------------
-# A control named twice: catalog.check_distinct, for every document kind (the table is
-# test_files.py::test_document_readers_reject_a_control_named_twice); here a report's
-# stage deltas and stage members, a diff document's deltas and a catalog file on the CLI
+# A control named twice: catalog.check_distinct in a list, the writer comparison in an object's
+# keys (the table is test_files.py::test_document_readers_reject_a_control_named_twice); here a
+# report's stage deltas and stage members, a diff document's deltas and a catalog file on the CLI
 
 DELTA = {"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}  # the report's first delta
 

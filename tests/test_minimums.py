@@ -111,8 +111,8 @@ def test_fixed_mode_gives_every_applicable_control_the_same_floor():
     assert db.mode == "fixed:3"
     assert sorted(map(str, db.requirements)) == ["A.5.1.1", "A.5.1.2", "A.6.1.1"]
     assert all(req.required_level == 3 and not req.priority for req in db.requirements.values())
-    assert db.required_level(cid("A.6.1.2")) == 0  # excluded controls require nothing
-    assert db.excluded == {cid("A.6.1.2"): "n/a"}
+    assert db.excluded == {cid("A.6.1.2"): "n/a"}  # excluded controls have no requirement
+    assert cid("A.9.9.9") not in db.requirements and cid("A.9.9.9") not in db.excluded  # outside the catalog
 
 
 def test_fixed_mode_rejects_levels_outside_one_to_five():
@@ -145,10 +145,3 @@ def test_risk_mode_ignores_ratings_for_excluded_controls():
     assert db_without == db_with
     assert db_with.requirements[cid("A.5.1.1")].required_level == 4
     assert db_with.requirements[cid("A.6.1.1")].priority
-
-
-def test_required_level_for_uncovered_control_raises():
-    catalog = make_catalog(IDS)
-    db = build_minimum_db(FixedMinimums(level=2), ApplicabilityMap(), catalog)
-    with pytest.raises(ValidationError):
-        db.required_level(cid("A.9.9.9"))

@@ -295,7 +295,7 @@ def test_comparison_round_trip_and_human_rendering(catalog, default_plan, ca_pla
     edited["independent"]["level"]["display"] = "9.99"
     with pytest.raises(ValidationError) as raised:
         parse_comparison(json.dumps(edited), source="c.json")
-    assert str(raised.value) == "c.json: average display '9.99' does not match its exact value '89/27'"
+    assert str(raised.value) == "c.json: independent.level.display: found '9.99', but the writer writes '3.30'"
 
     human = render_comparison(comparison, "human", company="company-a", timestamp="t")
     assert human.startswith("Strategy Mode Comparison\n")
