@@ -25,7 +25,6 @@ from .catalog import (
     load_catalog,
     parse_control_id,
     topological_order,
-    validate_dependencies,
 )
 from .errors import ConsistencyError, MaturityError, ValidationError
 from .files import (
@@ -38,18 +37,14 @@ from .files import (
     load_survey_csv,
 )
 from .importance import (
-    IncompleteSurveyWarning,
     SurveyResponse,
     ingest_responses,
-    merge_responses,
 )
 from .minimums import (
     ApplicabilityMap,
     RiskGrade,
     build_minimum_db,
     level_name,
-    mark_applicable,
-    mark_not_applicable,
     parse_risk_grade,
     risk_minimum,
 )
@@ -73,7 +68,6 @@ __all__ = [
     "ControlCatalog",
     "ControlId",
     "DependencyGraph",
-    "IncompleteSurveyWarning",
     "MaturityError",
     "RiskGrade",
     "Stage",
@@ -100,9 +94,6 @@ __all__ = [
     "load_measurements_csv",
     "load_ratings_csv",
     "load_survey_csv",
-    "mark_applicable",
-    "mark_not_applicable",
-    "merge_responses",
     "misallocation_findings",
     "naive_average",
     "parse_control_id",
@@ -111,6 +102,5 @@ __all__ = [
     "promote_prerequisites",
     "risk_minimum",
     "topological_order",
-    "validate_dependencies",
     "__version__",
 ]

@@ -9,12 +9,11 @@ tracking a reduced control set.
 
 Prerequisite edges point from the prerequisite to the dependent control and
 must form a directed acyclic graph. Loading rejects duplicate ids, unknown
-edge endpoints, self-edges and cycles outright; validate_dependencies exposes
-the same checks as a findings report for diagnostics, finding cycles among
-the controls that topological_order's walk leaves behind. Every reader of
-control ids shares check_distinct (no control named twice) and check_known;
-every record that must agree with another on its controls shares check_same
-and check_covered.
+edge endpoints, self-edges and cycles, naming every problem at once; a cycle
+is found among the controls that topological_order's walk leaves behind.
+Every reader of control ids shares check_distinct (no control named twice)
+and check_known; every record that must agree with another on its controls
+shares check_same and check_covered.
 """
 
 from __future__ import annotations
@@ -176,21 +175,8 @@ class ControlCatalog:
     def __len__(self) -> int:
         return len(self.controls)
 
-    def get(self, cid: ControlId) -> Control:
-        try:
-            return self._by_id[cid]
-        except KeyError:
-            raise ValidationError(f"unknown control id {cid}") from None
-
     def control_ids(self) -> tuple[ControlId, ...]:
         return tuple(c.id for c in self.controls)
-
-
-class Finding(NamedTuple):
-    """One dependency-validation problem: kind is a stable machine tag."""
-
-    kind: str
-    message: str
 
 
 def load_catalog(document: Mapping, *, source: str = "catalog document") -> ControlCatalog:
@@ -201,7 +187,7 @@ def load_catalog(document: Mapping, *, source: str = "catalog document") -> Cont
     list of {prerequisite, dependent} records. Controls are reordered by id,
     so loading is insensitive to input order. Raises ValidationError naming
     `source` on a control named twice (check_distinct), malformed records, or
-    any dependency finding (unknown endpoint, self-edge, cycle).
+    any dependency problem (unknown endpoint, self-edge, cycle).
     """
     with reading(source, "catalog document"):
         records = field(document, "controls", list)
@@ -223,34 +209,30 @@ def load_catalog(document: Mapping, *, source: str = "catalog document") -> Cont
             controls=tuple(controls[cid] for cid in sorted(controls)),
             dependencies=DependencyGraph.from_pairs(pairs),
         )
-        findings = validate_dependencies(catalog)
-        if findings:
-            raise ValidationError("; ".join(f.message for f in findings))
+        problems = _dependency_problems(catalog)
+        if problems:
+            raise ValidationError("; ".join(problems))
     return catalog
 
 
-def validate_dependencies(catalog: ControlCatalog) -> tuple[Finding, ...]:
-    """Check the dependency graph, returning zero findings iff it is sound.
+def _dependency_problems(catalog: ControlCatalog) -> list[str]:
+    """load_catalog's check of the dependency graph: one message per problem, none iff it is sound.
 
-    Reported kinds: "unknown-endpoint" (edge references a control not in the
-    catalog), "self-edge", and "cycle" (a cycle listed from its smallest id).
-    The cycles reported share no control, and every cycle of the graph passes
-    through one of them.
+    An edge may not reference a control outside the catalog, nor be a
+    self-edge; each cycle is listed from its smallest id. The cycles reported
+    share no control, and every cycle of the graph passes through one of them.
     """
-    findings: list[Finding] = []
+    problems: list[str] = []
     usable: list[tuple[ControlId, ControlId]] = []
     for prereq, dep in catalog.dependencies.edges:
         missing = [cid for cid in (prereq, dep) if cid not in catalog]
         if missing:
             names = ", ".join(str(cid) for cid in missing)
-            findings.append(
-                Finding("unknown-endpoint", f"dependency ({prereq} -> {dep}) references unknown control {names}")
-            )
-            continue
-        if prereq == dep:
-            findings.append(Finding("self-edge", f"self-edge ({prereq} -> {dep})"))
-            continue
-        usable.append((prereq, dep))
+            problems.append(f"dependency ({prereq} -> {dep}) references unknown control {names}")
+        elif prereq == dep:
+            problems.append(f"self-edge ({prereq} -> {dep})")
+        else:
+            usable.append((prereq, dep))
     # A node the topological walk leaves behind has a predecessor it also left behind, so
     # following predecessors from one closes a cycle. Dropping that cycle's nodes and walking
     # again finds the next, until none is left.
@@ -267,10 +249,10 @@ def validate_dependencies(catalog: ControlCatalog) -> tuple[Finding, ...]:
         cycle = list(position)[position[node]:][::-1]
         first = cycle.index(min(cycle))
         cycle = cycle[first:] + cycle[:first]
-        findings.append(Finding("cycle", "dependency cycle: " + " -> ".join(map(str, cycle + cycle[:1]))))
+        problems.append("dependency cycle: " + " -> ".join(map(str, cycle + cycle[:1])))
         nodes.difference_update(cycle)
         usable = [(prereq, dep) for prereq, dep in usable if prereq in nodes and dep in nodes]
-    return tuple(findings)
+    return problems
 
 
 def topological_order(

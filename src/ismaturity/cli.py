@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from .assessment import evaluate, gap_analysis, misallocation_findings
@@ -160,18 +159,21 @@ def _minimums(catalog, applicability, ratings_path, level):
 def _fold_survey(path, scores, db, replace: bool = False):
     """`db` with the survey `scores` read from `path` folded in (importance.fold_scores), naming `path`.
 
-    A warning (an incomplete respondent) prints as one stderr line naming `path`,
-    and so does an error (a control outside `db`'s catalog, a resubmitted respondent).
+    An error (a control outside `db`'s catalog, a resubmitted respondent) names
+    `path`; once the fold succeeds, each respondent who skipped controls prints
+    as one stderr warning line naming `path`.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            db = fold_scores(db, scores, replace=replace, replace_flag="--replace")
-        except ValidationError as exc:
-            raise ValidationError(str(exc), source=str(path)) from None
-    for warning in caught:
-        print(f"warning: {path}: {warning.message}", file=sys.stderr)
-    return db
+    try:
+        folded = fold_scores(db, scores, replace=replace)
+    except ValidationError as exc:
+        raise ValidationError(str(exc), source=str(path)) from None
+    total = len(db.controls)
+    for respondent, by_control in sorted(scores.items()):
+        if len(by_control) < total:
+            scored = len(by_control)
+            print(f"warning: {path}: respondent {respondent} scored {scored} of {total} controls"
+                  f" ({total - scored} missing)", file=sys.stderr)
+    return folded
 
 
 def _survey_plan(path, catalog, applicability):

@@ -50,7 +50,7 @@ from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -175,18 +175,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
 
 
-def check_format_version(document: Mapping, source: str) -> None:
-    version = document.get("format_version")
-    if not isinstance(version, str) or not version:
-        raise ValidationError("missing format_version", source=source)
-    major = version.split(".", 1)[0]
-    if major != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported format_version {version!r} (this reader understands major {FORMAT_VERSION})",
-            source=source,
-        )
-
-
 def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -219,7 +207,14 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
         raise ValidationError(f"unreadable JSON: {exc}", source=source) from None
     if not isinstance(document, dict):
         raise ValidationError("top-level JSON value must be an object", source=source)
-    check_format_version(document, source)
+    version = document.get("format_version")
+    if not isinstance(version, str) or not version:
+        raise ValidationError("missing format_version", source=source)
+    if version.split(".", 1)[0] != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported format_version {version!r} (this reader understands major {FORMAT_VERSION})",
+            source=source,
+        )
     kind = document.get("kind")
     if kind != expected_kind:
         raise ValidationError(
@@ -250,8 +245,12 @@ def check_document(found, written: dict, message: str) -> None:
     difference = _difference(found, written)
     if difference is not None:
         steps, found, written = difference
-        path = "".join(f".{step}" if str(step).isidentifier() else f"[{step!r}]" for step in reversed(steps))
-        raise ValidationError(message.format(path=path.removeprefix("."), found=_shown(found), written=_shown(written)))
+        raise ValidationError(message.format(path=_path(reversed(steps)), found=_shown(found), written=_shown(written)))
+
+
+def _path(steps: Iterable) -> str:
+    """The path text of `steps`, the keys and list indexes from the top down, as in stages[2].average.exact."""
+    return "".join(f".{step}" if str(step).isidentifier() else f"[{step!r}]" for step in steps).removeprefix(".")
 
 
 def _difference(found, written):
@@ -301,6 +300,24 @@ def check_as_written(document: Mapping, written: dict) -> None:
     found = {key: value for key, value in document.items() if key not in envelope}
     written = {key: value for key, value in written.items() if key not in envelope}
     check_document(found, written, "{path}: found {found}, but the writer writes {written}")
+
+
+def check_keys(record: Mapping, written: AbstractSet[str], *steps) -> None:
+    """Reject a key of the object `record`, at the path `steps`, that is not one of `written`, the keys its writer writes.
+
+    A key-set check, worded as check_as_written words the same difference,
+    for records that are read without the full comparison.
+    """
+    if not record.keys() <= written:
+        key = next(key for key in record if key not in written)
+        raise ValidationError(f"{_path((*steps, key))}: found {_shown(record[key])}, but the writer writes nothing")
+
+
+def check_record_keys(records: Mapping, written: AbstractSet[str], *steps) -> None:
+    """check_keys of every object in `records`, each keyed by its step from the path `steps`, in one set union."""
+    if not written.issuperset(set().union(*records.values())):
+        for step, record in records.items():
+            check_keys(record, written, *steps, step)
 
 
 # ---------------------------------------------------------------------------

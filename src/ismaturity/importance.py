@@ -15,16 +15,16 @@ via sum_and_count()/average().
 
 The survey's rules are written here once: add_score checks a row into
 {respondent: {control: score}}, and fold_scores checks that table against the
-catalog and the respondents present and warns of incomplete ones. The CSV
-reader (files.read_survey), the CLI and ingest_responses/merge_responses
-(whose errors name the 1-based entry) all use both; an importance document
+catalog and the respondents present. Neither warns: a respondent who skipped
+controls is tolerated, and the CLI reports one from the table it folded. The
+CSV reader (files.read_survey), the CLI and ingest_responses (whose errors
+name the 1-based entry) all use both; an importance document
 (files.importance_from_document) checks each respondent with check_respondent,
 also one with no scores, and each stored score with add_score.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -33,10 +33,6 @@ from .errors import ConsistencyError, ValidationError
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
-
-
-class IncompleteSurveyWarning(UserWarning):
-    """A respondent did not score every control in the catalog."""
 
 
 class SurveyResponse(NamedTuple):
@@ -52,7 +48,7 @@ class ImportanceDatabase:
 
     `controls` fixes the catalog universe the database was built against, so
     controls nobody scored still report (sum 0, count 0) rather than vanishing.
-    Instances are immutable; ingest and merge always return new ones. The
+    Instances are immutable; fold_scores always returns a new one. The
     per-control (sum, count) totals are computed once, here, from the raw
     scores; scores for controls outside `controls` are not counted.
     """
@@ -127,60 +123,32 @@ def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: Con
 
 
 def fold_scores(
-    db: ImportanceDatabase, scores: Mapping[str, dict[ControlId, int]], *,
-    replace: bool = False, replace_flag: str = "replace=True",
+    db: ImportanceDatabase, scores: Mapping[str, dict[ControlId, int]], *, replace: bool = False
 ) -> ImportanceDatabase:
     """`db` with the per-respondent `scores`, as add_score builds them, folded in.
 
     Every control scored must be one of `db.controls`; the unknown ones are
-    named together, sorted. A respondent already in `db` is an error naming
-    `replace_flag`, the caller's way to set `replace`, which swaps in the new
-    submission wholesale. Each new respondent who skipped controls triggers an
-    IncompleteSurveyWarning: partial coverage is tolerated, conflicting is not.
+    named together, sorted. A respondent already in `db` is an error unless
+    `replace` (the CLI's --replace) swaps in the new submission wholesale.
+    Partial coverage is tolerated, conflicting is not.
     """
-    known = set(db.controls)
-    check_known(set().union(*scores.values()), known, "survey rows")
+    check_known(set().union(*scores.values()), set(db.controls), "survey rows")
     clash = sorted(scores.keys() & db.responses.keys())
     if clash and not replace:
         raise ValidationError(
-            f"respondents already in the database: {', '.join(clash)} (pass {replace_flag} to resubmit)"
+            f"respondents already in the database: {', '.join(clash)} (pass --replace to resubmit)"
         )
-    for respondent in sorted(scores):
-        scored, missing = len(scores[respondent]), len(known) - len(scores[respondent])
-        if missing:
-            warnings.warn(
-                f"respondent {respondent} scored {scored} of {len(known)} controls ({missing} missing)",
-                IncompleteSurveyWarning,
-                stacklevel=3,
-            )
     merged = {respondent: dict(by_control) for respondent, by_control in db.responses.items()}
     merged.update(scores)
     return ImportanceDatabase(controls=db.controls, responses=merged)
 
 
-def _scores_of(responses: Iterable[SurveyResponse]) -> dict[str, dict[ControlId, int]]:
-    """The per-respondent scores of `responses`; an error names the 1-based entry it is about."""
+def ingest_responses(responses: Iterable[SurveyResponse], catalog: ControlCatalog) -> ImportanceDatabase:
+    """A fresh database of survey rows under add_score's and fold_scores' rules; a row error names its entry."""
     scores: dict[str, dict[ControlId, int]] = {}
     for entry, (respondent, cid, score) in enumerate(responses, start=1):
         try:
             add_score(scores, respondent, cid, score)
         except ValidationError as exc:
             raise ValidationError(f"entry {entry}: {exc}") from None
-    return scores
-
-
-def ingest_responses(responses: Iterable[SurveyResponse], catalog: ControlCatalog) -> ImportanceDatabase:
-    """Build a fresh database from survey rows, under add_score's and fold_scores' rules."""
-    return fold_scores(ImportanceDatabase(catalog.control_ids(), {}), _scores_of(responses))
-
-
-def merge_responses(
-    db: ImportanceDatabase, new: Iterable[SurveyResponse], *, replace: bool = False
-) -> ImportanceDatabase:
-    """Fold a new batch of responses into an existing database, under fold_scores' rules.
-
-    Merging an empty batch returns an equal database, and merging batches
-    over disjoint respondent sets is order-independent, so ingest-all-at-once
-    and ingest-in-batches agree.
-    """
-    return fold_scores(db, _scores_of(new), replace=replace)
+    return fold_scores(ImportanceDatabase(catalog.control_ids(), {}), scores)

@@ -9,7 +9,8 @@ weights Low=1, Medium=2, High=3 are summed, sums up to 5 map straight to the
 required level, and the maxed-out 3+3 cell maps to level 5 with a priority
 flag that travels into gap reporting. Not-applicable controls require a
 written justification, carry required level 0, and are excluded from every
-computation; check_justification is that rule for every reader of one.
+computation; an ApplicabilityMap is built whole from its exclusions, and
+check_justification is the rule for every reader of one.
 """
 
 from __future__ import annotations
@@ -128,25 +129,8 @@ class ApplicabilityMap:
     def is_applicable(self, cid: ControlId) -> bool:
         return cid not in self.not_applicable
 
-    def justification(self, cid: ControlId) -> str | None:
-        return self.not_applicable.get(cid)
-
     def excluded_within(self, catalog: ControlCatalog) -> tuple[ControlId, ...]:
         return tuple(sorted(cid for cid in self.not_applicable if cid in catalog))
-
-
-def mark_not_applicable(
-    amap: ApplicabilityMap, cid: ControlId, justification: str
-) -> ApplicabilityMap:
-    """Exclude one control, recording why (check_justification's rule)."""
-    return ApplicabilityMap(not_applicable={**amap.not_applicable, cid: justification})
-
-
-def mark_applicable(amap: ApplicabilityMap, cid: ControlId) -> ApplicabilityMap:
-    """Inverse of mark_not_applicable; a no-op for controls already applicable."""
-    if cid not in amap.not_applicable:
-        return amap
-    return ApplicabilityMap(not_applicable={other: why for other, why in amap.not_applicable.items() if other != cid})
 
 
 class FixedMinimums(NamedTuple):

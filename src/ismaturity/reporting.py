@@ -19,7 +19,8 @@ label, naive average, gaps, priority controls, findings) differ from it, or
 whose stage changes against the default plan end anywhere but where the
 report itself stages or excludes the control (files.check_document). Its
 inputs, unlike a mode comparison, are not compared with their writer, which
-would nearly double parse_report's time; their other readers' rules apply.
+would nearly double parse_report's time: their other readers' rules apply,
+and a key the writer does not write is rejected (files.check_keys).
 
 Averages stay exact rationals until the last moment: display rounding is
 half-up to two decimals, and the overall line names the maturity level whose
@@ -50,6 +51,8 @@ from .files import (
     canonical_json,
     check_as_written,
     check_document,
+    check_keys,
+    check_record_keys,
     delta_line,
     deltas_from_record,
     deltas_record,
@@ -255,6 +258,17 @@ def _derived_sections(doc: ReportDocument) -> dict:
     }
 
 
+# The keys report_document_dict writes besides the derived sections, and in each record of three input
+# sections (the last two by files.deltas_record and files.requirements_record); parse_report takes no other.
+_INPUT_KEYS = frozenset({
+    "format_version", "kind", "company", "timestamp", "mode", "minimums_mode", "misallocation_threshold",
+    "not_applicable", "stage_plan_deltas", "measurements", "requirements",
+})
+_NOT_APPLICABLE_KEYS = frozenset({"control", "justification"})
+_DELTA_KEYS = frozenset({"control", "from", "to"})
+_REQUIREMENT_KEYS = frozenset({"required_level", "priority", "raw_score"})
+
+
 def parse_report(text: str, source: str = "report") -> ReportDocument:
     """Read a structured report by rebuilding it; used by the report subcommand.
 
@@ -262,11 +276,13 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     give their members, in stage order, and requirements must fit
     minimums_mode). The rebuilt document is returned once its derived
     sections equal the document's node for node; the first difference is a
-    ValidationError naming the source and its path. No control may be named
-    twice among the stage members, nor in stage_plan_deltas, and each delta
-    must end at its control's stage or exclusion in the report. Inputs
-    evaluate cannot reconcile (a member without a measurement) are its
-    ConsistencyError.
+    ValidationError naming the source and its path, and so is a key the
+    writer does not write, at the top level or in a record of
+    not_applicable, stage_plan_deltas or requirements (files.check_record_keys).
+    No control may be named twice among the stage members, nor in
+    stage_plan_deltas, and each delta must end at its control's stage or
+    exclusion in the report. Inputs evaluate cannot reconcile (a member
+    without a measurement) are its ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
     with reading(source, "assessment report document"):
@@ -313,6 +329,10 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             {key: raw[key] for key in derived}, derived,
             "{path} does not follow from the report's inputs: found {found}, rebuilt {written}",
         )
+        check_keys(raw, _INPUT_KEYS | derived.keys())
+        check_record_keys(dict(enumerate(records)), _NOT_APPLICABLE_KEYS, "not_applicable")
+        check_record_keys(dict(enumerate(raw_deltas or ())), _DELTA_KEYS, "stage_plan_deltas")
+        check_record_keys(raw["requirements"], _REQUIREMENT_KEYS, "requirements")
     return document
 
 

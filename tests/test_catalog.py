@@ -14,7 +14,6 @@ from ismaturity import (
     load_catalog,
     parse_control_id,
     topological_order,
-    validate_dependencies,
 )
 from ismaturity.catalog import (
     ID_CACHE_SIZE,
@@ -205,11 +204,6 @@ def test_default_catalog_metadata_present(catalog):
         assert control.title and control.section_name and control.objective_text
 
 
-def test_get_unknown_control_raises(catalog):
-    with pytest.raises(ValidationError):
-        catalog.get(ControlId(5, 9, 9))
-
-
 def test_load_catalog_round_trip(catalog):
     assert load_catalog(catalog_document(catalog)) == catalog
 
@@ -236,17 +230,34 @@ def test_load_catalog_rejects_unknown_edge_endpoint():
         load_catalog(document)
 
 
+def catalog_of(ids, edges):
+    """A catalog document of the control ids `ids` with the (prerequisite, dependent) `edges`."""
+    return {
+        "controls": [{"id": t, "title": t, "section_name": "s", "objective_text": "o"} for t in ids],
+        "dependencies": [{"prerequisite": a, "dependent": b} for a, b in edges],
+    }
+
+
+def dependency_problems(ids, edges):
+    """The messages load_catalog joins for the catalog of `ids` and `edges`; none when it loads."""
+    try:
+        load_catalog(catalog_of(ids, edges))
+    except ValidationError as exc:
+        return str(exc).removeprefix("catalog document: ").split("; ")
+    return []
+
+
 def test_validate_dependencies_flags_self_edge_and_cycle():
-    catalog = make_catalog(
+    problems = dependency_problems(
         ["A.5.1.1", "A.5.1.2", "A.6.1.1"],
-        edges=[("A.5.1.1", "A.5.1.1"), ("A.5.1.2", "A.6.1.1"), ("A.6.1.1", "A.5.1.2")],
+        [("A.5.1.1", "A.5.1.1"), ("A.5.1.2", "A.6.1.1"), ("A.6.1.1", "A.5.1.2")],
     )
-    kinds = sorted(f.kind for f in validate_dependencies(catalog))
-    assert kinds == ["cycle", "self-edge"]
+    assert problems == ["self-edge (A.5.1.1 -> A.5.1.1)", "dependency cycle: A.5.1.2 -> A.6.1.1 -> A.5.1.2"]
 
 
 def test_validate_dependencies_clean_graph_has_no_findings(catalog):
-    assert validate_dependencies(catalog) == ()
+    edges = [(str(a), str(b)) for a, b in catalog.dependencies.edges]
+    assert edges and dependency_problems([str(cid) for cid in catalog.control_ids()], edges) == []
 
 
 def test_cycle_detection_matches_oracle_on_random_graphs():
@@ -259,14 +270,9 @@ def test_cycle_detection_matches_oracle_on_random_graphs():
             a, b = rng.choice(ids), rng.choice(ids)
             if a != b:
                 edges.append((a, b))
-        catalog = make_catalog(ids, edges=[])
-        graph = DependencyGraph.from_pairs(
-            (parse_control_id(a), parse_control_id(b)) for a, b in edges
-        )
-        catalog = ControlCatalog(controls=catalog.controls, dependencies=graph)
-        findings = validate_dependencies(catalog)
-        assert any(f.kind == "cycle" for f in findings) == has_cycle(ids, edges)
-        cycles = [f.message.removeprefix("dependency cycle: ").split(" -> ") for f in findings]
+        problems = dependency_problems(ids, edges)
+        assert bool(problems) == has_cycle(ids, edges)  # load_catalog raises exactly when the graph has a cycle
+        cycles = [problem.removeprefix("dependency cycle: ").split(" -> ") for problem in problems]
         for cycle in cycles:  # a real cycle from its smallest id: each step an edge, closing on its first id
             assert cycle[0] == cycle[-1] == min(cycle, key=id_key)
             assert all((a, b) in edges for a, b in zip(cycle, cycle[1:]))

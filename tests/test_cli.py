@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ismaturity
-from ismaturity.files import canonical_json, catalog_document, parse_document, read_document
+from ismaturity.files import canonical_json, catalog_document, default_catalog, parse_document, read_document
 from ismaturity.reporting import parse_report
 
 import expected_stages
@@ -217,14 +217,6 @@ def test_import_survey_writes_database(run_cli, ca, tmp_path):
     assert len(document["responses"]) == 7
 
 
-def test_import_survey_prints_an_incomplete_respondent_as_one_line(run_cli, tmp_path):
-    survey = tmp_path / "partial.csv"
-    survey.write_text("respondent_id,control_id,score\nr1,A.5.1.1,3\n", encoding="utf-8")
-    code, _, err = run_cli("import-survey", survey, "--out", tmp_path / "db.json")
-    assert code == 0
-    assert err == f"warning: {survey}: respondent r1 scored 1 of 114 controls (113 missing)\n"
-
-
 @pytest.mark.parametrize(
     ("content", "prefix"),
     [
@@ -301,8 +293,21 @@ def survey_command(run_cli, ca, tmp_path, command, rows):
 
 
 @SURVEY_COMMANDS
+def test_every_survey_command_prints_an_incomplete_respondent_as_one_line(run_cli, ca, tmp_path, command):
+    survey, (code, _, err) = survey_command(run_cli, ca, tmp_path, command, "r1,A.5.1.1,3\n")
+    warning = f"warning: {survey}: respondent r1 scored 1 of 114 controls (113 missing)\n"
+    if command[0] == "import-survey":
+        assert (code, err) == (0, warning)
+    else:  # the warning prints once the survey is folded, before the plan needs every control scored
+        unscored = ", ".join(str(cid) for cid in default_catalog().control_ids()[1:])
+        error = f"inconsistent inputs: applicable controls without survey responses: {unscored}\n"
+        assert (code, err) == (2, warning + error)
+
+
+@SURVEY_COMMANDS
 def test_survey_control_outside_the_catalog_names_the_survey_file(run_cli, ca, tmp_path, command):
-    # A.5.9.9 parses as an id, so only ingesting the rows against the catalog rejects it
+    # A.5.9.9 parses as an id, so only ingesting the rows against the catalog rejects it; r1 scored none of
+    # the catalog's controls, but a survey that does not fold prints no warning, only the error
     survey, (code, out, err) = survey_command(run_cli, ca, tmp_path, command, "r1,A.5.9.9,3\n")
     assert (code, out) == (1, "")
     assert err == f"input error: {survey}: survey rows for controls not in the catalog: A.5.9.9\n"

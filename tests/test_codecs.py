@@ -322,6 +322,12 @@ def expected_document(name):
     return json.loads((EXPECTED / name).read_text(encoding="utf-8"))
 
 
+def edited(document, section, step, **extra):
+    """The JSON text of `document` whose record `document[section][step]` has the `extra` keys too."""
+    document[section][step].update(extra)
+    return json.dumps(document)
+
+
 @pytest.mark.parametrize(
     ("name", "edit", "command", "message"),
     [
@@ -331,8 +337,18 @@ def expected_document(name):
          ("stage-plan", "diff", "default"), "note: found 'draft', but the writer writes nothing"),
         ("assess_independent.json", lambda doc: repeating(doc, (), "company", "company-b"),
          ("report",), "unreadable JSON: key 'company' appears twice in one object"),
+        # a report's inputs are read with a key-set check, worded as the writer comparison words it
+        ("assess_independent.json", lambda doc: json.dumps({**doc, "note": "draft"}),
+         ("report",), "note: found 'draft', but the writer writes nothing"),
+        ("assess_independent.json", lambda doc: edited(doc, "not_applicable", 0, reviewed=True),
+         ("report",), "not_applicable[0].reviewed: found True, but the writer writes nothing"),
+        ("assess_independent.json", lambda doc: edited(doc, "stage_plan_deltas", 2, reason=["x"]),
+         ("report",), "stage_plan_deltas[2].reason: found a list of 1, but the writer writes nothing"),
+        ("assess_independent.json", lambda doc: edited(doc, "requirements", "A.5.1.1", source=None),
+         ("report",), "requirements['A.5.1.1'].source: found None, but the writer writes nothing"),
     ],
-    ids=["plan-key-twice", "plan-unknown-key", "report-company-twice"],
+    ids=["plan-key-twice", "plan-unknown-key", "report-company-twice", "report-unknown-key",
+         "report-exclusion-unknown-key", "report-delta-unknown-key", "report-requirement-unknown-key"],
 )
 def test_a_document_its_writer_would_not_write_exits_one(run_cli, tmp_path, name, edit, command, message):
     path = tmp_path / name

@@ -11,7 +11,6 @@ from ismaturity.files import (
     EXCLUDED_LABEL,
     canonical_json,
     catalog_document,
-    check_format_version,
     deltas_from_document,
     diff_document,
     importance_document,
@@ -134,8 +133,7 @@ def test_applicability_csv_accepts_yes_no_true_false(tmp_path):
     )
     amap = load_applicability_csv(path)
     assert amap.is_applicable(cid("A.5.1.1"))
-    assert amap.justification(cid("A.5.1.2")) == "outsourced"
-    assert amap.justification(cid("A.6.1.2")) == "procured"
+    assert amap.not_applicable == {cid("A.5.1.2"): "outsourced", cid("A.6.1.2"): "procured"}
 
 
 def test_applicability_csv_requires_justification_for_exclusions(tmp_path):
@@ -222,12 +220,18 @@ def test_canonical_json_is_sorted_indented_and_newline_terminated():
 
 
 def test_format_version_major_check():
-    check_format_version({"format_version": "1"}, "x")
-    check_format_version({"format_version": "1.4"}, "x")
-    with pytest.raises(ValidationError, match="unsupported"):
-        check_format_version({"format_version": "2"}, "x")
-    with pytest.raises(ValidationError, match="missing"):
-        check_format_version({}, "x")
+    def parse(**version):
+        return parse_document(json.dumps({**version, "kind": "stage-plan"}), "stage-plan", "x")
+
+    assert parse(format_version="1")["format_version"] == "1"
+    assert parse(format_version="1.4")["format_version"] == "1.4"
+    with pytest.raises(ValidationError) as raised:
+        parse(format_version="2")
+    assert str(raised.value) == "x: unsupported format_version '2' (this reader understands major 1)"
+    for version in ({}, {"format_version": ""}, {"format_version": 1}):
+        with pytest.raises(ValidationError) as raised:
+            parse(**version)
+        assert str(raised.value) == "x: missing format_version"
 
 
 def test_parse_document_rejects_wrong_kind():

@@ -1,7 +1,6 @@
 """Survey ingestion, exact averages, batch merging."""
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,13 +9,12 @@ from hypothesis import strategies as st
 
 from ismaturity import (
     ConsistencyError,
-    IncompleteSurveyWarning,
     SurveyResponse,
     ValidationError,
     ingest_responses,
-    merge_responses,
     parse_control_id,
 )
+from ismaturity.importance import add_score, fold_scores
 
 from test_catalog import make_catalog
 
@@ -31,6 +29,14 @@ def full_survey(respondent, scores):
     return [response(respondent, text, score) for text, score in zip(IDS, scores)]
 
 
+def merge(db, rows, replace=False):
+    """`db` with the survey `rows` folded in, as the CLI's import-survey --into folds a survey."""
+    scores = {}
+    for row in rows:
+        add_score(scores, *row)
+    return fold_scores(db, scores, replace=replace)
+
+
 def test_average_is_exact_rational():
     catalog = make_catalog(IDS)
     rows = full_survey("r1", [5, 4, 3, 2]) + full_survey("r2", [4, 4, 3, 2]) + full_survey("r3", [5, 3, 3, 2])
@@ -42,10 +48,7 @@ def test_average_is_exact_rational():
 
 def test_unscored_control_keeps_zero_aggregate_but_average_errors():
     catalog = make_catalog(IDS)
-    rows = [response("r1", "A.5.1.1", 3)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteSurveyWarning)
-        db = ingest_responses(rows, catalog)
+    db = ingest_responses([response("r1", "A.5.1.1", 3)], catalog)
     assert db.sum_and_count(parse_control_id("A.6.1.1")) == (0, 0)
     with pytest.raises(ConsistencyError, match="no survey responses"):
         db.average(parse_control_id("A.6.1.1"))
@@ -71,17 +74,18 @@ def test_duplicate_respondent_control_pair_rejected_with_entry_number():
         ingest_responses(rows, catalog)
 
 
-def test_incomplete_respondent_warns_but_ingests():
+def test_incomplete_respondent_ingests_without_a_warning():
+    # the suite turns every warning into an error; the CLI prints an incomplete respondent itself
     catalog = make_catalog(IDS)
-    with pytest.warns(IncompleteSurveyWarning, match="r1 scored 1 of 4"):
-        db = ingest_responses([response("r1", "A.5.1.1", 3)], catalog)
+    db = ingest_responses([response("r1", "A.5.1.1", 3)], catalog)
     assert db.sum_and_count(parse_control_id("A.5.1.1")) == (3, 1)
+    assert db.responses == {"r1": {parse_control_id("A.5.1.1"): 3}}
 
 
 def test_merge_new_respondent_extends_database():
     catalog = make_catalog(IDS)
     db = ingest_responses(full_survey("r1", [5, 4, 3, 2]), catalog)
-    merged = merge_responses(db, full_survey("r2", [1, 1, 1, 1]))
+    merged = merge(db, full_survey("r2", [1, 1, 1, 1]))
     assert merged.respondents == ("r1", "r2")
     assert merged.sum_and_count(parse_control_id("A.5.1.1")) == (6, 2)
     # the original database is untouched
@@ -91,16 +95,15 @@ def test_merge_new_respondent_extends_database():
 def test_merge_existing_respondent_requires_replace():
     catalog = make_catalog(IDS)
     db = ingest_responses(full_survey("r1", [5, 4, 3, 2]), catalog)
-    with pytest.raises(ValidationError, match="replace=True"):
-        merge_responses(db, full_survey("r1", [1, 1, 1, 1]))
+    with pytest.raises(ValidationError) as raised:
+        merge(db, full_survey("r1", [1, 1, 1, 1]))
+    assert str(raised.value) == "respondents already in the database: r1 (pass --replace to resubmit)"
 
 
 def test_replace_swaps_the_whole_submission():
     catalog = make_catalog(IDS)
     db = ingest_responses(full_survey("r1", [5, 4, 3, 2]), catalog)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteSurveyWarning)
-        swapped = merge_responses(db, [response("r1", "A.5.1.1", 1)], replace=True)
+    swapped = merge(db, [response("r1", "A.5.1.1", 1)], replace=True)
     # old scores are fully gone, including for controls the new batch skipped
     assert swapped.sum_and_count(parse_control_id("A.5.1.1")) == (1, 1)
     assert swapped.sum_and_count(parse_control_id("A.5.1.2")) == (0, 0)
@@ -109,7 +112,7 @@ def test_replace_swaps_the_whole_submission():
 def test_merge_empty_batch_is_identity():
     catalog = make_catalog(IDS)
     db = ingest_responses(full_survey("r1", [5, 4, 3, 2]), catalog)
-    assert merge_responses(db, []) == db
+    assert merge(db, []) == db
 
 
 def test_batched_ingest_equals_single_ingest():
@@ -125,7 +128,7 @@ def test_batched_ingest_equals_single_ingest():
         cut = rng.randint(0, len(respondents))
         first = {r for r in respondents[:cut]}
         db = ingest_responses([row for row in rows if row.respondent_id in first], catalog)
-        db = merge_responses(db, [row for row in rows if row.respondent_id not in first])
+        db = merge(db, [row for row in rows if row.respondent_id not in first])
         assert db == all_at_once
         for text in IDS:
             assert db.average(parse_control_id(text)) == all_at_once.average(parse_control_id(text))
@@ -161,14 +164,12 @@ def test_totals_match_a_recount_after_any_ingest_and_merge(steps):
             for respondent, scores in batch.items()
             for text, score in scores.items()
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncompleteSurveyWarning)
-            if operation == "ingest":
-                db = ingest_responses(rows, catalog)
-            elif operation == "replace":
-                db = merge_responses(db, rows, replace=True)
-            elif not set(batch) & set(db.responses):
-                db = merge_responses(db, rows)
+        if operation == "ingest":
+            db = ingest_responses(rows, catalog)
+        elif operation == "replace":
+            db = merge(db, rows, replace=True)
+        elif not set(batch) & set(db.responses):
+            db = merge(db, rows)
         for cid in catalog.control_ids():
             scores = [s[cid] for s in db.responses.values() if cid in s]
             assert db.sum_and_count(cid) == (sum(scores), len(scores))

@@ -9,8 +9,6 @@ from ismaturity import (
     ValidationError,
     build_minimum_db,
     level_name,
-    mark_applicable,
-    mark_not_applicable,
     parse_risk_grade,
     parse_control_id,
     risk_minimum,
@@ -83,17 +81,8 @@ def test_applicability_requires_justification():
     # a justification that is not a string is the same input error, not an AttributeError
     with pytest.raises(ValidationError, match="control A.5.1.1 marked not applicable without a justification"):
         ApplicabilityMap(not_applicable={cid("A.5.1.1"): 5})
-    with pytest.raises(ValidationError, match="control A.5.1.1 marked not applicable without a justification"):
-        mark_not_applicable(ApplicabilityMap(), cid("A.5.1.1"), 5)
-
-
-def test_mark_not_applicable_and_back():
-    amap = ApplicabilityMap()
-    assert amap.is_applicable(cid("A.5.1.1"))
-    marked = mark_not_applicable(amap, cid("A.5.1.1"), "outsourced entirely")
-    assert not marked.is_applicable(cid("A.5.1.1"))
-    assert marked.justification(cid("A.5.1.1")) == "outsourced entirely"
-    assert mark_applicable(marked, cid("A.5.1.1")) == amap
+    with pytest.raises(ValidationError, match="control A.5.1.2 marked not applicable without a justification"):
+        ApplicabilityMap(not_applicable={cid("A.5.1.1"): "outsourced entirely", cid("A.5.1.2"): None})
 
 
 def test_excluded_within_only_reports_catalog_members():

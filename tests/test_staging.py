@@ -227,13 +227,7 @@ def test_promotion_matches_fixpoint_oracle_on_random_dags():
 def test_build_stage_plan_requires_scores_for_applicable_controls():
     ids = synthetic_ids(8)
     catalog = make_catalog(ids)
-    rows = [response("r1", t, 3) for t in ids[:6]]
-    import warnings
-    from ismaturity import IncompleteSurveyWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteSurveyWarning)
-        db = ingest_responses(rows, catalog)
+    db = ingest_responses([response("r1", t, 3) for t in ids[:6]], catalog)
     with pytest.raises(ConsistencyError) as err:
         build_stage_plan(db, catalog)
     assert ids[6] in str(err.value) and ids[7] in str(err.value)
