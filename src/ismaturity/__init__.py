@@ -36,10 +36,7 @@ from .files import (
     load_ratings_csv,
     load_survey_csv,
 )
-from .importance import (
-    SurveyResponse,
-    ingest_responses,
-)
+from .importance import ingest_responses
 from .minimums import (
     ApplicabilityMap,
     RiskGrade,
@@ -72,7 +69,6 @@ __all__ = [
     "RiskGrade",
     "Stage",
     "StagePlan",
-    "SurveyResponse",
     "ValidationError",
     "build_minimum_db",
     "build_stage_plan",

@@ -32,15 +32,15 @@ from .files import (
     load_applicability_csv,
     load_measurements_csv,
     load_ratings_csv,
+    load_survey_csv,
     minimum_db_document,
     read_importance_file,
     read_stage_plan_file,
-    read_survey,
     stage_plan_document,
     write_document,
     write_text_atomic,
 )
-from .importance import ImportanceDatabase, fold_scores
+from .importance import fold_scores, ingest_responses
 from .minimums import (
     ApplicabilityMap,
     FixedMinimums,
@@ -156,18 +156,19 @@ def _minimums(catalog, applicability, ratings_path, level):
     return build_minimum_db(source, applicability, catalog)
 
 
-def _fold_survey(path, scores, db, replace: bool = False):
-    """`db` with the survey `scores` read from `path` folded in (importance.fold_scores), naming `path`.
+def _fold_survey(path, scores, catalog=None, into=None, replace: bool = False):
+    """The survey `scores` read from `path` as a database, with errors naming `path`.
 
-    An error (a control outside `db`'s catalog, a resubmitted respondent) names
-    `path`; once the fold succeeds, each respondent who skipped controls prints
-    as one stderr warning line naming `path`.
+    The database is a fresh one over `catalog` (importance.ingest_responses),
+    or for import-survey --into the database `into` with the scores folded in
+    (importance.fold_scores). Once the fold succeeds, each respondent who
+    skipped controls prints as one stderr warning line naming `path`.
     """
     try:
-        folded = fold_scores(db, scores, replace=replace)
+        folded = ingest_responses(scores, catalog) if into is None else fold_scores(into, scores, replace=replace)
     except ValidationError as exc:
         raise ValidationError(str(exc), source=str(path)) from None
-    total = len(db.controls)
+    total = len(folded.controls)
     for respondent, by_control in sorted(scores.items()):
         if len(by_control) < total:
             scored = len(by_control)
@@ -178,8 +179,7 @@ def _fold_survey(path, scores, db, replace: bool = False):
 
 def _survey_plan(path, catalog, applicability):
     """The stage plan built from the importance survey in `path`."""
-    db = _fold_survey(path, read_survey(path), ImportanceDatabase(catalog.control_ids(), {}))
-    return build_stage_plan(db, catalog, applicability)
+    return build_stage_plan(_fold_survey(path, load_survey_csv(path), catalog), catalog, applicability)
 
 
 def _write_text(path, text: str) -> None:
@@ -198,11 +198,11 @@ def _cmd_import_survey(args) -> int:
         raise UsageError("--replace is only meaningful together with --into")
     if args.into and args.catalog:
         raise UsageError("--catalog does not apply with --into, whose database fixes the controls")
-    scores = read_survey(args.survey)
+    scores = load_survey_csv(args.survey)
     if args.into:
-        db = _fold_survey(args.survey, scores, read_importance_file(args.into), args.replace)
+        db = _fold_survey(args.survey, scores, into=read_importance_file(args.into), replace=args.replace)
     else:
-        db = _fold_survey(args.survey, scores, ImportanceDatabase(_load_catalog(args).control_ids(), {}))
+        db = _fold_survey(args.survey, scores, _load_catalog(args))
     write_document(args.out, importance_document(db))
     _print(f"{sum(map(len, scores.values()))} responses from {len(db.respondents)} respondents -> {args.out}")
     return EXIT_OK

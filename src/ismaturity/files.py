@@ -18,9 +18,10 @@ mandatory header row:
     applicability  control_id,applicable,justification   (true|false)
     measurements   control_id,level                      (level 0..5)
 
-Validation errors name the file and the 1-based line the record starts on, so
-records can be fixed at the source; _read_csv, the loaders' one error
-boundary, attaches both. Each input rule has one implementation, which every
+The loaders return maps, the survey's {respondent: {control: score}}. Errors
+name the file and the 1-based line the record starts on, so records can be
+fixed at the source; _read_csv, the loaders' one error boundary, attaches
+both. Each input rule has one implementation, which every
 reader of that input calls: a score is importance.add_score's, in a survey
 row and in an importance document (whose respondents without scores meet
 importance.check_respondent too); a measured level is minimums.check_level's;
@@ -54,7 +55,7 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
-from .importance import ImportanceDatabase, SurveyResponse, add_score, check_respondent
+from .importance import ImportanceDatabase, add_score, add_stored_score, check_respondent
 from .minimums import (
     ApplicabilityMap,
     MinimumLevelDatabase,
@@ -374,11 +375,7 @@ def importance_from_document(document: Mapping, source: str = "importance docume
             check_respondent(respondent)  # also for a respondent without scores, whom add_score never sees
             responses[respondent] = {}
             for text, score in field(raw_responses, respondent, dict).items():
-                cid = parse_control_id(text)
-                try:
-                    add_score(responses, respondent, cid, score)
-                except ValidationError as exc:
-                    raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
+                add_stored_score(responses, respondent, parse_control_id(text), score)
         check_known(set().union(*responses.values()), known, "scores")
         db = ImportanceDatabase(controls=controls, responses=responses)
         check_as_written(document, importance_document(db))
@@ -652,8 +649,8 @@ def _read_per_control(path: str | Path, header: list[str], what: str, parse: Cal
     return values
 
 
-def read_survey(path: str | Path) -> dict[str, dict[ControlId, int]]:
-    """The survey in `path` as {respondent: {control: score}}, each row checked by importance.add_score."""
+def load_survey_csv(path: str | Path) -> dict[str, dict[ControlId, int]]:
+    """The survey in `path` as {respondent: {control: score}} in file order, each row checked by add_score."""
     scores: dict[str, dict[ControlId, int]] = {}
 
     def read_row(respondent: str, control_text: str, score_text: str) -> None:
@@ -664,15 +661,6 @@ def read_survey(path: str | Path) -> dict[str, dict[ControlId, int]]:
 
     _read_csv(path, SURVEY_HEADER, read_row)
     return scores
-
-
-def load_survey_csv(path: str | Path) -> list[SurveyResponse]:
-    """Read survey rows, grouped by respondent: respondents in order of first appearance, each in file order."""
-    return [
-        SurveyResponse(respondent, cid, score)
-        for respondent, by_control in read_survey(path).items()
-        for cid, score in by_control.items()
-    ]
 
 
 def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:

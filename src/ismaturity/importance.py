@@ -14,33 +14,26 @@ database in a single pass over the raw scores, remain the published surface
 via sum_and_count()/average().
 
 The survey's rules are written here once: add_score checks a row into
-{respondent: {control: score}}, and fold_scores checks that table against the
-catalog and the respondents present. Neither warns: a respondent who skipped
-controls is tolerated, and the CLI reports one from the table it folded. The
-CSV reader (files.read_survey), the CLI and ingest_responses (whose errors
-name the 1-based entry) all use both; an importance document
-(files.importance_from_document) checks each respondent with check_respondent,
-also one with no scores, and each stored score with add_score.
+{respondent: {control: score}}, and fold_scores checks a whole table against
+them, the catalog and the respondents present. Neither warns: the CLI reports
+a respondent who skipped controls from the table it folded. A survey is read
+by files.load_survey_csv and folded into a fresh database by ingest_responses
+(into a stored one, for import-survey --into, by fold_scores); an importance
+document checks each respondent with check_respondent and each score with
+add_stored_score.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping
 
 from .catalog import ControlCatalog, ControlId, check_known
 from .errors import ConsistencyError, ValidationError
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
-
-
-class SurveyResponse(NamedTuple):
-    """One survey row: a respondent's importance score for one control."""
-
-    respondent_id: str
-    control_id: ControlId
-    score: int
+_LIKERT_SCORES = frozenset(range(LIKERT_MIN, LIKERT_MAX + 1))
 
 
 class ImportanceDatabase:
@@ -122,16 +115,35 @@ def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: Con
     by_control[cid] = score
 
 
+def add_stored_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: ControlId, score) -> None:
+    """add_score, with an error worded as a stored score's: "respondent r1, control A.5.1.1: ..."."""
+    try:
+        add_score(scores, respondent, cid, score)
+    except ValidationError as exc:
+        raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
+
+
 def fold_scores(
     db: ImportanceDatabase, scores: Mapping[str, dict[ControlId, int]], *, replace: bool = False
 ) -> ImportanceDatabase:
-    """`db` with the per-respondent `scores`, as add_score builds them, folded in.
+    """`db` with the per-respondent `scores` folded in; every respondent and score must pass add_score.
 
     Every control scored must be one of `db.controls`; the unknown ones are
-    named together, sorted. A respondent already in `db` is an error unless
-    `replace` (the CLI's --replace) swaps in the new submission wholesale.
-    Partial coverage is tolerated, conflicting is not.
+    named together, sorted, once every score has passed. A respondent already
+    in `db` is an error unless `replace` (the CLI's --replace) swaps in the
+    new submission wholesale. Partial coverage is tolerated, conflicting is not.
     """
+    # A scan without a call per cell finds the respondents who may break a rule; check_respondent
+    # and add_stored_score word the first bad one in (respondent, control) order.
+    suspects = [
+        respondent for respondent, by_control in scores.items()
+        if not respondent
+        or not ({*map(type, by_control.values())} <= {int} and _LIKERT_SCORES.issuperset(by_control.values()))
+    ]
+    for respondent in sorted(suspects):
+        check_respondent(respondent)
+        for cid in sorted(scores[respondent]):
+            add_stored_score({}, respondent, cid, scores[respondent][cid])
     check_known(set().union(*scores.values()), set(db.controls), "survey rows")
     clash = sorted(scores.keys() & db.responses.keys())
     if clash and not replace:
@@ -143,12 +155,6 @@ def fold_scores(
     return ImportanceDatabase(controls=db.controls, responses=merged)
 
 
-def ingest_responses(responses: Iterable[SurveyResponse], catalog: ControlCatalog) -> ImportanceDatabase:
-    """A fresh database of survey rows under add_score's and fold_scores' rules; a row error names its entry."""
-    scores: dict[str, dict[ControlId, int]] = {}
-    for entry, (respondent, cid, score) in enumerate(responses, start=1):
-        try:
-            add_score(scores, respondent, cid, score)
-        except ValidationError as exc:
-            raise ValidationError(f"entry {entry}: {exc}") from None
+def ingest_responses(scores: Mapping[str, dict[ControlId, int]], catalog: ControlCatalog) -> ImportanceDatabase:
+    """A fresh database over `catalog`'s controls with the survey table `scores` folded in (fold_scores)."""
     return fold_scores(ImportanceDatabase(catalog.control_ids(), {}), scores)

@@ -1,19 +1,36 @@
 """End-to-end command-line behaviour: exit codes, outputs, determinism."""
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ismaturity
-from ismaturity.files import canonical_json, catalog_document, default_catalog, parse_document, read_document
+from ismaturity.cli import main
+from ismaturity.files import (
+    canonical_json,
+    catalog_document,
+    default_catalog,
+    importance_document,
+    load_survey_csv,
+    parse_document,
+    read_document,
+    write_document,
+)
+from ismaturity.importance import ingest_responses
 from ismaturity.reporting import parse_report
 
 import expected_stages
+from test_catalog import make_catalog
 
 TS = "2026-01-05T09:00:00Z"
 
@@ -246,6 +263,41 @@ def test_import_survey_merge_rejects_resubmission_without_replace(run_cli, ca, t
     )
     code, _, _ = run_cli("import-survey", ca["survey"], "--into", out, "--out", out, "--replace")
     assert code == 0
+
+
+SURVEY_IDS = ["A.5.1.1", "A.5.1.2", "A.6.1.1", "A.12.3.4"]
+PADDING = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def survey_csvs(draw):
+    """A valid survey CSV over SURVEY_IDS: rows in any order, padded cells, either id spelling, blank lines."""
+    scores = draw(st.dictionaries(
+        st.text("abr019-_", min_size=1, max_size=4),
+        st.dictionaries(st.sampled_from(SURVEY_IDS), st.integers(1, 5), min_size=1),
+        max_size=4,
+    ))
+    rows = draw(st.permutations([(r, cid, score) for r, row in scores.items() for cid, score in row.items()]))
+    lines = ["respondent_id,control_id,score"]
+    for respondent, cid, score in rows:
+        spelling = cid if draw(st.booleans()) else cid.removeprefix("A.")
+        lines.append(",".join(draw(PADDING) + cell + draw(PADDING) for cell in (respondent, spelling, str(score))))
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(survey_csvs())
+def test_import_survey_writes_the_database_the_library_route_builds(text):
+    catalog = make_catalog(SURVEY_IDS)
+    with tempfile.TemporaryDirectory() as folder:
+        survey, catalog_path, out = (Path(folder) / name for name in ("s.csv", "catalog.json", "db.json"))
+        survey.write_text(text, encoding="utf-8")
+        write_document(catalog_path, catalog_document(catalog))
+        built = canonical_json(importance_document(ingest_responses(load_survey_csv(survey), catalog)))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["import-survey", str(survey), "--catalog", str(catalog_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == built.encode("utf-8")
 
 
 def test_import_survey_replace_without_into_is_usage_error(run_cli, ca, tmp_path):

@@ -14,7 +14,6 @@ from ismaturity import (
     ControlId,
     RiskGrade,
     Stage,
-    SurveyResponse,
     ValidationError,
     build_minimum_db,
     build_stage_plan,
@@ -74,11 +73,9 @@ def scenarios(draw):
     edges = sorted({(a, b) for a, b in pairs if POOL.index(a) < POOL.index(b)})  # forward only: acyclic
     catalog = make_catalog(ids, edges=edges)
     respondents = draw(st.integers(1, 3))
-    rows = [
-        SurveyResponse(f"r{r}", control, draw(st.integers(1, 5)))
-        for r in range(respondents)
-        for control in catalog.control_ids()
-    ]
+    rows = {
+        f"r{r}": {control: draw(st.integers(1, 5)) for control in catalog.control_ids()} for r in range(respondents)
+    }
     excluded = draw(st.lists(st.sampled_from(catalog.control_ids()), max_size=len(ids) - 4, unique=True))
     applicability = ApplicabilityMap({control: draw(WORDS) for control in excluded})
     applicable = [control for control in catalog.control_ids() if control not in excluded]

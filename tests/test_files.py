@@ -58,11 +58,10 @@ def test_survey_csv_happy_path(tmp_path):
         # blank rows of any width are skipped, however many of their cells hold spaces
         "respondent_id,control_id,score\nr1,A.5.1.1,5\nr1,A.5.1.2,3\n\n , ,\t\n,\n r2 , A.5.1.1 ,4\n",
     )
-    rows = load_survey_csv(path)
-    assert [(r.respondent_id, str(r.control_id), r.score) for r in rows] == [
-        ("r1", "A.5.1.1", 5),
-        ("r1", "A.5.1.2", 3),
-        ("r2", "A.5.1.1", 4),
+    # respondents in order of first appearance, each one's scores in file order
+    assert [(r, [(str(c), s) for c, s in scores.items()]) for r, scores in load_survey_csv(path).items()] == [
+        ("r1", [("A.5.1.1", 5), ("A.5.1.2", 3)]),
+        ("r2", [("A.5.1.1", 4)]),
     ]
 
 

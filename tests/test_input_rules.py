@@ -12,7 +12,6 @@ import pytest
 
 from ismaturity import (
     ApplicabilityMap,
-    SurveyResponse,
     ValidationError,
     build_minimum_db,
     default_stage_plan,
@@ -75,8 +74,12 @@ def document_reader(tmp_path, respondent, score):
 
 
 def library_reader(tmp_path, respondent, score):
-    rows = [SurveyResponse("r0", parse_control_id("A.5.1.2"), 3), SurveyResponse(respondent, A5, score)]
-    return lambda: ingest_responses(rows, default_catalog()), "entry 2: "
+    rows = {"r0": {parse_control_id("A.5.1.2"): 3}, respondent: {A5: score}}
+    return (
+        lambda: ingest_responses(rows, default_catalog()),
+        # fold_scores words a score as an importance document does
+        f"respondent {respondent}, control A.5.1.1: " if respondent else "",
+    )
 
 
 @pytest.mark.parametrize("reader", [survey_reader, document_reader, library_reader], ids=["csv", "json", "library"])

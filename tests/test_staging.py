@@ -25,7 +25,6 @@ from ismaturity.staging import PARTITIONED, PROMOTED, check_boundaries
 
 from oracles import partition_by_quartiles, promotion_fixpoint
 from test_catalog import make_catalog
-from test_importance import full_survey, response
 
 
 def cid(text):
@@ -227,7 +226,7 @@ def test_promotion_matches_fixpoint_oracle_on_random_dags():
 def test_build_stage_plan_requires_scores_for_applicable_controls():
     ids = synthetic_ids(8)
     catalog = make_catalog(ids)
-    db = ingest_responses([response("r1", t, 3) for t in ids[:6]], catalog)
+    db = ingest_responses({"r1": {cid(t): 3 for t in ids[:6]}}, catalog)
     with pytest.raises(ConsistencyError) as err:
         build_stage_plan(db, catalog)
     assert ids[6] in str(err.value) and ids[7] in str(err.value)
@@ -237,9 +236,7 @@ def test_build_stage_plan_drops_excluded_controls_before_partitioning():
     ids = synthetic_ids(8)
     catalog = make_catalog(ids)
     scores = [5, 5, 4, 4, 3, 3, 2, 2]
-    rows = []
-    for r in ("r1", "r2"):
-        rows += [response(r, t, s) for t, s in zip(ids, scores)]
+    rows = {r: {cid(t): s for t, s in zip(ids, scores)} for r in ("r1", "r2")}
     amap = ApplicabilityMap(not_applicable={cid(ids[0]): "outsourced"})
     plan = build_stage_plan(ingest_responses(rows, catalog), catalog, amap)
     assert plan.excluded == (cid(ids[0]),)

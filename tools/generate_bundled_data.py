@@ -46,7 +46,6 @@ from ismaturity import (
     ControlId,
     RiskGrade,
     Stage,
-    SurveyResponse,
     build_minimum_db,
     build_stage_plan,
     compare_modes,
@@ -365,14 +364,13 @@ def panel_rank_order() -> list[ControlId]:
     return order
 
 
-def panel_responses() -> list[SurveyResponse]:
-    responses = []
+def panel_scores() -> dict[str, dict[ControlId, int]]:
+    scores: dict[str, dict[ControlId, int]] = {respondent: {} for respondent in PANEL_RESPONDENTS}
     for rank, cid in enumerate(panel_rank_order(), start=1):
         total = 201 - TIE_LEADERS.get(rank, rank)
-        scores = spread_scores(total, 40, offset=rank - 1)
-        for respondent, score in zip(PANEL_RESPONDENTS, scores):
-            responses.append(SurveyResponse(respondent, cid, score))
-    return responses
+        for respondent, score in zip(PANEL_RESPONDENTS, spread_scores(total, 40, offset=rank - 1)):
+            scores[respondent][cid] = score
+    return scores
 
 
 def ca_stage_sets() -> dict[Stage, set[ControlId]]:
@@ -407,14 +405,13 @@ def ca_survey_sums() -> dict[ControlId, int]:
     return sums
 
 
-def ca_survey_responses() -> list[SurveyResponse]:
+def ca_survey_scores() -> dict[str, dict[ControlId, int]]:
     sums = ca_survey_sums()
-    responses = []
+    scores: dict[str, dict[ControlId, int]] = {respondent: {} for respondent in CA_RESPONDENTS}
     for index, cid in enumerate(sorted(sums)):
-        scores = spread_scores(sums[cid], 7, offset=index)
-        for respondent, score in zip(CA_RESPONDENTS, scores):
-            responses.append(SurveyResponse(respondent, cid, score))
-    return responses
+        for respondent, score in zip(CA_RESPONDENTS, spread_scores(sums[cid], 7, offset=index)):
+            scores[respondent][cid] = score
+    return scores
 
 
 def ca_measurements() -> dict[ControlId, int]:
@@ -600,15 +597,16 @@ def main() -> None:
     catalog = build_catalog()
     write_text_atomic(DATA_DIR / "catalog_default.json", canonical_json(catalog_document(catalog)))
 
-    db = ingest_responses(panel_responses(), catalog)
+    db = ingest_responses(panel_scores(), catalog)
     write_text_atomic(DATA_DIR / "importance_default.json", canonical_json(importance_document(db)))
 
     plan = check_default_plan(catalog, db)
     write_text_atomic(DATA_DIR / "stage_plan_default.json", canonical_json(stage_plan_document(plan)))
 
     survey_rows = [
-        [r.respondent_id, str(r.control_id), str(r.score)]
-        for r in sorted(ca_survey_responses(), key=lambda r: (r.respondent_id, r.control_id))
+        [respondent, str(cid), str(score)]
+        for respondent, by_control in sorted(ca_survey_scores().items())
+        for cid, score in sorted(by_control.items())
     ]
     write_csv(FIXTURE_DIR / "survey.csv", ["respondent_id", "control_id", "score"], survey_rows)
 
