@@ -16,6 +16,7 @@ same inputs write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -78,12 +79,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _print(text: str, end: str = "\n") -> None:
-    """print to stdout; text stdout cannot encode (a lone surrogate) is a ValidationError."""
+def _print(text: str, end: str = "\n", flush: bool = False) -> None:
+    """print to stdout; text stdout cannot encode (a lone surrogate), or a reader gone from it, is a ValidationError.
+
+    Once the reader has gone, the process's real stdout is pointed at
+    os.devnull, so the text still buffered for it goes nowhere when the
+    interpreter flushes it at exit, instead of printing "Exception ignored".
+    """
     try:
-        print(text, end=end)
+        print(text, end=end, flush=flush)
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write text: {exc}", source="standard output") from None
+    except BrokenPipeError as exc:
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValidationError(f"cannot write text: {exc.strerror or exc}", source="standard output") from None
 
 
 def _utc_now() -> str:
@@ -122,6 +134,12 @@ def _load_applicability(args, catalog: ControlCatalog) -> ApplicabilityMap:
     applicability = load_applicability_csv(args.applicability)
     check_known(applicability.not_applicable, catalog, "applicability rows", source=str(args.applicability))
     return applicability
+
+
+def _check_outputs(args) -> None:
+    """--out and --out-text name two files: one file would hold only the text, losing the document."""
+    if args.out and args.out_text and Path(args.out).resolve() == Path(args.out_text).resolve():
+        raise UsageError(f"--out and --out-text name the same file: {args.out_text}")
 
 
 def _check_minimum_source(args, what: str) -> None:
@@ -257,6 +275,7 @@ def _cmd_minimums_build(args) -> int:
 
 
 def _cmd_assess(args) -> int:
+    _check_outputs(args)
     if args.mode == "model":
         if args.survey:
             raise UsageError("model mode uses the bundled stage database; --survey is not allowed")
@@ -306,6 +325,7 @@ def _cmd_report(args) -> int:
 def _cmd_compare_modes(args) -> int:
     if not args.survey:
         raise UsageError("compare-modes needs --survey")
+    _check_outputs(args)
     _check_minimum_source(args, "compare-modes")
     catalog, applicability, measurements = _load_assessment_inputs(args)
     company_plan = _survey_plan(args.survey, catalog, applicability)
@@ -418,7 +438,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        _print("", end="", flush=True)  # so that a reader gone from stdout is reported like any failed write
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

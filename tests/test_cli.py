@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, outputs, determinism."""
 
+import errno
 import io
 import json
 import os
@@ -145,6 +146,7 @@ ASSESS_FILES = (
     "--measurements", "{missing}/m.csv", "--applicability", "{missing}/a.csv", "--catalog", "{missing}/c.json",
     "--out", "{tmp}/out.json", "--out-text", "{tmp}/out.txt",
 )
+ONE_FILE = ("--measurements", "{missing}/m.csv", "--out", "{tmp}/same.txt", "--out-text", "{tmp}/same.txt")
 MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/c.json", "--out", "{tmp}/out.json")
 
 
@@ -170,18 +172,27 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
         (("minimums", "build", "--mode", "risk", *MINIMUMS_FILES), "risk mode needs --ratings"),
         (("minimums", "build", "--mode", "fixed:3", "--ratings", "{missing}/r.csv", *MINIMUMS_FILES),
          "--ratings only applies to risk mode"),
+        # one file would hold only the text, and the structured document would be lost
+        (("assess", "--mode", "model", *ONE_FILE), "--out and --out-text name the same file: {tmp}/same.txt"),
+        (("assess", "--mode", "model", *ONE_FILE[:-1], "{tmp}/./same.txt"),
+         "--out and --out-text name the same file: {tmp}/./same.txt"),
+        (("compare-modes", "--survey", "{missing}/s.csv", "--fixed-level", "3", *ONE_FILE),
+         "--out and --out-text name the same file: {tmp}/same.txt"),
+        (("compare-modes", "--survey", "{missing}/s.csv", "--fixed-level", "3", *ONE_FILE[:-1], "{tmp}/./same.txt"),
+         "--out and --out-text name the same file: {tmp}/./same.txt"),
     ],
     ids=[
         "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
         "assess-no-minimums", "compare-modes-both-minimums", "compare-modes-no-minimums",
-        "minimums-risk-no-ratings", "minimums-fixed-with-ratings",
+        "minimums-risk-no-ratings", "minimums-fixed-with-ratings", "assess-one-file", "assess-one-file-dot",
+        "compare-modes-one-file", "compare-modes-one-file-dot",
     ],
 )
 def test_usage_errors_come_before_any_file_is_read(run_cli, tmp_path, command, message):
     # every input file named does not exist, so reading any of them first would exit 1
     paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
     code, out, err = run_cli(*(arg.format(**paths) for arg in command))
-    assert (code, out, err) == (64, "", f"usage error: {message}\n")
+    assert (code, out, err) == (64, "", f"usage error: {message.format(**paths)}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -928,6 +939,36 @@ def test_report_whose_company_stdout_cannot_encode_exits_one(run_cli, ca, tmp_pa
     assert (code, out) == (1, "")
     assert err.startswith("input error: standard output: cannot write text: ")
     assert "surrogates not allowed" in err
+
+
+def broken_pipe(*args):
+    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_a_stdout_whose_reader_has_gone_exits_one(capsys, monkeypatch, method):
+    stdout = io.StringIO()
+    setattr(stdout, method, broken_pipe)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["stage-plan", "diff", "default", "default"])
+    assert (code, capsys.readouterr().err) == (1, "input error: standard output: cannot write text: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_on_stdout_exits_one_without_a_traceback(unbuffered):
+    # unbuffered, print() meets the closed pipe; buffered, the flush before exit does
+    env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "ismaturity.cli", "stage-plan", "diff", "default", "default"],
+                                stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (1, b"input error: standard output: cannot write text: Broken pipe\n")
 
 
 def test_assess_with_an_undecodable_company_argument_exits_one(ca, tmp_path):
