@@ -55,11 +55,13 @@ from .reporting import (
     STRUCTURED,
     build_report,
     compare_modes,
+    model_plan,
     parse_report,
     render_comparison,
     render_document,
+    stage_changes,
 )
-from .staging import Stage, build_stage_plan, diff_stage_plans, exclude_from_plan
+from .staging import Stage, build_stage_plan, diff_stage_plans
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -287,12 +289,9 @@ def _cmd_assess(args) -> int:
         _check_minimum_source(args, "independent mode")
     catalog, applicability, measurements = _load_assessment_inputs(args)
     if args.mode == "model":
-        plan = exclude_from_plan(default_stage_plan(), applicability.excluded_within(catalog))
-        deltas = None
+        plan = model_plan(applicability.excluded_within(catalog))
     else:
         plan = _survey_plan(args.survey, catalog, applicability)
-        default = default_stage_plan()  # stage changes against it, when the universes line up
-        deltas = diff_stage_plans(default, plan) if plan.universe() == default.universe() else None
     # MODEL_FIXED_LEVEL is model mode's default: independent mode has --ratings or --fixed-level
     mins = _minimums(catalog, applicability, args.ratings, args.fixed_level or MODEL_FIXED_LEVEL)
     result = evaluate(plan, mins, measurements)
@@ -303,7 +302,7 @@ def _cmd_assess(args) -> int:
         gaps,
         findings,
         applicability,
-        deltas,
+        stage_changes(args.mode, plan),
         company=args.company,
         timestamp=args.timestamp or _utc_now(),
         mode=args.mode,

@@ -29,7 +29,9 @@ an exclusion's justification is a non-blank string
 (minimums.check_justification); controls outside the catalog are named
 together (catalog.check_known).
 Records that appear in more than one document (requirements, stage deltas,
-the stage-or-excluded label) have one writer and one strict reader here.
+the stage-or-excluded label) have one writer here, and one strict reader
+where they are read: a report's stage deltas are not read but rebuilt
+(reporting.stage_changes), so only a diff document reads them.
 Readers take every JSON value only at its exact type (errors.field) inside
 errors.reading, which names the file in every error. No object may give a
 key twice (parse_document), and a document reads only as its writer writes
@@ -549,27 +551,22 @@ def deltas_record(deltas: Sequence[StageDelta]) -> list[dict]:
     ]
 
 
-def deltas_from_record(raw: Sequence, what: str) -> tuple[StageDelta, ...]:
-    """Read the delta records of the list `what`, one per control at most; runs inside the caller's `reading`."""
-    deltas = tuple(
-        StageDelta(
-            control=parse_control_id(record["control"]),
-            before=_stage_from_label(record["from"]),
-            after=_stage_from_label(record["to"]),
-        )
-        for record in raw
-    )
-    check_distinct({delta.control for delta in deltas}, [record["control"] for record in raw], what)
-    return deltas
-
-
 def diff_document(deltas: Sequence[StageDelta]) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": KIND_DIFF, "deltas": deltas_record(deltas)}
 
 
 def deltas_from_document(document: Mapping, source: str = "diff document") -> tuple[StageDelta, ...]:
     with reading(source, "diff document"):
-        deltas = deltas_from_record(field(document, "deltas", list), "'deltas'")
+        raw = field(document, "deltas", list)
+        deltas = tuple(
+            StageDelta(
+                control=parse_control_id(record["control"]),
+                before=_stage_from_label(record["from"]),
+                after=_stage_from_label(record["to"]),
+            )
+            for record in raw
+        )
+        check_distinct({delta.control for delta in deltas}, [record["control"] for record in raw], "'deltas'")
         check_as_written(document, diff_document(deltas))
     return deltas
 

@@ -12,12 +12,15 @@ MinimumLevelDatabase (mode, requirements, and the exclusions evaluate checked
 against the plan, whose justifications are the not-applicable section).
 
 The structured report is the audit trail of its label: it carries every
-input of the evaluation (stage members, exclusions, measurements,
-requirements, modes, misallocation threshold). parse_report re-runs the
-evaluation on them and rejects a report whose derived sections (stage rows,
-label, naive average, gaps, priority controls, findings) differ from it, or
-whose stage changes against the default plan end anywhere but where the
-report itself stages or excludes the control (files.check_document). Its
+input of the evaluation (exclusions, measurements, requirements, modes,
+misallocation threshold, and an independent report's stage members). A
+report's plan follows from its mode, here only: model mode's is the bundled
+default plan without the exclusions (model_plan), and an independent plan
+is compared with the default plan for its stage changes (stage_changes).
+parse_report re-runs the evaluation on the inputs and rejects a report whose
+derived sections (stage rows, label, naive average, gaps, priority controls,
+findings, stage changes) differ from it (files.check_document), so the
+bundled default plan is part of what a report is checked against. Its
 inputs, unlike a mode comparison, are not compared with their writer, which
 would nearly double parse_report's time: their other readers' rules apply,
 and a key the writer does not write is rejected (files.check_keys).
@@ -53,13 +56,12 @@ from .files import (
     check_document,
     check_keys,
     check_record_keys,
+    default_stage_plan,
     delta_line,
-    deltas_from_record,
     deltas_record,
     parse_document,
     requirements_from_record,
     requirements_record,
-    stage_label,
 )
 from .minimums import (
     ApplicabilityMap,
@@ -67,7 +69,7 @@ from .minimums import (
     check_justification,
     level_name,
 )
-from .staging import Stage, StageDelta, StagePlan, exclude_from_plan
+from .staging import Stage, StageDelta, StagePlan, diff_stage_plans, exclude_from_plan
 
 KIND_REPORT = "assessment-report"
 KIND_COMPARISON = "mode-comparison"
@@ -100,6 +102,23 @@ def _average(value: Fraction) -> str:
     return f"{format_level(value)} ({_level_name(value)})"
 
 
+def model_plan(excluded: Iterable[ControlId]) -> StagePlan:
+    """Model mode's plan: the bundled default plan without the `excluded` controls."""
+    return exclude_from_plan(default_stage_plan(), excluded)
+
+
+def stage_changes(mode: str, plan: StagePlan) -> tuple[StageDelta, ...] | None:
+    """A report's stage changes: an independent `plan` against the bundled default plan.
+
+    None in model mode, and when the plan covers other controls than the
+    default plan does, so that no comparison applies.
+    """
+    if mode == "model":
+        return None
+    default = default_stage_plan()
+    return diff_stage_plans(default, plan) if plan.universe() == default.universe() else None
+
+
 class ReportDocument(NamedTuple):
     """Everything one assessment run produced, ready to serialize; each fact is read from one record."""
 
@@ -129,11 +148,11 @@ def build_report(
 ) -> ReportDocument:
     """Assemble the report document for one finished evaluation, copying nothing out of `result` or `minimums`.
 
-    `deltas` is the stage-change list against the default plan (independent
-    runs) or None when no comparison applies (model runs). The applicability
-    map must agree with the minimums' exclusions; those exclusions, with the
-    justifications stored in `minimums`, are the report's not-applicable
-    section, present even when empty.
+    `deltas` is stage_changes(mode, plan), derived like `gaps` and
+    `findings`: the caller computes it, and parse_report works it out again.
+    The applicability map must agree with the minimums' exclusions; those
+    exclusions, with the justifications stored in `minimums`, are the
+    report's not-applicable section, present even when empty.
     """
     _check_mode(mode)
     for cid in minimums.excluded:
@@ -212,7 +231,6 @@ def report_document_dict(doc: ReportDocument) -> dict:
             {"control": str(cid), "justification": justification}
             for cid, justification in sorted(doc.minimums.excluded.items())
         ],
-        "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
         "measurements": {str(cid): lvl for cid, lvl in doc.result.measurements.items()},
         "requirements": requirements_record(doc.minimums.requirements),
     }
@@ -255,33 +273,34 @@ def _derived_sections(doc: ReportDocument) -> dict:
             }
             for finding in doc.findings
         ],
+        "stage_plan_deltas": None if doc.deltas is None else deltas_record(doc.deltas),
     }
 
 
-# The keys report_document_dict writes besides the derived sections, and in each record of three input
-# sections (the last two by files.deltas_record and files.requirements_record); parse_report takes no other.
+# The keys report_document_dict writes besides the derived sections, and in each record of two input
+# sections (the second by files.requirements_record); parse_report takes no other.
 _INPUT_KEYS = frozenset({
     "format_version", "kind", "company", "timestamp", "mode", "minimums_mode", "misallocation_threshold",
-    "not_applicable", "stage_plan_deltas", "measurements", "requirements",
+    "not_applicable", "measurements", "requirements",
 })
 _NOT_APPLICABLE_KEYS = frozenset({"control", "justification"})
-_DELTA_KEYS = frozenset({"control", "from", "to"})
 _REQUIREMENT_KEYS = frozenset({"required_level", "priority", "raw_score"})
 
 
 def parse_report(text: str, source: str = "report") -> ReportDocument:
     """Read a structured report by rebuilding it; used by the report subcommand.
 
-    Only the inputs are read, each at its exact JSON type (the stage rows
-    give their members, in stage order, and requirements must fit
-    minimums_mode). The rebuilt document is returned once its derived
-    sections equal the document's node for node; the first difference is a
-    ValidationError naming the source and its path, and so is a key the
-    writer does not write, at the top level or in a record of
-    not_applicable, stage_plan_deltas or requirements (files.check_record_keys).
-    No control may be named twice among the stage members, nor in
-    stage_plan_deltas, and each delta must end at its control's stage or
-    exclusion in the report. Inputs evaluate cannot reconcile (a member
+    Only the inputs are read, each at its exact JSON type (requirements must
+    fit minimums_mode). The plan follows from the mode: a model report's is
+    model_plan of its exclusions, an independent report's is read from the
+    members of its four stage rows, in stage order, no control named twice.
+    The rebuilt document, with stage_changes(mode, plan) as its stage
+    changes, is returned once its derived sections, stage_plan_deltas among
+    them, equal the document's node for node; the first difference is a
+    ValidationError naming the source and its path, and so are a stages list
+    of other than four rows and a key the writer does not write, at the top
+    level or in a record of not_applicable or requirements
+    (files.check_record_keys). Inputs evaluate cannot reconcile (a member
     without a measurement) are its ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
@@ -298,18 +317,20 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         levels = field(raw, "measurements", dict)
         measurements = {parse_control_id(t): level for t, level in levels.items()}  # evaluate checks each level
         check_distinct(measurements, levels, "'measurements'")
-        members = [field(record, "members", list) for _, record in zip(Stage, field(raw, "stages", list))]
-        assignment = {parse_control_id(t): stage for stage, texts in zip(Stage, members) for t in texts}
-        if len(assignment) != sum(map(len, members)):  # a control repeats; only now are the texts listed
-            check_distinct(assignment, [t for texts in members for t in texts], "'stages'")
+        rows = field(raw, "stages", list)
+        if len(rows) != len(Stage):
+            raise ValidationError(f"stages: found {len(rows)} rows, but a report has one per stage, {len(Stage)}")
+        if mode == "model":
+            plan = model_plan(excluded)  # its stage rows are derived, and compared below
+        else:
+            members = [field(record, "members", list) for record in rows]
+            assignment = {parse_control_id(t): stage for stage, texts in zip(Stage, members) for t in texts}
+            if len(assignment) != sum(map(len, members)):  # a control repeats; only now are the texts listed
+                check_distinct(assignment, [t for texts in members for t in texts], "'stages'")
+            # evaluate reads a plan's assignment and exclusions only
+            plan = StagePlan(assignment=assignment, provenance={}, boundaries_used=(), excluded=tuple(excluded))
         requirements = requirements_from_record(field(raw, "requirements", dict), minimums_mode)
         threshold = field(raw, "misallocation_threshold", int)
-        raw_deltas = field(raw, "stage_plan_deltas", list, type(None))
-        deltas = None if raw_deltas is None else deltas_from_record(raw_deltas, "'stage_plan_deltas'")
-        if deltas:
-            _check_deltas(deltas, assignment, excluded)
-        # evaluate reads a plan's assignment and exclusions only
-        plan = StagePlan(assignment=assignment, provenance={}, boundaries_used=(), excluded=tuple(excluded))
         minimums = MinimumLevelDatabase(mode=minimums_mode, requirements=requirements, excluded=excluded)
         result = evaluate(plan, minimums, measurements)
         document = build_report(
@@ -317,7 +338,7 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
             gap_analysis(result),
             misallocation_findings(result, threshold),
             ApplicabilityMap(excluded),
-            deltas,
+            stage_changes(mode, plan),
             company=field(raw, "company", str),
             timestamp=field(raw, "timestamp", str),
             mode=mode,
@@ -331,30 +352,8 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         )
         check_keys(raw, _INPUT_KEYS | derived.keys())
         check_record_keys(dict(enumerate(records)), _NOT_APPLICABLE_KEYS, "not_applicable")
-        check_record_keys(dict(enumerate(raw_deltas or ())), _DELTA_KEYS, "stage_plan_deltas")
         check_record_keys(raw["requirements"], _REQUIREMENT_KEYS, "requirements")
     return document
-
-
-def _check_deltas(
-    deltas: Sequence[StageDelta], assignment: Mapping[ControlId, Stage], excluded: Mapping[ControlId, str]
-) -> None:
-    """Each delta ends where the report puts its control: its stage, or excluded."""
-    for index, delta in enumerate(deltas):
-        cid = delta.control
-        if cid in assignment:
-            if delta.after == assignment[cid]:
-                continue
-            where = f"stages {cid} in {assignment[cid].label!r}"
-        elif cid in excluded:
-            if delta.after is None:
-                continue
-            where = f"excludes {cid}"
-        else:
-            where = f"neither stages nor excludes {cid}"
-        raise ValidationError(
-            f"stage_plan_deltas[{index}].to is {stage_label(delta.after)!r}, but the report {where}"
-        )
 
 
 def render_document(doc: ReportDocument, fmt: str) -> str:

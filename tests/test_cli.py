@@ -27,8 +27,9 @@ from ismaturity.files import (
     read_document,
     write_document,
 )
+from ismaturity.assessment import gap_analysis, misallocation_findings
 from ismaturity.importance import ingest_responses
-from ismaturity.reporting import parse_report
+from ismaturity.reporting import STRUCTURED, build_report, parse_report, render_document
 
 import expected_stages
 from test_catalog import make_catalog
@@ -901,20 +902,30 @@ def second_delta_for_the_first_control(document):
     document["stage_plan_deltas"].append(dict(document["stage_plan_deltas"][0]))
 
 
+def derived(path, found, rebuilt):
+    return f"{path} does not follow from the report's inputs: found {found}, rebuilt {rebuilt}"
+
+
+# A report's stage changes are rebuilt: its plan against the bundled default plan.
 @pytest.mark.parametrize(
     ("mutate", "message"),
     [
         (lambda doc: doc["stage_plan_deltas"][0].update(to="Full"),
-         "stage_plan_deltas[0].to is 'Full', but the report stages A.5.1.2 in 'Essential'"),
+         derived("stage_plan_deltas[0].to", "'Full'", "'Essential'")),
         (lambda doc: doc["stage_plan_deltas"][0].update(to="excluded"),
-         "stage_plan_deltas[0].to is 'excluded', but the report stages A.5.1.2 in 'Essential'"),
-        (second_delta_for_the_first_control, "'stage_plan_deltas' names control A.5.1.2 twice"),
+         derived("stage_plan_deltas[0].to", "'excluded'", "'Essential'")),
+        (second_delta_for_the_first_control, derived("stage_plan_deltas", "a list of 12", "a list of 11")),
         (lambda doc: doc["stage_plan_deltas"][7].update(to="Essential"),
-         "stage_plan_deltas[7].to is 'Essential', but the report excludes A.14.2.1"),
+         derived("stage_plan_deltas[7].to", "'Essential'", "'excluded'")),
         (lambda doc: doc["stage_plan_deltas"][0].update(control="A.18.9.9"),
-         "stage_plan_deltas[0].to is 'Essential', but the report neither stages nor excludes A.18.9.9"),
+         derived("stage_plan_deltas[0].control", "'A.18.9.9'", "'A.5.1.2'")),
+        (lambda doc: doc["stage_plan_deltas"][0].update({"from": "Full"}),
+         derived("stage_plan_deltas[0].from", "'Full'", "'Intermediate'")),
+        (lambda doc: doc["stage_plan_deltas"].pop(3), derived("stage_plan_deltas", "a list of 10", "a list of 11")),
+        (lambda doc: doc.update(stage_plan_deltas=None), derived("stage_plan_deltas", "None", "a list of 11")),
     ],
-    ids=["to-another-stage", "to-excluded", "control-twice", "excluded-control-staged", "unknown-control"],
+    ids=["to-another-stage", "to-excluded", "control-twice", "excluded-control-staged", "unknown-control",
+         "forged-from", "one-deleted", "null"],
 )
 def test_report_rejects_deltas_its_stages_contradict(run_cli, ca, tmp_path, mutate, message):
     path, command = written_document(run_cli, ca, tmp_path, "report")
@@ -925,6 +936,49 @@ def test_report_rejects_deltas_its_stages_contradict(run_cli, ca, tmp_path, muta
     code, out, err = run_cli(*command)
     assert (code, out) == (1, "")
     assert err == f"input error: {path}: {message}\n"
+
+
+def expected_report(ca_paths, name):
+    return json.loads((ca_paths["survey"].parent / "expected" / name).read_text(encoding="utf-8"))
+
+
+# A model report's plan is the bundled default plan without its exclusions; its stage rows are not read.
+THREE_ROWS = "stages: found 3 rows, but a report has one per stage, 4"
+
+
+@pytest.mark.parametrize(
+    ("name", "mutate", "message"),
+    [
+        ("assess_model.json",
+         lambda doc: doc.update(stage_plan_deltas=[{"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}]),
+         derived("stage_plan_deltas", "a list of 1", "None")),
+        # the model label of these inputs is Essential 3.42, not the independent report's Intermediate
+        ("assess_independent.json", lambda doc: doc.update(mode="model"),
+         derived("stages[0].members", "a list of 29", "a list of 31")),
+        ("assess_independent.json", lambda doc: doc["stages"].pop(), THREE_ROWS),
+        ("assess_model.json", lambda doc: doc["stages"].pop(), THREE_ROWS),
+    ],
+    ids=["deltas-on-a-model-report", "independent-relabelled-model", "three-rows-independent", "three-rows-model"],
+)
+def test_a_report_whose_plan_is_not_its_modes_exits_one(run_cli, ca_paths, tmp_path, name, mutate, message):
+    document = json.loads((ca_paths["survey"].parent / "expected" / name).read_text(encoding="utf-8"))
+    mutate(document)
+    path = tmp_path / name
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli("report", path)
+    assert (code, out, err) == (1, "", f"input error: {path}: {message}\n")
+
+
+def test_a_model_report_built_over_a_company_plan_exits_one(run_cli, ca_inputs, ca_minimums, ca_result, tmp_path):
+    report = build_report(
+        ca_result, gap_analysis(ca_result), misallocation_findings(ca_result), ca_inputs["applicability"], None,
+        company="company-a", timestamp=TS, mode="model", minimums=ca_minimums,
+    )
+    path = tmp_path / "report.json"
+    path.write_text(render_document(report, STRUCTURED), encoding="utf-8")
+    code, out, err = run_cli("report", path)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {path}: {derived('stages[0].members', 'a list of 29', 'a list of 31')}\n"
 
 
 # ---------------------------------------------------------------------------

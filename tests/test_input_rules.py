@@ -213,17 +213,16 @@ def test_one_level_rule_for_every_reader(tmp_path, run_cli, reader, level, messa
 
 # ---------------------------------------------------------------------------
 # A control named twice: catalog.check_distinct in a list, the writer comparison in an object's
-# keys (the table is test_files.py::test_document_readers_reject_a_control_named_twice); here a
-# report's stage deltas and stage members, a diff document's deltas and a catalog file on the CLI
+# keys (the table is test_files.py::test_document_readers_reject_a_control_named_twice); here an
+# independent report's stage members, a diff document's deltas and a catalog file on the CLI. A
+# report's stage deltas are rebuilt, not read (test_cli.py::test_report_rejects_deltas_its_stages_contradict).
 
-DELTA = {"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}  # the report's first delta
+DELTA = {"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}
 
 
 @pytest.mark.parametrize(
     ("call", "message"),
     [
-        (edited_report(lambda report: report["stage_plan_deltas"].append(DELTA)),
-         "r.json: 'stage_plan_deltas' names control A.5.1.2 twice"),
         # A.5.1.2 is the second member of the first stage
         (edited_report(lambda report: report["stages"][0]["members"].append("5.1.2")),
          "r.json: 'stages' names control A.5.1.2 twice"),
@@ -232,7 +231,7 @@ DELTA = {"control": "A.5.1.2", "from": "Intermediate", "to": "Essential"}  # the
         (lambda: deltas_from_document({"deltas": [DELTA, DELTA]}, source="d.json"),
          "d.json: 'deltas' names control A.5.1.2 twice"),
     ],
-    ids=["report-deltas", "report-members-one-stage", "report-members-two-stages", "diff-deltas"],
+    ids=["report-members-one-stage", "report-members-two-stages", "diff-deltas"],
 )
 def test_one_repeat_rule_for_every_reader(call, message):
     assert message_of(call) == message

@@ -22,6 +22,7 @@ from ismaturity.reporting import (
     render_comparison,
     render_document,
     report_document_dict,
+    stage_changes,
 )
 from ismaturity.files import canonical_json
 
@@ -153,7 +154,7 @@ def test_structured_report_round_trips_byte_identically(ca_plan, ca_minimums, ca
             gap_analysis(ca_result),
             misallocation_findings(ca_result),
             ca_inputs["applicability"],
-            None,
+            stage_changes("independent", ca_plan),
             company="company-a",
             timestamp="2026-01-01T00:00:00Z",
             mode="independent",
@@ -166,6 +167,7 @@ def test_structured_report_round_trips_byte_identically(ca_plan, ca_minimums, ca
     assert doc.company == "company-a"
     assert doc.result.label.stage is Stage.INTERMEDIATE
     assert doc.result.label.level == Fraction(89, 27)
+    assert len(doc.deltas) == 11
 
 
 def test_human_report_layout(ca_plan, ca_minimums, ca_inputs, ca_result):

@@ -78,6 +78,9 @@ CASES = (
          reads=("assess_independent.json",)),
     # a model-mode report has no stage-change section
     Case("report_model", "report assess_model.json", stdout="assess_model.txt", reads=("assess_model.json",)),
+    # assess_independent.json with one forged `from`: stage changes are rebuilt against the bundled default plan
+    Case("report_forged", "report forged_report.json", stderr="forged_report.stderr", code=1,
+         reads=("forged_report.json",)),
     Case("compare_modes",
          f"compare-modes {INDEPENDENT} {ASSESSED} --out compare_modes.json --out-text compare_modes.txt",
          _same("compare_modes.json", "compare_modes.txt")),
