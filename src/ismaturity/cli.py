@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .assessment import evaluate, gap_analysis, misallocation_findings
+from .assessment import evaluate
 from .catalog import ControlCatalog, check_known, check_same
 from .errors import ConsistencyError, ValidationError
 from . import files
@@ -53,13 +53,12 @@ from .minimums import (
 from .reporting import (
     HUMAN,
     STRUCTURED,
-    build_report,
+    assess,
     compare_modes,
     model_plan,
     parse_report,
     render_comparison,
     render_document,
-    stage_changes,
 )
 from .staging import Stage, build_stage_plan, diff_stage_plans
 
@@ -115,11 +114,10 @@ def _fixed_level(text: str) -> int:
 
 
 def _misallocation_threshold(text: str) -> int:
-    """Parse --misallocation-threshold; a value that is not an integer, or is below 1, is a usage error."""
-    try:
-        threshold = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """Parse --misallocation-threshold; a value that is no integer (files.integer_cell), or below 1, is a usage error."""
+    threshold = integer_cell(text)
+    if isinstance(threshold, str):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if threshold < 1:
         raise argparse.ArgumentTypeError(f"misallocation threshold {threshold} is below 1")
     return threshold
@@ -200,6 +198,13 @@ def _fold_survey(path, scores, catalog=None, into=None, replace: bool = False):
 def _survey_plan(path, catalog, applicability):
     """The stage plan built from the importance survey in `path`."""
     return build_stage_plan(_fold_survey(path, load_survey_csv(path), catalog), catalog, applicability)
+
+
+def _plan(mode, survey, catalog, applicability):
+    """A mode's stage plan: the bundled default without the exclusions (model), or built from `survey` (independent)."""
+    if mode == "model":
+        return model_plan(applicability.excluded_within(catalog))
+    return _survey_plan(survey, catalog, applicability)
 
 
 def _write_text(path, text: str) -> None:
@@ -288,25 +293,11 @@ def _cmd_assess(args) -> int:
             raise UsageError("independent mode needs --survey")
         _check_minimum_source(args, "independent mode")
     catalog, applicability, measurements = _load_assessment_inputs(args)
-    if args.mode == "model":
-        plan = model_plan(applicability.excluded_within(catalog))
-    else:
-        plan = _survey_plan(args.survey, catalog, applicability)
+    plan = _plan(args.mode, args.survey, catalog, applicability)
     # MODEL_FIXED_LEVEL is model mode's default: independent mode has --ratings or --fixed-level
     mins = _minimums(catalog, applicability, args.ratings, args.fixed_level or MODEL_FIXED_LEVEL)
-    result = evaluate(plan, mins, measurements)
-    gaps = gap_analysis(result)
-    findings = misallocation_findings(result, args.misallocation_threshold)
-    report = build_report(
-        result,
-        gaps,
-        findings,
-        applicability,
-        stage_changes(args.mode, plan),
-        company=args.company,
-        timestamp=args.timestamp or _utc_now(),
-        mode=args.mode,
-        minimums=mins,
+    report = assess(
+        plan, mins, measurements, mode=args.mode, company=args.company, timestamp=args.timestamp or _utc_now(),
         misallocation_threshold=args.misallocation_threshold,
     )
     if args.out:
@@ -327,11 +318,12 @@ def _cmd_compare_modes(args) -> int:
     _check_outputs(args)
     _check_minimum_source(args, "compare-modes")
     catalog, applicability, measurements = _load_assessment_inputs(args)
-    company_plan = _survey_plan(args.survey, catalog, applicability)
+    company_plan = _plan("independent", args.survey, catalog, applicability)
     mins_model = _minimums(catalog, applicability, None, MODEL_FIXED_LEVEL)
     mins_independent = _minimums(catalog, applicability, args.ratings, args.fixed_level)
     comparison = compare_modes(
-        default_stage_plan(), company_plan, mins_model, mins_independent, measurements
+        evaluate(_plan("model", None, catalog, applicability), mins_model, measurements),
+        evaluate(company_plan, mins_independent, measurements),
     )
     timestamp = args.timestamp or _utc_now()
     if args.out:

@@ -624,9 +624,13 @@ def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]
 
 
 def integer_cell(text: str) -> int | str:
-    """`text` as an integer, or unchanged when it spells none, for add_score or check_level to name."""
+    """`text` as an integer, or unchanged when it spells none, for add_score or check_level to name.
+
+    Only ASCII digits spell one, as in a control id, and `_` does not
+    separate them: int() alone would read "٤" as 4 and "0_5" as 5.
+    """
     try:
-        return int(text)
+        return int(text) if text.isascii() and "_" not in text else text
     except ValueError:
         return text
 

@@ -13,14 +13,15 @@ against the plan, whose justifications are the not-applicable section).
 
 The structured report is the audit trail of its label: it carries every
 input of the evaluation (exclusions, measurements, requirements, modes,
-misallocation threshold, and an independent report's stage members). A
-report's plan follows from its mode, here only: model mode's is the bundled
-default plan without the exclusions (model_plan), and an independent plan
-is compared with the default plan for its stage changes (stage_changes).
-parse_report re-runs the evaluation on the inputs and rejects a report whose
-derived sections (stage rows, label, naive average, gaps, priority controls,
-findings, stage changes) differ from it (files.check_document), so the
-bundled default plan is part of what a report is checked against. Its
+misallocation threshold, and an independent report's stage members). Model
+mode's plan is the bundled default plan without the exclusions (model_plan),
+and an independent plan is compared with the default plan for its stage
+changes (stage_changes). One function, assess, evaluates a plan and derives
+a report's sections from the result, for the assess command and for
+parse_report, which re-runs it on a report's inputs and rejects a report
+whose derived sections (stage rows, label, naive average, gaps, priority
+controls, findings, stage changes) differ from it (files.check_document), so
+the bundled default plan is part of what a report is checked against. Its
 inputs, unlike a mode comparison, are not compared with their writer, which
 would nearly double parse_report's time: their other readers' rules apply,
 and a key the writer does not write is rejected (files.check_keys).
@@ -45,7 +46,6 @@ from .assessment import (
     evaluate,
     gap_analysis,
     misallocation_findings,
-    naive_average,
 )
 from .catalog import ControlId, check_distinct, check_same, parse_control_id
 from .errors import ConsistencyError, ValidationError, field, reading
@@ -149,10 +149,10 @@ def build_report(
     """Assemble the report document for one finished evaluation, copying nothing out of `result` or `minimums`.
 
     `deltas` is stage_changes(mode, plan), derived like `gaps` and
-    `findings`: the caller computes it, and parse_report works it out again.
-    The applicability map must agree with the minimums' exclusions; those
-    exclusions, with the justifications stored in `minimums`, are the
-    report's not-applicable section, present even when empty.
+    `findings`: assess works out all three. The applicability map must agree
+    with the minimums' exclusions; those exclusions, with the justifications
+    stored in `minimums`, are the report's not-applicable section, present
+    even when empty.
     """
     _check_mode(mode)
     for cid in minimums.excluded:
@@ -170,6 +170,37 @@ def build_report(
         findings=tuple(findings),
         minimums=minimums,
         deltas=None if deltas is None else tuple(deltas),
+    )
+
+
+def assess(
+    plan: StagePlan,
+    minimums: MinimumLevelDatabase,
+    measurements: Mapping[ControlId, int],
+    *,
+    mode: str,
+    company: str,
+    timestamp: str,
+    misallocation_threshold: int,
+) -> ReportDocument:
+    """The report of one assessment: `plan` evaluated against `minimums` on `measurements`, every section derived.
+
+    The one place a report's gaps, findings and stage changes are worked out,
+    for the assess command and for parse_report; `mode` names the mode whose
+    plan `plan` is.
+    """
+    result = evaluate(plan, minimums, measurements)
+    return build_report(
+        result,
+        gap_analysis(result),
+        misallocation_findings(result, misallocation_threshold),
+        ApplicabilityMap(minimums.excluded),
+        stage_changes(mode, plan),
+        company=company,
+        timestamp=timestamp,
+        mode=mode,
+        minimums=minimums,
+        misallocation_threshold=misallocation_threshold,
     )
 
 
@@ -294,14 +325,13 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
     fit minimums_mode). The plan follows from the mode: a model report's is
     model_plan of its exclusions, an independent report's is read from the
     members of its four stage rows, in stage order, no control named twice.
-    The rebuilt document, with stage_changes(mode, plan) as its stage
-    changes, is returned once its derived sections, stage_plan_deltas among
-    them, equal the document's node for node; the first difference is a
-    ValidationError naming the source and its path, and so are a stages list
-    of other than four rows and a key the writer does not write, at the top
-    level or in a record of not_applicable or requirements
-    (files.check_record_keys). Inputs evaluate cannot reconcile (a member
-    without a measurement) are its ConsistencyError.
+    The document assess rebuilds from them is returned once its derived
+    sections, stage_plan_deltas among them, equal the document's node for
+    node; the first difference is a ValidationError naming the source and its
+    path, and so are a stages list of other than four rows and a key the
+    writer does not write, at the top level or in a record of not_applicable
+    or requirements (files.check_record_keys). Inputs evaluate cannot
+    reconcile (a member without a measurement) are its ConsistencyError.
     """
     raw = parse_document(text, KIND_REPORT, source)
     with reading(source, "assessment report document"):
@@ -332,18 +362,9 @@ def parse_report(text: str, source: str = "report") -> ReportDocument:
         requirements = requirements_from_record(field(raw, "requirements", dict), minimums_mode)
         threshold = field(raw, "misallocation_threshold", int)
         minimums = MinimumLevelDatabase(mode=minimums_mode, requirements=requirements, excluded=excluded)
-        result = evaluate(plan, minimums, measurements)
-        document = build_report(
-            result,
-            gap_analysis(result),
-            misallocation_findings(result, threshold),
-            ApplicabilityMap(excluded),
-            stage_changes(mode, plan),
-            company=field(raw, "company", str),
-            timestamp=field(raw, "timestamp", str),
-            mode=mode,
-            minimums=minimums,
-            misallocation_threshold=threshold,
+        document = assess(
+            plan, minimums, measurements, mode=mode, company=field(raw, "company", str),
+            timestamp=field(raw, "timestamp", str), misallocation_threshold=threshold,
         )
         derived = _derived_sections(document)
         check_document(
@@ -432,32 +453,16 @@ class ModeComparison(NamedTuple):
     naive: Fraction
 
 
-def compare_modes(
-    default_plan: StagePlan,
-    company_plan: StagePlan,
-    mins_model: MinimumLevelDatabase,
-    mins_independent: MinimumLevelDatabase,
-    measurements: Mapping[ControlId, int],
-) -> ModeComparison:
-    """Evaluate the same measurements under both strategies.
+def compare_modes(model: AssessmentResult, independent: AssessmentResult) -> ModeComparison:
+    """One company's `model` and `independent` evaluations side by side, with their naive average.
 
-    The two minimum databases must carry identical exclusion sets, otherwise
-    the averages would range over different controls and the comparison would
-    be meaningless; the differing controls are listed in the error. The
-    shared default plan is restricted to the same applicable set before the
-    model-mode evaluation.
+    The two must have measured the same controls, that is, under the same
+    exclusions, otherwise the averages would range over different controls
+    and the comparison would be meaningless; the differing controls are
+    listed in the error.
     """
-    check_same(
-        mins_model.excluded.keys(), mins_independent.excluded.keys(), "inconsistent applicability between modes"
-    )
-    restricted = exclude_from_plan(default_plan, mins_model.excluded)
-    model_result = evaluate(restricted, mins_model, measurements)
-    independent_result = evaluate(company_plan, mins_independent, measurements)
-    return ModeComparison(
-        independent=independent_result.label,
-        model=model_result.label,
-        naive=naive_average(measurements),
-    )
+    check_same(model.measurements.keys(), independent.measurements.keys(), "inconsistent applicability between modes")
+    return ModeComparison(independent=independent.label, model=model.label, naive=independent.naive_average)
 
 
 def comparison_document_dict(comparison: ModeComparison, *, company: str, timestamp: str) -> dict:

@@ -136,6 +136,14 @@ def test_misallocation_threshold_below_one_is_a_usage_error(run_cli, ca, thresho
     assert f"--misallocation-threshold: misallocation threshold {threshold} is below 1" in err
 
 
+# files.integer_cell: ASCII digits only, without `_`, as for a CSV cell and --fixed-level
+@pytest.mark.parametrize("threshold", ["x", "\u0662", "1_0"], ids=["x", "arabic-indic-2", "underscore"])
+def test_misallocation_threshold_that_is_no_integer_is_a_usage_error(run_cli, ca, threshold):
+    code, out, err = run_cli(*assess_args(ca, "--misallocation-threshold", threshold))
+    assert (code, out) == (64, "")
+    assert err.endswith(f": error: argument --misallocation-threshold: invalid int value: {threshold!r}\n")
+
+
 def test_independent_mode_needs_a_minimum_source(run_cli, ca):
     args = [a for a in assess_args(ca) if a != "--ratings" and a != ca["ratings"]]
     code, _, err = run_cli(*args)

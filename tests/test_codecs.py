@@ -20,6 +20,7 @@ from ismaturity import (
     compare_modes,
     diff_stage_plans,
     evaluate,
+    exclude_from_plan,
     gap_analysis,
     ingest_responses,
     load_catalog,
@@ -104,7 +105,10 @@ def pipeline(scenario):
         "stage-plan": plan,
         "minimums": mins,
         "diff": diff_stage_plans(unrestricted, plan),
-        "comparison": compare_modes(unrestricted, plan, mins_model, mins, measurements),
+        "comparison": compare_modes(
+            evaluate(exclude_from_plan(unrestricted, mins_model.excluded), mins_model, measurements),
+            evaluate(plan, mins, measurements),
+        ),
     }
 
 

@@ -107,7 +107,10 @@ CONSISTENCY_ERRORS = [
     ),
     # reporting
     pytest.param(
-        lambda: compare_modes(PLAN, PLAN, minimums([A5]), minimums([A6]), LEVELS),
+        lambda: compare_modes(
+            evaluate(exclude_from_plan(PLAN, [A5]), minimums([A5]), levels(A5)),
+            evaluate(exclude_from_plan(PLAN, [A6]), minimums([A6]), levels(A6)),
+        ),
         "inconsistent applicability between modes: A.5.1.1, A.6.1.2",
         id="compare-modes-exclusions",
     ),
@@ -175,7 +178,8 @@ def test_a_stage_plan_document_whose_provenance_misses_an_assigned_control():
 
 @pytest.mark.parametrize("exact", ["1/0", "x"])
 def test_a_comparison_average_whose_exact_value_is_no_fraction(exact):
-    comparison = compare_modes(PLAN, PLAN, minimums(), minimums(), LEVELS)
+    result = evaluate(PLAN, minimums(), LEVELS)
+    comparison = compare_modes(result, result)
     document = json.loads(render_comparison(comparison, "structured", company="c", timestamp="t"))
     document["naive_average"]["exact"] = exact
     with pytest.raises(ValidationError) as raised:

@@ -168,6 +168,8 @@ CSV_LOADERS = {
         ("survey", "{header}\n{valid}\nr1,A.5.1,3\n", "row 3: control id 'A.5.1' must have three numeric fields"),
         ("survey", "{header}\n{valid}\nr1,A.5.1.2,x\n", "row 3: score 'x' is not an integer"),
         ("survey", "{header}\n{valid}\nr1,A.5.1.2,6\n", "row 3: score 6 outside 1..5"),
+        # an integer is spelt in ASCII digits only, as a control id is, without `_`
+        ("survey", "{header}\n{valid}\nr1,A.5.1.2,\u0663\n", "row 3: score '\u0663' is not an integer"),
         ("survey", "{header}\n{valid}\nr1,A.5.1.1,4\n", "row 3: duplicate response for (r1, A.5.1.1)"),
         ("survey", "{header}\n{valid}\n\n , ,\nr1,A.5.1.2\n", "row 5: expected 3 fields, found 2"),
         ("survey", "{header}\n{valid}\nr1,A.5.1.2,{long}\n",
@@ -179,6 +181,8 @@ CSV_LOADERS = {
          "row 3: control id 'A.x.1.2': field 'x' is not a number"),
         ("measurements", "{header}\n{valid}\nA.5.1.2,3.5\n", "row 3: maturity level '3.5' is not an integer"),
         ("measurements", "{header}\n{valid}\nA.5.1.2,-1\n", "row 3: maturity level -1 outside 0..5"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,0_5\n", "row 3: maturity level '0_5' is not an integer"),
+        ("measurements", "{header}\n{valid}\nA.5.1.2,\u0664\n", "row 3: maturity level '\u0664' is not an integer"),
         ("measurements", "{header}\n{valid}\nA.5.1.1,2\n", "row 3: duplicate measurement for A.5.1.1"),
         ("measurements", "{header}\n{valid}\n\nA.5.1.2,2,1\n", "row 4: expected 2 fields, found 3"),
         ("measurements", "{long}\n", "row 1: unreadable CSV: field larger than field limit (131072)"),

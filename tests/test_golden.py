@@ -12,6 +12,7 @@ go wrong on purpose, so a comparison that checks nothing cannot pass.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +47,21 @@ def in_process(run_cli, monkeypatch):
 @pytest.mark.parametrize("name", CASES)
 def test_cli_outputs_match_the_golden_files(in_process, name):
     assert check_golden.check(CASES[name], in_process) == []
+
+
+# compare-modes evaluates each side as assess does: the same plan rule and the same floor
+@pytest.mark.parametrize(
+    ("comparison", "side", "report"),
+    [
+        ("compare_modes.json", "independent", "assess_independent.json"),
+        ("compare_modes.json", "model", "assess_model.json"),
+        ("compare_modes_fixed.json", "model", "assess_model.json"),  # --fixed-level leaves the model floor at 3
+    ],
+    ids=["independent", "model", "model-beside-a-fixed-level"],
+)
+def test_compare_modes_agrees_with_assess(comparison, side, report):
+    comparison, report = (json.loads((check_golden.EXPECTED / name).read_bytes()) for name in (comparison, report))
+    assert (comparison[side], comparison["naive_average"]) == (report["label"], report["naive_average"])
 
 
 def flip_a_written_byte(out, err, cwd):

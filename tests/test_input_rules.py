@@ -200,10 +200,11 @@ def fixed_level_reader(tmp_path, run_cli, level):
         (evaluate_reader, "x", "maturity level 'x' is not an integer"),
         (fixed_level_reader, 7, "maturity level 7 outside 1..5"),  # a fixed minimum is 1..5
         (fixed_level_reader, "x", "maturity level 'x' is not an integer"),
+        (fixed_level_reader, "\u0663", "maturity level '\u0663' is not an integer"),  # ASCII digits only
     ],
     ids=[
         "csv-7", "csv-minus-1", "csv-x", "report-9", "report-true", "evaluate-9", "evaluate-true", "evaluate-x",
-        "fixed-level-7", "fixed-level-x",
+        "fixed-level-7", "fixed-level-x", "fixed-level-arabic-indic-3",
     ],
 )
 def test_one_level_rule_for_every_reader(tmp_path, run_cli, reader, level, message):

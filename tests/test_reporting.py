@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ismaturity import ConsistencyError, Stage, ValidationError, parse_control_id
+from ismaturity import ConsistencyError, Stage, ValidationError, exclude_from_plan, parse_control_id
 from ismaturity.assessment import evaluate, misallocation_findings
 from ismaturity.minimums import ApplicabilityMap, FixedMinimums, build_minimum_db
 from ismaturity.reporting import (
@@ -260,10 +260,15 @@ def test_parse_report_rejects_malformed_document():
 # ---------------------------------------------------------------------------
 # Mode comparison
 
-def test_compare_modes_on_company_a(catalog, default_plan, ca_plan, ca_minimums, ca_inputs):
-    mins_model = build_minimum_db(FixedMinimums(level=3), ca_inputs["applicability"], catalog)
+def model_result(catalog, default_plan, applicability, measurements):
+    """Model mode's evaluation: the default plan without the exclusions of `applicability`, a floor of 3."""
+    mins_model = build_minimum_db(FixedMinimums(level=3), applicability, catalog)
+    return evaluate(exclude_from_plan(default_plan, mins_model.excluded), mins_model, measurements)
+
+
+def test_compare_modes_on_company_a(catalog, default_plan, ca_result, ca_inputs):
     comparison = compare_modes(
-        default_plan, ca_plan, mins_model, ca_minimums, ca_inputs["measurements"]
+        model_result(catalog, default_plan, ca_inputs["applicability"], ca_inputs["measurements"]), ca_result
     )
     assert label_line(comparison.independent.stage, comparison.independent.level) == (
         expected_stages.CA_LABEL_LINE
@@ -276,16 +281,17 @@ def test_compare_modes_on_company_a(catalog, default_plan, ca_plan, ca_minimums,
     assert not comparison.model.incomplete
 
 
-def test_compare_modes_rejects_exclusion_mismatch(catalog, default_plan, ca_plan, ca_minimums, ca_inputs):
-    mins_model = build_minimum_db(FixedMinimums(level=3), ApplicabilityMap(), catalog)
+def test_compare_modes_rejects_exclusion_mismatch(catalog, default_plan, ca_result, ca_inputs):
+    # the model side excludes nothing, so it also measures the controls company_a excludes
+    measured = {**dict.fromkeys(catalog.control_ids(), 3), **ca_inputs["measurements"]}
+    model = model_result(catalog, default_plan, ApplicabilityMap(), measured)
     with pytest.raises(ConsistencyError, match="inconsistent applicability"):
-        compare_modes(default_plan, ca_plan, mins_model, ca_minimums, ca_inputs["measurements"])
+        compare_modes(model, ca_result)
 
 
-def test_comparison_round_trip_and_human_rendering(catalog, default_plan, ca_plan, ca_minimums, ca_inputs):
-    mins_model = build_minimum_db(FixedMinimums(level=3), ca_inputs["applicability"], catalog)
+def test_comparison_round_trip_and_human_rendering(catalog, default_plan, ca_result, ca_inputs):
     comparison = compare_modes(
-        default_plan, ca_plan, mins_model, ca_minimums, ca_inputs["measurements"]
+        model_result(catalog, default_plan, ca_inputs["applicability"], ca_inputs["measurements"]), ca_result
     )
     text = render_comparison(comparison, "structured", company="company-a", timestamp="t")
     again = parse_comparison(text)

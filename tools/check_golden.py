@@ -84,6 +84,16 @@ CASES = (
     Case("compare_modes",
          f"compare-modes {INDEPENDENT} {ASSESSED} --out compare_modes.json --out-text compare_modes.txt",
          _same("compare_modes.json", "compare_modes.txt")),
+    # --fixed-level sets the independent side's floor only; the model side keeps its floor of 3
+    Case("compare_modes_fixed",
+         f"compare-modes --survey survey.csv --fixed-level 2 --applicability applicability.csv {ASSESSED}"
+         " --out compare_modes_fixed.json --out-text compare_modes_fixed.txt",
+         _same("compare_modes_fixed.json", "compare_modes_fixed.txt")),
+    # model mode with its floor raised to 4: the Essential stage fails, so the label marks the entry stage
+    Case("assess_model_fixed",
+         f"assess --mode model --fixed-level 4 --applicability applicability.csv {ASSESSED}"
+         " --out assess_model_fixed.json --out-text assess_model_fixed.txt",
+         _same("assess_model_fixed.json", "assess_model_fixed.txt")),
     Case("stage_plan_build", "stage-plan build --survey survey.csv --applicability applicability.csv"
          " --out stage_plan.json", _same("stage_plan.json"), stdout="stage_plan_build.stdout"),
     Case("stage_plan_diff", "stage-plan diff default stage_plan.json --out stage_plan_diff.json",

@@ -584,7 +584,7 @@ def check_company_a(catalog: ControlCatalog, default_plan) -> None:
     failing = model_result.stage_result(Stage.INTERMEDIATE).failing
     assert sorted(str(g.control) for g in failing) == ["A.13.2.3", "A.16.1.7"]
 
-    comparison = compare_modes(default_plan, plan, mins_model, mins, measurements)
+    comparison = compare_modes(model_result, result)
     assert comparison.independent.stage is Stage.INTERMEDIATE
     assert comparison.model.stage is Stage.ESSENTIAL
     assert comparison.naive == Fraction(357, 111)
