@@ -201,6 +201,17 @@ def gap_analysis(result: AssessmentResult) -> tuple[Gap, ...]:
     return tuple(sorted(gaps, key=lambda g: (g.stage, not g.priority, g.control)))
 
 
+def check_misallocation_threshold(threshold: int) -> int:
+    """Validate a misallocation threshold; returns it for chaining.
+
+    A threshold below 1 is a ValidationError: it would report pairs whose
+    later level does not exceed the earlier one.
+    """
+    if threshold < 1:
+        raise ValidationError(f"misallocation threshold {threshold} is below 1")
+    return threshold
+
+
 def misallocation_findings(
     result: AssessmentResult, threshold: int = 2
 ) -> tuple[MisallocationFinding, ...]:
@@ -212,11 +223,9 @@ def misallocation_findings(
     the clearest example pair: the highest later-stage control against the
     lowest failing earlier-stage control, ties resolved toward the smaller
     ControlId. The threshold is a reporting heuristic, not part of the label
-    computation. A threshold below 1 is a ValidationError: it would report
-    pairs whose later level does not exceed the earlier one.
+    computation; check_misallocation_threshold validates it.
     """
-    if threshold < 1:
-        raise ValidationError(f"misallocation threshold {threshold} is below 1")
+    check_misallocation_threshold(threshold)
     peaks: dict[Stage, tuple[int, ControlId]] = {}
     floors: dict[Stage, tuple[int, ControlId]] = {}
     levels = result.measurements

@@ -10,7 +10,15 @@ default stage database with one fixed minimum level (default 3) and forbids
 a survey. Independent mode builds the organization's own plan from its
 survey and takes per-control minimums from a risk ratings file (or a fixed
 floor). Reports embed a caller-supplied timestamp, so repeated runs over the
-same inputs write byte-identical files.
+same inputs write byte-identical files; the clock is read only when
+--timestamp is absent, so an explicit empty timestamp stays empty.
+
+main(argv) runs one command and returns its exit code, for library callers
+and tests. run() is the program's entry point, for both the installed
+`ismaturity` script and `python -m ismaturity.cli`: it calls main(), then
+gc.freeze(), so the interpreter's exit-time collections skip every object
+the process holds, then exits with main's code. Exit handlers still run and
+stdout and stderr are still flushed; every output file is already closed.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
-from .assessment import evaluate
+from .assessment import check_misallocation_threshold, evaluate
 from .catalog import ControlCatalog, check_known, check_same
 from .errors import ConsistencyError, ValidationError
 from . import files
@@ -99,12 +108,6 @@ def _print(text: str, end: str = "\n", flush: bool = False) -> None:
         raise ValidationError(f"cannot write text: {exc.strerror or exc}", source="standard output") from None
 
 
-def _utc_now() -> str:
-    from datetime import datetime, timezone  # only runs without --timestamp
-
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def _fixed_level(text: str) -> int:
     """Parse --fixed-level; a level that is not an integer in 1..5 (minimums.check_level) is a usage error."""
     try:
@@ -114,13 +117,15 @@ def _fixed_level(text: str) -> int:
 
 
 def _misallocation_threshold(text: str) -> int:
-    """Parse --misallocation-threshold; a value that is no integer (files.integer_cell), or below 1, is a usage error."""
+    """Parse --misallocation-threshold; a value that is no integer (files.integer_cell), or that
+    assessment.check_misallocation_threshold rejects, is a usage error."""
     threshold = integer_cell(text)
     if isinstance(threshold, str):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if threshold < 1:
-        raise argparse.ArgumentTypeError(f"misallocation threshold {threshold} is below 1")
-    return threshold
+    try:
+        return check_misallocation_threshold(threshold)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_catalog(args) -> ControlCatalog:
@@ -136,10 +141,24 @@ def _load_applicability(args, catalog: ControlCatalog) -> ApplicabilityMap:
     return applicability
 
 
+def _same_file(a, b) -> bool:
+    """Whether both paths are given and name one file once resolved, so `x` and `./x` match."""
+    return bool(a and b) and Path(a).resolve() == Path(b).resolve()
+
+
 def _check_outputs(args) -> None:
     """--out and --out-text name two files: one file would hold only the text, losing the document."""
-    if args.out and args.out_text and Path(args.out).resolve() == Path(args.out_text).resolve():
+    if _same_file(args.out, args.out_text):
         raise UsageError(f"--out and --out-text name the same file: {args.out_text}")
+
+
+def _timestamp(args) -> str:
+    """--timestamp as given, even empty; the current UTC time only when the flag is absent."""
+    if args.timestamp is not None:
+        return args.timestamp
+    from datetime import datetime, timezone  # only runs without --timestamp
+
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _check_minimum_source(args, what: str) -> None:
@@ -297,7 +316,7 @@ def _cmd_assess(args) -> int:
     # MODEL_FIXED_LEVEL is model mode's default: independent mode has --ratings or --fixed-level
     mins = _minimums(catalog, applicability, args.ratings, args.fixed_level or MODEL_FIXED_LEVEL)
     report = assess(
-        plan, mins, measurements, mode=args.mode, company=args.company, timestamp=args.timestamp or _utc_now(),
+        plan, mins, measurements, mode=args.mode, company=args.company, timestamp=_timestamp(args),
         misallocation_threshold=args.misallocation_threshold,
     )
     if args.out:
@@ -307,6 +326,8 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if _same_file(args.out, args.report):  # the text would replace the report it was rendered from
+        raise UsageError(f"--out names the report being read: {args.out}")
     path = str(Path(args.report))
     _write_text(args.out, render_document(parse_report(files.read_text(path), source=path), HUMAN))
     return EXIT_OK
@@ -325,7 +346,7 @@ def _cmd_compare_modes(args) -> int:
         evaluate(_plan("model", None, catalog, applicability), mins_model, measurements),
         evaluate(company_plan, mins_independent, measurements),
     )
-    timestamp = args.timestamp or _utc_now()
+    timestamp = _timestamp(args)
     if args.out:
         write_text_atomic(
             args.out, render_comparison(comparison, STRUCTURED, company=args.company, timestamp=timestamp)
@@ -443,5 +464,20 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
 
 
+def run() -> NoReturn:
+    """The program's entry point: main() on the process's arguments, then exit with its code.
+
+    gc.freeze() first moves every live object into the collector's permanent
+    generation, which the interpreter's shutdown collections skip. main()
+    itself never freezes: in a long-lived process that calls it, a freeze
+    would keep all later garbage for good.
+    """
+    import gc  # here, so that importing the module, as library callers do, loads no module for it
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

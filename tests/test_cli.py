@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: exit codes, outputs, determinism."""
 
+import ast
 import errno
+import gc
 import io
 import json
 import os
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ismaturity
+from ismaturity import cli
 from ismaturity.cli import main
 from ismaturity.files import (
     canonical_json,
@@ -189,12 +192,17 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
          "--out and --out-text name the same file: {tmp}/same.txt"),
         (("compare-modes", "--survey", "{missing}/s.csv", "--fixed-level", "3", *ONE_FILE[:-1], "{tmp}/./same.txt"),
          "--out and --out-text name the same file: {tmp}/./same.txt"),
+        # the text would replace the report it was rendered from
+        (("report", "{missing}/r.json", "--out", "{missing}/r.json"),
+         "--out names the report being read: {missing}/r.json"),
+        (("report", "{missing}/r.json", "--out", "{missing}/./r.json"),
+         "--out names the report being read: {missing}/./r.json"),
     ],
     ids=[
         "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
         "assess-no-minimums", "compare-modes-both-minimums", "compare-modes-no-minimums",
         "minimums-risk-no-ratings", "minimums-fixed-with-ratings", "assess-one-file", "assess-one-file-dot",
-        "compare-modes-one-file", "compare-modes-one-file-dot",
+        "compare-modes-one-file", "compare-modes-one-file-dot", "report-onto-itself", "report-onto-itself-dot",
     ],
 )
 def test_usage_errors_come_before_any_file_is_read(run_cli, tmp_path, command, message):
@@ -605,6 +613,27 @@ def test_assess_reruns_are_byte_identical(run_cli, ca, tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["assess", "compare-modes"])
+def test_an_empty_timestamp_is_kept_not_replaced_by_the_clock(run_cli, ca, tmp_path, command):
+    args = assess_args(ca) if command == "assess" else ("compare-modes", *assess_args(ca)[3:])
+    written = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*args, "--timestamp", "", "--out", out, "--out-text", tmp_path / f"{name}.txt")[0] == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b'"timestamp": ""' in written[0]
+
+
+def test_report_onto_the_report_it_reads_keeps_the_report(run_cli, ca, tmp_path):
+    path, command = written_document(run_cli, ca, tmp_path, "report")
+    before = path.read_bytes()
+    code, out, err = run_cli(*command, "--out", path)
+    assert (code, out, err) == (64, "", f"usage error: --out names the report being read: {path}\n")
+    assert path.read_bytes() == before
+    assert run_cli(*command)[0] == 0
+
+
 def test_report_subcommand_rejects_other_document_kinds(run_cli, ca, tmp_path):
     plan_path = tmp_path / "plan.json"
     run_cli(
@@ -676,9 +705,9 @@ def test_bom_prefixed_csv_gives_identical_reports(run_cli, ca, tmp_path, ca_path
 
 
 def test_cli_import_skips_dataclasses_and_datetime():
-    # -S keeps site hooks (.pth files) from importing modules on their own
+    # -S keeps site hooks (.pth files) from importing modules on their own; gc is imported by the entry point only
     env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
-    probe = "import sys, ismaturity.cli; print(sorted({'dataclasses', 'datetime'} & set(sys.modules)))"
+    probe = "import sys, ismaturity.cli; print(sorted({'dataclasses', 'datetime', 'gc'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -1044,3 +1073,50 @@ def test_assess_with_an_undecodable_company_argument_exits_one(ca, tmp_path):
     assert result.stderr.startswith(f"input error: {out}: cannot write text as UTF-8: ".encode())
     assert b"Traceback" not in result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# The program's entry point: main(), then gc.freeze(), then exit with main's code
+
+EXPECTED = Path(__file__).parent / "data" / "company_a" / "expected"
+# registered before the CLI runs, so it runs after every exit handler the CLI registers
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys; "
+    "atexit.register(lambda: print(f'frozen {gc.get_freeze_count() > 0}', file=sys.stderr)); "
+    "runpy.run_module('ismaturity.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "stdout", "stderr"),
+    [
+        (["report", str(EXPECTED / "assess_model.json")], 0, (EXPECTED / "assess_model.txt").read_bytes(), b""),
+        (["report", "missing.json"], 1, b"", b"input error: missing.json: "),
+        (["report"], 64, b"", b"usage: ismaturity report "),
+    ],
+    ids=["ok", "input-error", "usage-error"],
+)
+def test_the_entry_point_exits_with_mains_code_and_a_frozen_collector(tmp_path, argv, code, stdout, stderr):
+    env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], cwd=tmp_path, env=env, capture_output=True)
+    assert (result.returncode, result.stdout) == (code, stdout)
+    assert result.stderr.startswith(stderr)
+    assert result.stderr.endswith(b"frozen True\n")
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(run_cli, ca):
+    before = gc.get_freeze_count()
+    assert run_cli(*assess_args(ca))[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_installed_script_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    module, function = pyproject["project"]["scripts"]["ismaturity"].split(":")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main_block = "__name__ == '__main__'"
+    (block,) = (node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == main_block)
+    assert module == cli.__name__
+    assert [ast.unparse(node.func) for node in ast.walk(block) if isinstance(node, ast.Call)] == [function]
+    assert callable(getattr(cli, function))

@@ -111,6 +111,13 @@ CASES = (
     # importing the same respondents again is exit 1, and nothing is written
     Case("import_survey_into", "import-survey survey.csv --into import_survey.json --out import_again.json",
          stderr="import_survey_into.stderr", code=1, reads=("import_survey.json",)),
+    # a flag the mode does not take is exit 64, in the package's wording rather than argparse's
+    Case("assess_model_survey", "assess --mode model --survey survey.csv --measurements measurements.csv",
+         stderr="assess_model_survey.stderr", code=64),
+    # without the applicability file three applicable controls have no measurement: exit 2
+    Case("assess_unmeasured",
+         "assess --mode independent --survey survey.csv --fixed-level 3 --measurements measurements.csv",
+         stderr="assess_unmeasured.stderr", code=2),
 )
 
 
