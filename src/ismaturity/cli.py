@@ -141,15 +141,38 @@ def _load_applicability(args, catalog: ControlCatalog) -> ApplicabilityMap:
     return applicability
 
 
-def _same_file(a, b) -> bool:
-    """Whether both paths are given and name one file once resolved, so `x` and `./x` match."""
-    return bool(a and b) and Path(a).resolve() == Path(b).resolve()
+def _plan_argument(text: str) -> str | None:
+    """A stage-plan diff operand: a stage-plan document's path, or None for the word 'default', the bundled plan."""
+    return None if text == "default" else text
 
 
-def _check_outputs(args) -> None:
-    """--out and --out-text name two files: one file would hold only the text, losing the document."""
-    if _same_file(args.out, args.out_text):
-        raise UsageError(f"--out and --out-text name the same file: {args.out_text}")
+def _given(args, names):
+    """(name, path, resolved path) for each flag or positional in `names` that `args` gives a path for."""
+    for name in names:
+        path = getattr(args, name.lstrip("-").replace("-", "_"))
+        if path:
+            yield name, path, Path(path).resolve()
+
+
+def _check_paths(args) -> None:
+    """No output of a command may name another of its outputs, or any path it reads; runs before any file is read.
+
+    One file for two outputs would hold only the last one written, and an
+    output over an input replaces the input. Paths are compared resolved, so
+    `x` and `./x` match. A command declares its paths with the parser
+    defaults `outputs` and `inputs`.
+    """
+    outputs = list(_given(args, args.outputs))
+    for i, (name, path, resolved) in enumerate(outputs):
+        for other, _, earlier in outputs[:i]:
+            if resolved == earlier:
+                raise UsageError(f"{other} and {name} name the same file: {path}")
+    if outputs:
+        for name_in, _, read in _given(args, args.inputs):
+            what = f"{name_in} file" if name_in.startswith("-") else name_in
+            for name, path, resolved in outputs:
+                if resolved == read:
+                    raise UsageError(f"{name} names the {what} being read: {path}")
 
 
 def _timestamp(args) -> str:
@@ -273,8 +296,8 @@ def _cmd_stage_plan_build(args) -> int:
 
 def _cmd_stage_plan_diff(args) -> int:
     deltas = diff_stage_plans(*(
-        default_stage_plan() if token == "default" else read_stage_plan_file(token)
-        for token in (args.plan_a, args.plan_b)
+        default_stage_plan() if path is None else read_stage_plan_file(path)
+        for path in (args.plan_a, args.plan_b)
     ))
     for delta in deltas:
         _print(delta_line(delta))
@@ -301,7 +324,6 @@ def _cmd_minimums_build(args) -> int:
 
 
 def _cmd_assess(args) -> int:
-    _check_outputs(args)
     if args.mode == "model":
         if args.survey:
             raise UsageError("model mode uses the bundled stage database; --survey is not allowed")
@@ -326,8 +348,6 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if _same_file(args.out, args.report):  # the text would replace the report it was rendered from
-        raise UsageError(f"--out names the report being read: {args.out}")
     path = str(Path(args.report))
     _write_text(args.out, render_document(parse_report(files.read_text(path), source=path), HUMAN))
     return EXIT_OK
@@ -336,7 +356,6 @@ def _cmd_report(args) -> int:
 def _cmd_compare_modes(args) -> int:
     if not args.survey:
         raise UsageError("compare-modes needs --survey")
-    _check_outputs(args)
     _check_minimum_source(args, "compare-modes")
     catalog, applicability, measurements = _load_assessment_inputs(args)
     company_plan = _plan("independent", args.survey, catalog, applicability)
@@ -375,6 +394,10 @@ def _add_common_assess_flags(parser) -> None:
     parser.add_argument("--timestamp", help="report timestamp (default: current UTC time)")
     parser.add_argument("--out", help="write the structured JSON document here")
     parser.add_argument("--out-text", help="write the human-readable text here instead of stdout")
+    parser.set_defaults(
+        outputs=("--out", "--out-text"),
+        inputs=("--measurements", "--applicability", "--survey", "--ratings", "--catalog"),
+    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -390,7 +413,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--into", help="existing importance database to merge into")
     p.add_argument("--replace", action="store_true", help="allow respondents in --into to be resubmitted")
     _add_catalog_flag(p)
-    p.set_defaults(handler=_cmd_import_survey)
+    # --into is no input here: `--into DB --out DB` updates DB in place
+    p.set_defaults(handler=_cmd_import_survey, outputs=("--out",), inputs=("survey", "--catalog"))
 
     stage_plan = commands.add_parser("stage-plan", help="build or compare stage plans")
     stage_sub = stage_plan.add_subparsers(dest="subcommand", required=True, metavar="ACTION")
@@ -401,13 +425,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--applicability", help="applicability CSV")
     p.add_argument("--out", required=True, help="stage plan JSON to write")
     _add_catalog_flag(p)
-    p.set_defaults(handler=_cmd_stage_plan_build)
+    p.set_defaults(
+        handler=_cmd_stage_plan_build,
+        outputs=("--out",),
+        inputs=("--survey", "--importance", "--applicability", "--catalog"),
+    )
 
     p = stage_sub.add_parser("diff", help="list per-control differences between two plans")
-    p.add_argument("plan_a", help="stage plan JSON, or the word 'default' for the bundled plan")
-    p.add_argument("plan_b", help="stage plan JSON, or the word 'default'")
+    p.add_argument("plan_a", type=_plan_argument, help="stage plan JSON, or the word 'default' for the bundled plan")
+    p.add_argument("plan_b", type=_plan_argument, help="stage plan JSON, or the word 'default'")
     p.add_argument("--out", help="also write the differences as a JSON document")
-    p.set_defaults(handler=_cmd_stage_plan_diff)
+    p.set_defaults(handler=_cmd_stage_plan_diff, outputs=("--out",), inputs=("plan_a", "plan_b"))
 
     minimums = commands.add_parser("minimums", help="build minimum-level databases")
     minimums_sub = minimums.add_subparsers(dest="subcommand", required=True, metavar="ACTION")
@@ -418,7 +446,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--applicability", help="applicability CSV")
     p.add_argument("--out", required=True, help="minimum database JSON to write")
     _add_catalog_flag(p)
-    p.set_defaults(handler=_cmd_minimums_build)
+    p.set_defaults(
+        handler=_cmd_minimums_build, outputs=("--out",), inputs=("--ratings", "--applicability", "--catalog")
+    )
 
     p = commands.add_parser("assess", help="run the gated assessment and write the report")
     p.add_argument("--mode", required=True, choices=["model", "independent"], help="strategy mode")
@@ -434,7 +464,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("report", help="render a structured report as text")
     p.add_argument("report", help="structured assessment report JSON")
     p.add_argument("--out", help="write the text here instead of stdout")
-    p.set_defaults(handler=_cmd_report)
+    p.set_defaults(handler=_cmd_report, outputs=("--out",), inputs=("report",))
 
     p = commands.add_parser("compare-modes", help="evaluate both strategies on the same measurements")
     _add_common_assess_flags(p)
@@ -450,6 +480,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        _check_paths(args)
         code = args.handler(args)
         _print("", end="", flush=True)  # so that a reader gone from stdout is reported like any failed write
         return code

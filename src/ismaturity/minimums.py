@@ -121,11 +121,6 @@ class ApplicabilityMap:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ApplicabilityMap):
-            return NotImplemented
-        return self.not_applicable == other.not_applicable
-
     def is_applicable(self, cid: ControlId) -> bool:
         return cid not in self.not_applicable
 

@@ -52,6 +52,7 @@ from ismaturity.staging import (
     PARTITIONED,
     PROMOTED,
     StagePlan,
+    build_stage_plan,
     diff_stage_plans,
     exclude_from_plan,
     partition_quartiles,
@@ -113,6 +114,17 @@ def test_01_bundled_stage_database(criterion):
         for label, stage in STAGE_BY_LABEL.items():
             assert [str(c) for c in plan.members(stage)] == lists[label], label
         assert plan.boundaries_used == (29, 57, 86, 114)
+        # the bundled panel partitions back to the bundled plan, with nothing promoted
+        assert build_stage_plan(db, catalog) == plan
+        assert set(plan.provenance.values()) == {PARTITIONED}
+        # the three designed tie groups, each straddling one boundary, really are ties
+        for texts, total in (
+            (("A.18.1.3", "A.18.1.4", "A.18.1.5"), 172),
+            (("A.17.1.1", "A.18.2.2"), 144),
+            (("A.18.2.1", "A.18.2.3"), 115),
+        ):
+            for text in texts:
+                assert db.average(cid(text)) == Fraction(total, 40), text
 
 
 def test_02_risk_matrix(criterion):

@@ -634,6 +634,65 @@ def test_report_onto_the_report_it_reads_keeps_the_report(run_cli, ca, tmp_path)
     assert run_cli(*command)[0] == 0
 
 
+# the inputs below, each copied under a bare name from its company_a file
+INPUTS_AT = {
+    "survey": "survey.csv", "ratings": "ratings.csv", "applicability": "applicability.csv",
+    "measurements": "measurements.csv", "db": "expected/import_survey.json", "plan": "expected/stage_plan.json",
+}
+
+
+# an output that names one of its command's inputs is a usage error, before the input is read or replaced
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        (("import-survey", "{d}/survey", "--out", "{d}/./survey"),
+         "--out names the survey being read: {d}/./survey"),
+        (("stage-plan", "build", "--importance", "{d}/db", "--out", "{d}/db"),
+         "--out names the --importance file being read: {d}/db"),
+        (("stage-plan", "diff", "default", "{d}/plan", "--out", "{d}/plan"),
+         "--out names the plan_b being read: {d}/plan"),
+        (("minimums", "build", "--mode", "risk", "--ratings", "{d}/ratings", "--applicability", "{d}/applicability",
+          "--out", "{d}/applicability"), "--out names the --applicability file being read: {d}/applicability"),
+        (("assess", "--mode", "independent", "--survey", "{d}/survey", "--ratings", "{d}/ratings",
+          "--measurements", "{d}/measurements", "--out", "{d}/out", "--out-text", "{d}/measurements"),
+         "--out-text names the --measurements file being read: {d}/measurements"),
+        (("compare-modes", "--survey", "{d}/survey", "--fixed-level", "3", "--measurements", "{d}/measurements",
+          "--out", "{d}/survey"), "--out names the --survey file being read: {d}/survey"),
+    ],
+    ids=["import-survey", "stage-plan-build", "stage-plan-diff", "minimums-build", "assess", "compare-modes"],
+)
+def test_an_output_over_an_input_keeps_the_input(run_cli, tmp_path, command, message):
+    data = Path(__file__).parent / "data" / "company_a"
+    inputs = {name: (data / source).read_bytes() for name, source in INPUTS_AT.items()}
+    for name, content in inputs.items():
+        (tmp_path / name).write_bytes(content)
+    code, out, err = run_cli(*(arg.format(d=tmp_path) for arg in command))
+    assert (code, out, err) == (64, "", f"usage error: {message.format(d=tmp_path)}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == inputs
+
+
+def test_the_default_plan_of_stage_plan_diff_is_no_path(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("stage-plan", "diff", "default", "default", "--out", "default") == (0, "0 differences\n", "")
+    assert json.loads((tmp_path / "default").read_text(encoding="utf-8"))["deltas"] == []
+
+
+def test_import_survey_into_a_database_and_out_to_it_updates_it_in_place(run_cli, ca, tmp_path):
+    db = tmp_path / "db.json"
+    assert run_cli("import-survey", ca["survey"], "--out", db)[0] == 0
+    survey = tmp_path / "late.csv"
+    survey.write_text("respondent_id,control_id,score\nlate-1,A.5.1.1,4\n", encoding="utf-8")
+    code, out, _ = run_cli("import-survey", survey, "--into", db, "--out", db)
+    assert (code, out) == (0, f"1 responses from 8 respondents -> {db}\n")
+    assert json.loads(db.read_text(encoding="utf-8"))["responses"]["late-1"] == {"A.5.1.1": 4}
+
+
+def test_report_on_a_directory_is_an_input_error(run_cli, tmp_path):
+    code, out, err = run_cli("report", tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {tmp_path}: cannot read file: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_report_subcommand_rejects_other_document_kinds(run_cli, ca, tmp_path):
     plan_path = tmp_path / "plan.json"
     run_cli(

@@ -13,6 +13,7 @@ from ismaturity import (
     parse_control_id,
     risk_minimum,
 )
+from ismaturity.importance import ImportanceDatabase
 from ismaturity.minimums import FixedMinimums, RiskMinimums, check_level
 
 from oracles import RISK_MATRIX
@@ -91,6 +92,22 @@ def test_excluded_within_only_reports_catalog_members():
         not_applicable={cid("A.5.1.1"): "why", cid("A.9.9.9"): "not in this catalog"}
     )
     assert amap.excluded_within(catalog) == (cid("A.5.1.1"),)
+
+
+# both keep their fields in __slots__, so only their own __setattr__ stands between a caller and a field
+@pytest.mark.parametrize(
+    ("value", "name"),
+    [
+        (ApplicabilityMap(not_applicable={cid("A.5.1.1"): "why"}), "not_applicable"),
+        (ImportanceDatabase((cid("A.5.1.1"),), {"r1": {cid("A.5.1.1"): 3}}), "responses"),
+    ],
+    ids=["applicability-map", "importance-database"],
+)
+def test_immutable_values_refuse_assignment(value, name):
+    before = getattr(value, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, {})
+    assert getattr(value, name) is before
 
 
 def test_fixed_mode_gives_every_applicable_control_the_same_floor():

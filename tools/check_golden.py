@@ -81,6 +81,8 @@ CASES = (
     # assess_independent.json with one forged `from`: stage changes are rebuilt against the bundled default plan
     Case("report_forged", "report forged_report.json", stderr="forged_report.stderr", code=1,
          reads=("forged_report.json",)),
+    # a file that cannot be read is exit 1, naming the file and the system's reason
+    Case("report_missing", "report missing.json", stderr="report_missing.stderr", code=1),
     Case("compare_modes",
          f"compare-modes {INDEPENDENT} {ASSESSED} --out compare_modes.json --out-text compare_modes.txt",
          _same("compare_modes.json", "compare_modes.txt")),

@@ -2,10 +2,15 @@
 
 Everything this script writes is synthetic and fully determined by the
 construction rules below; no survey of real stakeholders is shipped. The
-script is the authoritative record of how the numbers were designed, and it
-asserts every property the package's tests later rely on, so a regeneration
-that drifts from the design fails loudly instead of silently rewriting
-fixtures.
+script is the authoritative record of how the numbers were designed. It
+builds the data, writes it, and asserts only that the package's bundled
+loaders read back exactly what it built. Whether the data still has its
+designed properties (stage sizes and members, the tie groups, every
+company-a outcome) is checked by the tier-1 tests: tests/test_acceptance.py,
+tests/test_company_a.py and tests/test_reporting.py, against the literal
+lists in tests/expected_stages.py. Run it from the repository root:
+
+    PYTHONPATH=src python tools/generate_bundled_data.py
 
 Outputs:
 
@@ -37,37 +42,27 @@ later stages look healthier.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from ismaturity import (
-    ApplicabilityMap,
     ControlCatalog,
     ControlId,
-    RiskGrade,
     Stage,
-    build_minimum_db,
     build_stage_plan,
-    compare_modes,
-    diff_stage_plans,
-    evaluate,
-    exclude_from_plan,
-    format_level,
-    gap_analysis,
     ingest_responses,
-    label_line,
-    misallocation_findings,
     parse_control_id,
 )
 from ismaturity.catalog import Control, DependencyGraph
 from ismaturity.files import (
     catalog_document,
+    default_catalog,
+    default_importance_db,
+    default_stage_plan,
     importance_document,
     stage_plan_document,
     write_text_atomic,
     canonical_json,
 )
-from ismaturity.minimums import FixedMinimums, RiskMinimums
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "ismaturity" / "data"
@@ -484,112 +479,6 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def check_default_plan(catalog: ControlCatalog, db) -> "StagePlan":
-    plan = build_stage_plan(db, catalog)
-    assert plan.boundaries_used == (29, 57, 86, 114)
-    expected_sizes = {Stage.ESSENTIAL: 31, Stage.INTERMEDIATE: 27, Stage.ADVANCED: 29, Stage.FULL: 27}
-    assert plan.sizes() == expected_sizes, plan.sizes()
-    for stage in Stage:
-        expected = tuple(sorted(parse_control_id(t) for t in DEFAULT_STAGES[stage]))
-        assert plan.members(stage) == expected, f"{stage}: membership drifted"
-    assert all(tag == "partitioned" for tag in plan.provenance.values())
-    # the three designed tie groups really are ties
-    for texts, total in (
-        (("A.18.1.3", "A.18.1.4", "A.18.1.5"), 172),
-        (("A.17.1.1", "A.18.2.2"), 144),
-        (("A.18.2.1", "A.18.2.3"), 115),
-    ):
-        for text in texts:
-            assert db.average(parse_control_id(text)) == Fraction(total, 40)
-    return plan
-
-
-def check_company_a(catalog: ControlCatalog, default_plan) -> None:
-    from ismaturity.files import (
-        load_applicability_csv,
-        load_measurements_csv,
-        load_ratings_csv,
-        load_survey_csv,
-    )
-
-    survey = load_survey_csv(FIXTURE_DIR / "survey.csv")
-    applicability = load_applicability_csv(FIXTURE_DIR / "applicability.csv")
-    measurements = load_measurements_csv(FIXTURE_DIR / "measurements.csv")
-    ratings = load_ratings_csv(FIXTURE_DIR / "ratings.csv")
-
-    db = ingest_responses(survey, catalog)
-    plan = build_stage_plan(db, catalog, applicability)
-    expected_stages = ca_stage_sets()
-    assert plan.sizes() == {
-        Stage.ESSENTIAL: 29, Stage.INTERMEDIATE: 27, Stage.ADVANCED: 28, Stage.FULL: 27,
-    }, plan.sizes()
-    for stage in Stage:
-        assert set(plan.members(stage)) == expected_stages[stage], f"{stage}: wrong members"
-    assert plan.boundaries_used == (28, 56, 84, 111)
-
-    deltas = diff_stage_plans(default_plan, plan)
-    assert len(deltas) == 11, len(deltas)
-    moved = {str(d.control): (d.before, d.after) for d in deltas}
-    for text, (before, after) in CA_MOVES.items():
-        assert moved[text] == (before, after), text
-    for text in CA_EXCLUSIONS:
-        assert moved[text][1] is None, text
-
-    mins = build_minimum_db(RiskMinimums(ratings=ratings), applicability, catalog)
-    priority = parse_control_id(CA_PRIORITY_CONTROL)
-    assert mins.requirements[priority].priority and mins.requirements[priority].required_level == 5
-    assert sum(req.priority for req in mins.requirements.values()) == 1
-    for text in CA_FAILING:
-        assert mins.requirements[parse_control_id(text)].required_level == 4
-
-    result = evaluate(plan, mins, measurements)
-    assert result.label.stage is Stage.INTERMEDIATE and not result.label.incomplete
-    assert result.label.level == Fraction(89, 27)
-    assert label_line(result.label.stage, result.label.level) == (
-        "Intermediate Stage, Maturity Level 3.30 (Defined)"
-    )
-    stage_expect = {
-        Stage.ESSENTIAL: (Fraction(101, 29), "3.48", True),
-        Stage.INTERMEDIATE: (Fraction(89, 27), "3.30", True),
-        Stage.ADVANCED: (Fraction(86, 28), "3.07", False),
-        Stage.FULL: (Fraction(81, 27), "3.00", True),
-    }
-    for stage, (average, display, complete) in stage_expect.items():
-        sr = result.stage_result(stage)
-        assert sr.average == average and sr.complete == complete
-        assert format_level(sr.average) == display
-    assert result.naive_average == Fraction(357, 111)
-    assert format_level(result.naive_average) == "3.22"
-
-    gaps = gap_analysis(result)
-    assert [str(g.control) for g in gaps] == ["A.9.3.1", "A.14.1.3"]
-    assert all(g.required == 4 and not g.priority for g in gaps)  # no priority gap
-
-    findings = misallocation_findings(result)
-    assert len(findings) == 1
-    f = findings[0]
-    assert (f.later_stage, f.earlier_stage) == (Stage.FULL, Stage.ADVANCED)
-    assert str(f.later_control) == "A.10.1.1" and f.later_level == 5
-    assert str(f.earlier_control) == "A.14.1.3" and f.earlier_level == 2
-
-    # model mode: bundled plan restricted to the same exclusions, fixed floor 3
-    mins_model = build_minimum_db(FixedMinimums(level=3), applicability, catalog)
-    restricted = exclude_from_plan(default_plan, applicability.excluded_within(catalog))
-    model_result = evaluate(restricted, mins_model, measurements)
-    assert model_result.label.stage is Stage.ESSENTIAL and not model_result.label.incomplete
-    assert model_result.label.level == Fraction(106, 31)
-    assert label_line(model_result.label.stage, model_result.label.level) == (
-        "Essential Stage, Maturity Level 3.42 (Defined)"
-    )
-    failing = model_result.stage_result(Stage.INTERMEDIATE).failing
-    assert sorted(str(g.control) for g in failing) == ["A.13.2.3", "A.16.1.7"]
-
-    comparison = compare_modes(model_result, result)
-    assert comparison.independent.stage is Stage.INTERMEDIATE
-    assert comparison.model.stage is Stage.ESSENTIAL
-    assert comparison.naive == Fraction(357, 111)
-
-
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
@@ -600,7 +489,7 @@ def main() -> None:
     db = ingest_responses(panel_scores(), catalog)
     write_text_atomic(DATA_DIR / "importance_default.json", canonical_json(importance_document(db)))
 
-    plan = check_default_plan(catalog, db)
+    plan = build_stage_plan(db, catalog)
     write_text_atomic(DATA_DIR / "stage_plan_default.json", canonical_json(stage_plan_document(plan)))
 
     survey_rows = [
@@ -633,15 +522,11 @@ def main() -> None:
         [[str(cid), p, i] for cid, (p, i) in sorted(ratings.items())],
     )
 
-    check_company_a(catalog, plan)
-
     # the bundled loaders must reproduce exactly what was built here
-    from ismaturity.files import default_catalog, default_importance_db, default_stage_plan
-
     assert default_catalog() == catalog
     assert default_importance_db() == db
     assert default_stage_plan() == plan
-    print(f"wrote {DATA_DIR} and {FIXTURE_DIR}; all design checks passed")
+    print(f"wrote {DATA_DIR} and {FIXTURE_DIR}")
 
 
 if __name__ == "__main__":
