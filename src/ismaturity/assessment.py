@@ -201,6 +201,10 @@ def gap_analysis(result: AssessmentResult) -> tuple[Gap, ...]:
     return tuple(sorted(gaps, key=lambda g: (g.stage, not g.priority, g.control)))
 
 
+# The level difference misallocation_findings looks for when not given one.
+DEFAULT_MISALLOCATION_THRESHOLD = 2
+
+
 def check_misallocation_threshold(threshold: int) -> int:
     """Validate a misallocation threshold; returns it for chaining.
 
@@ -213,14 +217,14 @@ def check_misallocation_threshold(threshold: int) -> int:
 
 
 def misallocation_findings(
-    result: AssessmentResult, threshold: int = 2
+    result: AssessmentResult, threshold: int = DEFAULT_MISALLOCATION_THRESHOLD
 ) -> tuple[MisallocationFinding, ...]:
     """Heuristic scan for effort invested out of order.
 
     Emits one finding per (later, earlier) stage pair where some later-stage
     control's measured level exceeds some earlier-stage failing control's
-    measured level by at least `threshold` (default 2). Each finding carries
-    the clearest example pair: the highest later-stage control against the
+    measured level by at least `threshold`. Each finding carries the
+    clearest example pair: the highest later-stage control against the
     lowest failing earlier-stage control, ties resolved toward the smaller
     ControlId. The threshold is a reporting heuristic, not part of the label
     computation; check_misallocation_threshold validates it.

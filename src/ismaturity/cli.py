@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .assessment import check_misallocation_threshold, evaluate
+from .assessment import DEFAULT_MISALLOCATION_THRESHOLD, check_misallocation_threshold, evaluate
 from .catalog import ControlCatalog, check_known, check_same
 from .errors import ConsistencyError, ValidationError
 from . import files
@@ -147,29 +147,35 @@ def _plan_argument(text: str) -> str | None:
 
 
 def _given(args, names):
-    """(name, path, resolved path) for each flag or positional in `names` that `args` gives a path for."""
+    """(name, path) for each flag or positional in `names` that `args` gives a path for."""
     for name in names:
         path = getattr(args, name.lstrip("-").replace("-", "_"))
         if path:
-            yield name, path, Path(path).resolve()
+            yield name, path
 
 
 def _check_paths(args) -> None:
-    """No output of a command may name another of its outputs, or any path it reads; runs before any file is read.
+    """No path may hold a NUL byte, and no output may name another output or any path its command reads.
 
-    One file for two outputs would hold only the last one written, and an
-    output over an input replaces the input. Paths are compared resolved, so
-    `x` and `./x` match. A command declares its paths with the parser
-    defaults `outputs` and `inputs`.
+    Runs before any path is resolved or any file is read. No file system
+    accepts a NUL in a name. One file for two outputs would hold only the
+    last one written, and an output over an input replaces the input. Paths
+    are compared resolved, so `x` and `./x` match. A command declares its
+    paths with the parser defaults `outputs`, `inputs` and `updated` (read,
+    and free to be rewritten by an output).
     """
-    outputs = list(_given(args, args.outputs))
+    for name, path in _given(args, (*args.outputs, *args.inputs, *args.updated)):
+        if "\0" in path:
+            raise UsageError(f"{name} path holds a NUL byte: {path!r}")
+    outputs = [(name, path, Path(path).resolve()) for name, path in _given(args, args.outputs)]
     for i, (name, path, resolved) in enumerate(outputs):
         for other, _, earlier in outputs[:i]:
             if resolved == earlier:
                 raise UsageError(f"{other} and {name} name the same file: {path}")
     if outputs:
-        for name_in, _, read in _given(args, args.inputs):
+        for name_in, path_in in _given(args, args.inputs):
             what = f"{name_in} file" if name_in.startswith("-") else name_in
+            read = Path(path_in).resolve()
             for name, path, resolved in outputs:
                 if resolved == read:
                     raise UsageError(f"{name} names the {what} being read: {path}")
@@ -405,6 +411,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="ismaturity",
         description="Staged information-security maturity planning and gated assessment.",
     )
+    parser.set_defaults(updated=())
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = commands.add_parser("import-survey", help="turn a survey CSV into an importance database")
@@ -413,8 +420,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--into", help="existing importance database to merge into")
     p.add_argument("--replace", action="store_true", help="allow respondents in --into to be resubmitted")
     _add_catalog_flag(p)
-    # --into is no input here: `--into DB --out DB` updates DB in place
-    p.set_defaults(handler=_cmd_import_survey, outputs=("--out",), inputs=("survey", "--catalog"))
+    # --into is read but is no input an output must avoid: `--into DB --out DB` updates DB in place
+    p.set_defaults(
+        handler=_cmd_import_survey, outputs=("--out",), inputs=("survey", "--catalog"), updated=("--into",)
+    )
 
     stage_plan = commands.add_parser("stage-plan", help="build or compare stage plans")
     stage_sub = stage_plan.add_subparsers(dest="subcommand", required=True, metavar="ACTION")
@@ -455,8 +464,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--misallocation-threshold",
         type=_misallocation_threshold,
-        default=2,
-        help="level difference that counts as misallocated effort (default 2)",
+        default=DEFAULT_MISALLOCATION_THRESHOLD,
+        help="level difference that counts as misallocated effort (default %(default)s)",
     )
     _add_common_assess_flags(p)
     p.set_defaults(handler=_cmd_assess)

@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .assessment import (
+    DEFAULT_MISALLOCATION_THRESHOLD,
     AssessmentResult,
     Gap,
     Label,
@@ -144,7 +145,7 @@ def build_report(
     timestamp: str,
     mode: str,
     minimums: MinimumLevelDatabase,
-    misallocation_threshold: int = 2,
+    misallocation_threshold: int = DEFAULT_MISALLOCATION_THRESHOLD,
 ) -> ReportDocument:
     """Assemble the report document for one finished evaluation, copying nothing out of `result` or `minimums`.
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from ismaturity.catalog import (
     ControlCatalog,
     _parse_stripped,
 )
-from ismaturity.files import catalog_document
+from ismaturity.files import canonical_json, catalog_document
 
 from oracles import has_cycle, id_key
 
@@ -206,6 +207,23 @@ def test_default_catalog_metadata_present(catalog):
 
 def test_load_catalog_round_trip(catalog):
     assert load_catalog(catalog_document(catalog)) == catalog
+
+
+def test_bundled_catalog_is_canonical_with_one_text_per_section_and_objective(catalog):
+    """The catalog file is maintained by hand and no tool rewrites it, so its form is checked here.
+
+    Its bytes are what canonical_json writes for it, and every control of a
+    section (of an objective) carries the same section_name (objective_text).
+    """
+    written = (resources.files("ismaturity") / "data" / "catalog_default.json").read_bytes()
+    assert written == canonical_json(catalog_document(catalog)).encode("utf-8")
+    section_names, objective_texts = {}, {}
+    for control in catalog.controls:
+        section_names.setdefault(control.id.section, set()).add(control.section_name)
+        objective_texts.setdefault((control.id.section, control.id.objective), set()).add(control.objective_text)
+    assert (len(section_names), len(objective_texts)) == (14, 35)
+    assert {section: names for section, names in section_names.items() if len(names) > 1} == {}
+    assert {objective: texts for objective, texts in objective_texts.items() if len(texts) > 1} == {}
 
 
 def test_load_catalog_rejects_duplicate_ids():

@@ -197,12 +197,23 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
          "--out names the report being read: {missing}/r.json"),
         (("report", "{missing}/r.json", "--out", "{missing}/./r.json"),
          "--out names the report being read: {missing}/./r.json"),
+        # no file system takes a NUL in a name; checked before any path is resolved
+        (("report", "{missing}/a\0b"), "report path holds a NUL byte: '{missing}/a\\x00b'"),
+        (("assess", "--mode", "model", "--measurements", "{missing}/m\0.csv"),
+         "--measurements path holds a NUL byte: '{missing}/m\\x00.csv'"),
+        (("report", "{missing}/r.json", "--out", "{tmp}/o\0.txt"),
+         "--out path holds a NUL byte: '{tmp}/o\\x00.txt'"),
+        (("stage-plan", "diff", "default", "{missing}/p\0.json"),
+         "plan_b path holds a NUL byte: '{missing}/p\\x00.json'"),
+        (("import-survey", "{missing}/survey.csv", "--into", "{missing}/d\0b", "--out", "{tmp}/o.json"),
+         "--into path holds a NUL byte: '{missing}/d\\x00b'"),
     ],
     ids=[
         "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
         "assess-no-minimums", "compare-modes-both-minimums", "compare-modes-no-minimums",
         "minimums-risk-no-ratings", "minimums-fixed-with-ratings", "assess-one-file", "assess-one-file-dot",
         "compare-modes-one-file", "compare-modes-one-file-dot", "report-onto-itself", "report-onto-itself-dot",
+        "nul-report", "nul-assess-measurements", "nul-report-out", "nul-stage-plan-diff", "nul-import-survey-into",
     ],
 )
 def test_usage_errors_come_before_any_file_is_read(run_cli, tmp_path, command, message):

@@ -1,5 +1,8 @@
-"""Regenerate the bundled data files and the company-a test fixtures.
+"""Regenerate the bundled importance panel, the default stage plan and the company-a test fixtures.
 
+The script reads the bundled control catalog (src/ismaturity/data/
+catalog_default.json, 114 controls and 1 dependency) through the package;
+that file is maintained by hand, and tests/test_catalog.py checks its form.
 Everything this script writes is synthetic and fully determined by the
 construction rules below; no survey of real stakeholders is shipped. The
 script is the authoritative record of how the numbers were designed. It
@@ -14,7 +17,6 @@ lists in tests/expected_stages.py. Run it from the repository root:
 
 Outputs:
 
-    src/ismaturity/data/catalog_default.json      114 controls + 1 dependency
     src/ismaturity/data/importance_default.json   synthetic 40-person panel
     src/ismaturity/data/stage_plan_default.json   the default stage database
     tests/data/company_a/survey.csv               7-person importance survey
@@ -44,204 +46,24 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ismaturity import (
-    ControlCatalog,
-    ControlId,
-    Stage,
-    build_stage_plan,
-    ingest_responses,
-    parse_control_id,
-)
-from ismaturity.catalog import Control, DependencyGraph
+from ismaturity import ControlId, Stage, build_stage_plan, ingest_responses, parse_control_id
 from ismaturity.files import (
-    catalog_document,
+    APPLICABILITY_HEADER,
+    MEASUREMENTS_HEADER,
+    RATINGS_HEADER,
+    SURVEY_HEADER,
+    canonical_json,
     default_catalog,
     default_importance_db,
     default_stage_plan,
     importance_document,
     stage_plan_document,
     write_text_atomic,
-    canonical_json,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "ismaturity" / "data"
 FIXTURE_DIR = ROOT / "tests" / "data" / "company_a"
-
-SECTION_NAMES = {
-    5: "Information security policies",
-    6: "Organization of information security",
-    7: "Human resource security",
-    8: "Asset management",
-    9: "Access control",
-    10: "Cryptography",
-    11: "Physical and environmental security",
-    12: "Operations security",
-    13: "Communications security",
-    14: "System acquisition, development and maintenance",
-    15: "Supplier relationships",
-    16: "Information security incident management",
-    17: "Information security aspects of business continuity management",
-    18: "Compliance",
-}
-
-OBJECTIVE_TEXTS = {
-    (5, 1): "Provide management direction and support for information security.",
-    (6, 1): "Establish a management framework for information security work.",
-    (6, 2): "Secure teleworking and the use of mobile devices.",
-    (7, 1): "Ensure candidates understand and suit their responsibilities before hiring.",
-    (7, 2): "Keep personnel aware of and accountable for their security duties.",
-    (7, 3): "Protect the organization's interests when employment changes or ends.",
-    (8, 1): "Identify assets and assign protection responsibilities.",
-    (8, 2): "Classify information according to its importance to the organization.",
-    (8, 3): "Prevent unauthorized disclosure, modification, removal or destruction of media.",
-    (9, 1): "Limit access to information and information processing facilities.",
-    (9, 2): "Grant authorized users access and keep unauthorized users out of systems.",
-    (9, 3): "Make users accountable for safeguarding their authentication information.",
-    (9, 4): "Prevent unauthorized access to systems and applications.",
-    (10, 1): "Use cryptography to protect confidentiality, authenticity and integrity.",
-    (11, 1): "Prevent unauthorized physical access to information and facilities.",
-    (11, 2): "Prevent loss, damage, theft or compromise of assets and interruption of operations.",
-    (12, 1): "Ensure correct and secure operation of information processing facilities.",
-    (12, 2): "Protect information and processing facilities against malware.",
-    (12, 3): "Protect against loss of data.",
-    (12, 4): "Record events and generate evidence.",
-    (12, 5): "Ensure the integrity of operational systems.",
-    (12, 6): "Prevent exploitation of technical vulnerabilities.",
-    (12, 7): "Minimize the impact of audit activities on operational systems.",
-    (13, 1): "Protect information in networks and the supporting facilities.",
-    (13, 2): "Keep transferred information secure, inside and outside the organization.",
-    (14, 1): "Make security an integral part of information systems across their lifecycle.",
-    (14, 2): "Design and implement security within the development lifecycle.",
-    (14, 3): "Protect data used for testing.",
-    (15, 1): "Protect organizational assets that suppliers can access.",
-    (15, 2): "Maintain the agreed level of security in supplier service delivery.",
-    (16, 1): "Manage security incidents consistently and effectively.",
-    (17, 1): "Embed information security continuity in business continuity management.",
-    (17, 2): "Ensure availability of information processing facilities.",
-    (18, 1): "Avoid breaches of legal, statutory, regulatory or contractual obligations.",
-    (18, 2): "Ensure security is operated according to policies and procedures.",
-}
-
-CONTROL_TITLES = {
-    "A.5.1.1": "Policies for information security",
-    "A.5.1.2": "Review of the policies for information security",
-    "A.6.1.1": "Information security roles and responsibilities",
-    "A.6.1.2": "Segregation of duties",
-    "A.6.1.3": "Contact with authorities",
-    "A.6.1.4": "Contact with special interest groups",
-    "A.6.1.5": "Information security in project management",
-    "A.6.2.1": "Mobile device policy",
-    "A.6.2.2": "Teleworking",
-    "A.7.1.1": "Screening",
-    "A.7.1.2": "Terms and conditions of employment",
-    "A.7.2.1": "Management responsibilities",
-    "A.7.2.2": "Information security awareness, education and training",
-    "A.7.2.3": "Disciplinary process",
-    "A.7.3.1": "Termination or change of employment responsibilities",
-    "A.8.1.1": "Inventory of assets",
-    "A.8.1.2": "Ownership of assets",
-    "A.8.1.3": "Acceptable use of assets",
-    "A.8.1.4": "Return of assets",
-    "A.8.2.1": "Classification of information",
-    "A.8.2.2": "Labelling of information",
-    "A.8.2.3": "Handling of assets",
-    "A.8.3.1": "Management of removable media",
-    "A.8.3.2": "Disposal of media",
-    "A.8.3.3": "Physical media transfer",
-    "A.9.1.1": "Access control policy",
-    "A.9.1.2": "Access to networks and network services",
-    "A.9.2.1": "User registration and de-registration",
-    "A.9.2.2": "User access provisioning",
-    "A.9.2.3": "Management of privileged access rights",
-    "A.9.2.4": "Management of secret authentication information of users",
-    "A.9.2.5": "Review of user access rights",
-    "A.9.2.6": "Removal or adjustment of access rights",
-    "A.9.3.1": "Use of secret authentication information",
-    "A.9.4.1": "Information access restriction",
-    "A.9.4.2": "Secure log-on procedures",
-    "A.9.4.3": "Password management system",
-    "A.9.4.4": "Use of privileged utility programs",
-    "A.9.4.5": "Access control to program source code",
-    "A.10.1.1": "Policy on the use of cryptographic controls",
-    "A.10.1.2": "Key management",
-    "A.11.1.1": "Physical security perimeter",
-    "A.11.1.2": "Physical entry controls",
-    "A.11.1.3": "Securing offices, rooms and facilities",
-    "A.11.1.4": "Protecting against external and environmental threats",
-    "A.11.1.5": "Working in secure areas",
-    "A.11.1.6": "Delivery and loading areas",
-    "A.11.2.1": "Equipment siting and protection",
-    "A.11.2.2": "Supporting utilities",
-    "A.11.2.3": "Cabling security",
-    "A.11.2.4": "Equipment maintenance",
-    "A.11.2.5": "Removal of assets",
-    "A.11.2.6": "Security of equipment and assets off-premises",
-    "A.11.2.7": "Secure disposal or re-use of equipment",
-    "A.11.2.8": "Unattended user equipment",
-    "A.11.2.9": "Clear desk and clear screen policy",
-    "A.12.1.1": "Documented operating procedures",
-    "A.12.1.2": "Change management",
-    "A.12.1.3": "Capacity management",
-    "A.12.1.4": "Separation of development, testing and operational environments",
-    "A.12.2.1": "Controls against malware",
-    "A.12.3.1": "Information backup",
-    "A.12.4.1": "Event logging",
-    "A.12.4.2": "Protection of log information",
-    "A.12.4.3": "Administrator and operator logs",
-    "A.12.4.4": "Clock synchronisation",
-    "A.12.5.1": "Installation of software on operational systems",
-    "A.12.6.1": "Management of technical vulnerabilities",
-    "A.12.6.2": "Restrictions on software installation",
-    "A.12.7.1": "Information systems audit controls",
-    "A.13.1.1": "Network controls",
-    "A.13.1.2": "Security of network services",
-    "A.13.1.3": "Segregation in networks",
-    "A.13.2.1": "Information transfer policies and procedures",
-    "A.13.2.2": "Agreements on information transfer",
-    "A.13.2.3": "Electronic messaging",
-    "A.13.2.4": "Confidentiality or non-disclosure agreements",
-    "A.14.1.1": "Information security requirements analysis and specification",
-    "A.14.1.2": "Securing application services on public networks",
-    "A.14.1.3": "Protecting application services transactions",
-    "A.14.2.1": "Secure development policy",
-    "A.14.2.2": "System change control procedures",
-    "A.14.2.3": "Technical review of applications after operating platform changes",
-    "A.14.2.4": "Restrictions on changes to software packages",
-    "A.14.2.5": "Secure system engineering principles",
-    "A.14.2.6": "Secure development environment",
-    "A.14.2.7": "Outsourced development",
-    "A.14.2.8": "System security testing",
-    "A.14.2.9": "System acceptance testing",
-    "A.14.3.1": "Protection of test data",
-    "A.15.1.1": "Information security policy for supplier relationships",
-    "A.15.1.2": "Addressing security within supplier agreements",
-    "A.15.1.3": "Information and communication technology supply chain",
-    "A.15.2.1": "Monitoring and review of supplier services",
-    "A.15.2.2": "Managing changes to supplier services",
-    "A.16.1.1": "Responsibilities and procedures",
-    "A.16.1.2": "Reporting information security events",
-    "A.16.1.3": "Reporting information security weaknesses",
-    "A.16.1.4": "Assessment of and decision on information security events",
-    "A.16.1.5": "Response to information security incidents",
-    "A.16.1.6": "Learning from information security incidents",
-    "A.16.1.7": "Collection of evidence",
-    "A.17.1.1": "Planning information security continuity",
-    "A.17.1.2": "Implementing information security continuity",
-    "A.17.1.3": "Verify, review and evaluate information security continuity",
-    "A.17.2.1": "Availability of information processing facilities",
-    "A.18.1.1": "Identification of applicable legislation and contractual requirements",
-    "A.18.1.2": "Intellectual property rights",
-    "A.18.1.3": "Protection of records",
-    "A.18.1.4": "Privacy and protection of personally identifiable information",
-    "A.18.1.5": "Regulation of cryptographic controls",
-    "A.18.2.1": "Independent review of information security",
-    "A.18.2.2": "Compliance with security policies and standards",
-    "A.18.2.3": "Technical compliance review",
-}
-
-# Reviewing the security policy presupposes having one.
-DEPENDENCY_EDGES = [("A.5.1.1", "A.5.1.2")]
 
 # The default stage database: stage membership for all 114 controls.
 DEFAULT_STAGES = {
@@ -320,25 +142,6 @@ CA_EXCLUDED_SUM = 12
 # except the two Advanced-stage failures.
 CA_FAILING = {"A.9.3.1": 3, "A.14.1.3": 2}  # measured, both require level 4
 CA_PRIORITY_CONTROL = "A.9.2.3"  # rated high/high, measured at 5, passing
-
-
-def build_catalog() -> ControlCatalog:
-    controls = []
-    for text, title in CONTROL_TITLES.items():
-        cid = parse_control_id(text)
-        controls.append(
-            Control(
-                id=cid,
-                title=title,
-                section_name=SECTION_NAMES[cid.section],
-                objective_text=OBJECTIVE_TEXTS[(cid.section, cid.objective)],
-            )
-        )
-    controls.sort(key=lambda c: c.id)
-    graph = DependencyGraph.from_pairs(
-        (parse_control_id(a), parse_control_id(b)) for a, b in DEPENDENCY_EDGES
-    )
-    return ControlCatalog(controls=tuple(controls), dependencies=graph)
 
 
 def spread_scores(total: int, count: int, offset: int) -> list[int]:
@@ -483,9 +286,7 @@ def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
 
-    catalog = build_catalog()
-    write_text_atomic(DATA_DIR / "catalog_default.json", canonical_json(catalog_document(catalog)))
-
+    catalog = default_catalog()
     db = ingest_responses(panel_scores(), catalog)
     write_text_atomic(DATA_DIR / "importance_default.json", canonical_json(importance_document(db)))
 
@@ -497,33 +298,28 @@ def main() -> None:
         for respondent, by_control in sorted(ca_survey_scores().items())
         for cid, score in sorted(by_control.items())
     ]
-    write_csv(FIXTURE_DIR / "survey.csv", ["respondent_id", "control_id", "score"], survey_rows)
+    write_csv(FIXTURE_DIR / "survey.csv", SURVEY_HEADER, survey_rows)
 
     applicability_rows = [["A.5.1.1", "true", ""], ["A.10.1.1", "yes", ""]]
     applicability_rows += [[text, "false", reason] for text, reason in sorted(CA_EXCLUSIONS.items())]
     applicability_rows.sort(key=lambda row: parse_control_id(row[0]))
-    write_csv(
-        FIXTURE_DIR / "applicability.csv",
-        ["control_id", "applicable", "justification"],
-        applicability_rows,
-    )
+    write_csv(FIXTURE_DIR / "applicability.csv", APPLICABILITY_HEADER, applicability_rows)
 
     measurements = ca_measurements()
     write_csv(
         FIXTURE_DIR / "measurements.csv",
-        ["control_id", "level"],
+        MEASUREMENTS_HEADER,
         [[str(cid), str(level)] for cid, level in sorted(measurements.items())],
     )
 
     ratings = ca_ratings(measurements)
     write_csv(
         FIXTURE_DIR / "ratings.csv",
-        ["control_id", "probability", "impact"],
+        RATINGS_HEADER,
         [[str(cid), p, i] for cid, (p, i) in sorted(ratings.items())],
     )
 
     # the bundled loaders must reproduce exactly what was built here
-    assert default_catalog() == catalog
     assert default_importance_db() == db
     assert default_stage_plan() == plan
     print(f"wrote {DATA_DIR} and {FIXTURE_DIR}")
