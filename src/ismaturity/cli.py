@@ -24,7 +24,9 @@ stdout and stderr are still flushed; every output file is already closed.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -147,35 +149,57 @@ def _plan_argument(text: str) -> str | None:
 
 
 def _given(args, names):
-    """(name, path) for each flag or positional in `names` that `args` gives a path for."""
+    """(name, path) for each flag or positional in `names` that `args` gives a path for, even an empty one."""
     for name in names:
         path = getattr(args, name.lstrip("-").replace("-", "_"))
-        if path:
+        if path is not None:
             yield name, path
 
 
-def _check_paths(args) -> None:
-    """No path may hold a NUL byte, and no output may name another output or any path its command reads.
+def _regular_or_absent(path: str) -> bool:
+    """Whether `path`, with its symlinks followed, is a regular file or names nothing.
 
-    Runs before any path is resolved or any file is read. No file system
-    accepts a NUL in a name. One file for two outputs would hold only the
-    last one written, and an output over an input replaces the input. Paths
-    are compared resolved, so `x` and `./x` match. A command declares its
-    paths with the parser defaults `outputs`, `inputs` and `updated` (read,
-    and free to be rewritten by an output).
+    A failed look other than a symlink loop (say, a missing directory) is left to the write to report.
+    """
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError as exc:
+        return exc.errno != errno.ELOOP
+
+
+def _check_paths(args) -> None:
+    """No path may be empty or hold a NUL byte, and no output may be an existing non-regular file or name another
+    output or any path its command reads.
+
+    Runs before any file is read. No file system accepts an empty name or a
+    NUL in one. An output that, once symlinks are followed, exists and is no
+    regular file (a directory, a FIFO, a device, a symlink loop) would be
+    replaced by a regular one; through any other symlink the output is
+    written to the file it leads to (files.write_text_atomic). One file for
+    two outputs would hold only the last one written, and an output over an
+    input replaces the input. Paths are compared with symlinks resolved
+    (os.path.realpath, which a loop does not stop), so `x` and `./x` match.
+    A command declares its paths with the parser defaults `outputs`,
+    `inputs` and `updated` (read, and free to be rewritten by an output).
     """
     for name, path in _given(args, (*args.outputs, *args.inputs, *args.updated)):
+        if not path:
+            raise UsageError(f"{name} path is empty")
         if "\0" in path:
             raise UsageError(f"{name} path holds a NUL byte: {path!r}")
-    outputs = [(name, path, Path(path).resolve()) for name, path in _given(args, args.outputs)]
-    for i, (name, path, resolved) in enumerate(outputs):
-        for other, _, earlier in outputs[:i]:
+    outputs = []
+    for name, path in _given(args, args.outputs):
+        if not _regular_or_absent(path):
+            raise UsageError(f"{name} exists and is not a regular file: {path}")
+        resolved = os.path.realpath(path)
+        for other, _, earlier in outputs:
             if resolved == earlier:
                 raise UsageError(f"{other} and {name} name the same file: {path}")
+        outputs.append((name, path, resolved))
     if outputs:
         for name_in, path_in in _given(args, args.inputs):
             what = f"{name_in} file" if name_in.startswith("-") else name_in
-            read = Path(path_in).resolve()
+            read = os.path.realpath(path_in)
             for name, path, resolved in outputs:
                 if resolved == read:
                     raise UsageError(f"{name} names the {what} being read: {path}")

@@ -152,16 +152,17 @@ def _dump(value, newline: str, written: dict) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via temp file + fsync + rename so readers never see a partial file.
 
-    The temp file is created next to the target with mode 0o666, so the
-    umask sets the final permissions as for any newly created file. Any OS
-    failure (say, a missing directory), and text UTF-8 cannot encode (a lone
-    surrogate), is a ValidationError naming `path`.
+    A symlink is written through: the file it leads to is the target, and
+    the link stays. The temp file is created next to the target with mode
+    0o666, so the umask sets the final permissions as for any newly created
+    file. Any OS failure (say, a missing directory), and text UTF-8 cannot
+    encode (a lone surrogate), is a ValidationError naming `path`.
     """
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write text as UTF-8: {exc}", source=str(path)) from None
-    target = Path(path)
+    target = Path(os.path.realpath(path))
     temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -207,6 +207,16 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
          "plan_b path holds a NUL byte: '{missing}/p\\x00.json'"),
         (("import-survey", "{missing}/survey.csv", "--into", "{missing}/d\0b", "--out", "{tmp}/o.json"),
          "--into path holds a NUL byte: '{missing}/d\\x00b'"),
+        # an empty path names no file, and an empty optional one is not an absent one
+        (("import-survey", "{missing}/survey.csv", "--out="), "--out path is empty"),
+        (("stage-plan", "build", "--survey", "{missing}/s.csv", "--out="), "--out path is empty"),
+        (("minimums", "build", "--mode", "fixed:3", "--out="), "--out path is empty"),
+        (("assess", "--mode", "model", "--applicability=", "--measurements", "{missing}/m.csv"),
+         "--applicability path is empty"),
+        (("assess", "--mode", "model", "--measurements", "{missing}/m.csv", "--out="), "--out path is empty"),
+        (("stage-plan", "diff", "default", ""), "plan_b path is empty"),
+        # an existing output that is no regular file would be replaced by one
+        (("report", "{missing}/r.json", "--out", "{tmp}"), "--out exists and is not a regular file: {tmp}"),
     ],
     ids=[
         "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
@@ -214,6 +224,8 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
         "minimums-risk-no-ratings", "minimums-fixed-with-ratings", "assess-one-file", "assess-one-file-dot",
         "compare-modes-one-file", "compare-modes-one-file-dot", "report-onto-itself", "report-onto-itself-dot",
         "nul-report", "nul-assess-measurements", "nul-report-out", "nul-stage-plan-diff", "nul-import-survey-into",
+        "empty-import-survey-out", "empty-stage-plan-build-out", "empty-minimums-build-out",
+        "empty-assess-applicability", "empty-assess-out", "empty-stage-plan-diff", "output-a-directory",
     ],
 )
 def test_usage_errors_come_before_any_file_is_read(run_cli, tmp_path, command, message):
@@ -696,6 +708,45 @@ def test_import_survey_into_a_database_and_out_to_it_updates_it_in_place(run_cli
     code, out, _ = run_cli("import-survey", survey, "--into", db, "--out", db)
     assert (code, out) == (0, f"1 responses from 8 respondents -> {db}\n")
     assert json.loads(db.read_text(encoding="utf-8"))["responses"]["late-1"] == {"A.5.1.1": 4}
+
+
+def loop(tmp_path):
+    """loop1 -> loop2 -> loop1 inside `tmp_path`; returns loop1."""
+    os.symlink("loop2", tmp_path / "loop1")
+    os.symlink("loop1", tmp_path / "loop2")
+    return tmp_path / "loop1"
+
+
+@pytest.mark.parametrize("kind", ["fifo", "loop"])
+def test_an_output_that_is_no_regular_file_is_a_usage_error_and_kept(run_cli, tmp_path, kind):
+    if kind == "fifo":
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+    else:
+        path = loop(tmp_path)
+    before = {p.name: os.lstat(p).st_mode for p in tmp_path.iterdir()}
+    code, out, err = run_cli("stage-plan", "diff", "default", "default", "--out", path)
+    assert (code, out, err) == (64, "", f"usage error: --out exists and is not a regular file: {path}\n")
+    assert {p.name: os.lstat(p).st_mode for p in tmp_path.iterdir()} == before
+
+
+def test_an_input_that_is_a_symlink_loop_is_an_input_error(run_cli, ca, tmp_path):
+    path = loop(tmp_path)
+    out_path = tmp_path / "x.json"
+    code, out, err = run_cli(*assess_args({**ca, "applicability": path}, "--out", out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path}: cannot read file: [Errno {errno.ELOOP}] ")
+    assert not out_path.exists()
+
+
+def test_an_output_that_is_a_symlink_is_written_through(run_cli, tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n", encoding="utf-8")
+    os.symlink("real.json", link)
+    assert run_cli("stage-plan", "diff", "default", "default", "--out", link) == (0, "0 differences\n", "")
+    assert os.readlink(link) == "real.json"
+    assert json.loads(real.read_text(encoding="utf-8"))["deltas"] == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 def test_report_on_a_directory_is_an_input_error(run_cli, tmp_path):

@@ -113,6 +113,9 @@ CASES = (
     # importing the same respondents again is exit 1, and nothing is written
     Case("import_survey_into", "import-survey survey.csv --into import_survey.json --out import_again.json",
          stderr="import_survey_into.stderr", code=1, reads=("import_survey.json",)),
+    # an empty path is exit 64, before the survey is read
+    Case("import_survey_empty_out", "import-survey survey.csv --out=", stderr="import_survey_empty_out.stderr",
+         code=64),
     # a flag the mode does not take is exit 64, in the package's wording rather than argparse's
     Case("assess_model_survey", "assess --mode model --survey survey.csv --measurements measurements.csv",
          stderr="assess_model_survey.stderr", code=64),

@@ -1,31 +1,33 @@
-"""Regenerate the bundled importance panel, the default stage plan and the company-a test fixtures.
+"""Regenerate the bundled importance panel and the company-a test fixtures.
 
 The script reads the bundled control catalog (src/ismaturity/data/
-catalog_default.json, 114 controls and 1 dependency) through the package;
-that file is maintained by hand, and tests/test_catalog.py checks its form.
+catalog_default.json, 114 controls and 1 dependency) and the bundled default
+stage plan (src/ismaturity/data/stage_plan_default.json, the 114 controls'
+stages) through the package. Both files are maintained by hand;
+tests/test_catalog.py and tests/test_acceptance.py check their form.
 Everything this script writes is synthetic and fully determined by the
 construction rules below; no survey of real stakeholders is shipped. The
 script is the authoritative record of how the numbers were designed. It
 builds the data, writes it, and asserts only that the package's bundled
-loaders read back exactly what it built. Whether the data still has its
-designed properties (stage sizes and members, the tie groups, every
-company-a outcome) is checked by the tier-1 tests: tests/test_acceptance.py,
-tests/test_company_a.py and tests/test_reporting.py, against the literal
-lists in tests/expected_stages.py. Run it from the repository root:
+loader reads back the panel it built and that the panel partitions to the
+bundled plan. Whether the data still has its designed properties (stage
+sizes and members, the tie groups, every company-a outcome) is checked by
+the tier-1 tests: tests/test_acceptance.py, tests/test_company_a.py and
+tests/test_reporting.py, against the literal lists in
+tests/expected_stages.py. Run it from the repository root:
 
     PYTHONPATH=src python tools/generate_bundled_data.py
 
 Outputs:
 
     src/ismaturity/data/importance_default.json   synthetic 40-person panel
-    src/ismaturity/data/stage_plan_default.json   the default stage database
     tests/data/company_a/survey.csv               7-person importance survey
     tests/data/company_a/applicability.csv        3 exclusions + 2 explicit yes rows
     tests/data/company_a/ratings.csv              risk ratings for applicable controls
     tests/data/company_a/measurements.csv         measured levels for applicable controls
 
-Design of the default panel: controls are ranked in the order of the default
-stage database (each stage id-sorted), rank r gets score sum 201 - r over 40
+Design of the default panel: controls are ranked in the order of the bundled
+default plan (each stage id-sorted), rank r gets score sum 201 - r over 40
 respondents, except that three deliberate tie groups share their leader's
 sum: ranks 29..31, 57..58 and 86..87. Partitioning 114 controls cuts at
 cumulative positions (29, 57, 86, 114); the ties sit exactly on the first
@@ -57,49 +59,12 @@ from ismaturity.files import (
     default_importance_db,
     default_stage_plan,
     importance_document,
-    stage_plan_document,
     write_text_atomic,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "src" / "ismaturity" / "data"
 FIXTURE_DIR = ROOT / "tests" / "data" / "company_a"
-
-# The default stage database: stage membership for all 114 controls.
-DEFAULT_STAGES = {
-    Stage.ESSENTIAL: [
-        "A.5.1.1", "A.6.1.1", "A.6.1.5", "A.6.2.2", "A.7.1.1", "A.7.2.1",
-        "A.8.1.2", "A.8.1.3", "A.8.2.1", "A.8.2.3", "A.9.1.2", "A.9.2.1",
-        "A.9.2.3", "A.9.2.4", "A.9.2.5", "A.9.4.2", "A.9.4.4", "A.11.1.5",
-        "A.11.2.4", "A.11.2.5", "A.11.2.6", "A.11.2.7", "A.12.5.1",
-        "A.12.6.2", "A.13.1.3", "A.15.1.3", "A.18.1.1", "A.18.1.2",
-        "A.18.1.3", "A.18.1.4", "A.18.1.5",
-    ],
-    Stage.INTERMEDIATE: [
-        "A.5.1.2", "A.6.1.2", "A.6.2.1", "A.7.2.2", "A.8.1.1", "A.8.3.1",
-        "A.9.2.6", "A.9.4.3", "A.11.1.3", "A.11.2.2", "A.11.2.3",
-        "A.12.1.3", "A.12.1.4", "A.12.2.1", "A.13.1.1", "A.13.2.1",
-        "A.13.2.3", "A.14.1.1", "A.14.2.6", "A.15.1.1", "A.16.1.1",
-        "A.16.1.2", "A.16.1.4", "A.16.1.5", "A.16.1.7", "A.17.1.1",
-        "A.18.2.2",
-    ],
-    Stage.ADVANCED: [
-        "A.7.2.3", "A.8.1.4", "A.8.2.2", "A.9.1.1", "A.9.3.1", "A.9.4.1",
-        "A.9.4.5", "A.11.1.1", "A.11.1.2", "A.11.2.1", "A.11.2.9",
-        "A.12.1.1", "A.12.1.2", "A.12.3.1", "A.12.4.1", "A.12.6.1",
-        "A.12.7.1", "A.13.1.2", "A.13.2.4", "A.14.1.2", "A.14.1.3",
-        "A.14.2.5", "A.14.2.9", "A.15.1.2", "A.15.2.1", "A.16.1.3",
-        "A.17.2.1", "A.18.2.1", "A.18.2.3",
-    ],
-    Stage.FULL: [
-        "A.6.1.3", "A.6.1.4", "A.7.1.2", "A.7.3.1", "A.8.3.2", "A.8.3.3",
-        "A.9.2.2", "A.10.1.1", "A.10.1.2", "A.11.1.4", "A.11.1.6",
-        "A.11.2.8", "A.12.4.2", "A.12.4.3", "A.12.4.4", "A.13.2.2",
-        "A.14.2.1", "A.14.2.2", "A.14.2.3", "A.14.2.4", "A.14.2.7",
-        "A.14.2.8", "A.14.3.1", "A.15.2.2", "A.16.1.6", "A.17.1.2",
-        "A.17.1.3",
-    ],
-}
 
 PANEL_RESPONDENTS = [f"panel-{n:03d}" for n in range(1, 41)]
 
@@ -155,9 +120,8 @@ def spread_scores(total: int, count: int, offset: int) -> list[int]:
 
 
 def panel_rank_order() -> list[ControlId]:
-    order = []
-    for stage in Stage:
-        order.extend(sorted(parse_control_id(t) for t in DEFAULT_STAGES[stage]))
+    plan = default_stage_plan()
+    order = [cid for stage in Stage for cid in plan.members(stage)]
     assert len(order) == 114 and len(set(order)) == 114
     return order
 
@@ -172,7 +136,8 @@ def panel_scores() -> dict[str, dict[ControlId, int]]:
 
 
 def ca_stage_sets() -> dict[Stage, set[ControlId]]:
-    stages = {stage: set(parse_control_id(t) for t in DEFAULT_STAGES[stage]) for stage in Stage}
+    plan = default_stage_plan()
+    stages = {stage: set(plan.members(stage)) for stage in Stage}
     for text, (before, after) in CA_MOVES.items():
         cid = parse_control_id(text)
         stages[before].remove(cid)
@@ -290,9 +255,6 @@ def main() -> None:
     db = ingest_responses(panel_scores(), catalog)
     write_text_atomic(DATA_DIR / "importance_default.json", canonical_json(importance_document(db)))
 
-    plan = build_stage_plan(db, catalog)
-    write_text_atomic(DATA_DIR / "stage_plan_default.json", canonical_json(stage_plan_document(plan)))
-
     survey_rows = [
         [respondent, str(cid), str(score)]
         for respondent, by_control in sorted(ca_survey_scores().items())
@@ -319,9 +281,9 @@ def main() -> None:
         [[str(cid), p, i] for cid, (p, i) in sorted(ratings.items())],
     )
 
-    # the bundled loaders must reproduce exactly what was built here
+    # the bundled loader must read back the panel built here, which must partition to the bundled plan
     assert default_importance_db() == db
-    assert default_stage_plan() == plan
+    assert build_stage_plan(db, catalog) == default_stage_plan()
     print(f"wrote {DATA_DIR} and {FIXTURE_DIR}")
 
 
