@@ -24,9 +24,7 @@ stdout and stderr are still flushed; every output file is already closed.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
-import stat
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -156,26 +154,16 @@ def _given(args, names):
             yield name, path
 
 
-def _regular_or_absent(path: str) -> bool:
-    """Whether `path`, with its symlinks followed, is a regular file or names nothing.
-
-    A failed look other than a symlink loop (say, a missing directory) is left to the write to report.
-    """
-    try:
-        return stat.S_ISREG(os.stat(path).st_mode)
-    except OSError as exc:
-        return exc.errno != errno.ELOOP
-
-
 def _check_paths(args) -> None:
     """No path may be empty or hold a NUL byte, and no output may be an existing non-regular file or name another
     output or any path its command reads.
 
     Runs before any file is read. No file system accepts an empty name or a
     NUL in one. An output that, once symlinks are followed, exists and is no
-    regular file (a directory, a FIFO, a device, a symlink loop) would be
-    replaced by a regular one; through any other symlink the output is
-    written to the file it leads to (files.write_text_atomic). One file for
+    regular file (a directory, a FIFO, a device, a symlink loop) is refused
+    here by the writer's own rule (files.regular_or_absent), before any work
+    is done; through any other symlink the output is written to the file it
+    leads to (files.write_text_atomic). One file for
     two outputs would hold only the last one written, and an output over an
     input replaces the input. Paths are compared with symlinks resolved
     (os.path.realpath, which a loop does not stop), so `x` and `./x` match.
@@ -189,7 +177,7 @@ def _check_paths(args) -> None:
             raise UsageError(f"{name} path holds a NUL byte: {path!r}")
     outputs = []
     for name, path in _given(args, args.outputs):
-        if not _regular_or_absent(path):
+        if not files.regular_or_absent(path):
             raise UsageError(f"{name} exists and is not a regular file: {path}")
         resolved = os.path.realpath(path)
         for other, _, earlier in outputs:

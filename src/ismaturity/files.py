@@ -47,8 +47,10 @@ atomically renamed; a failing command never leaves a partial output behind.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
+import stat
 from functools import lru_cache
 from importlib import resources
 from json.encoder import encode_basestring
@@ -149,19 +151,35 @@ def _dump(value, newline: str, written: dict) -> str:
     return scalar(value)
 
 
+def regular_or_absent(path: str | Path) -> bool:
+    """Whether `path`, with its symlinks followed, is a regular file or names nothing.
+
+    A failed look other than a symlink loop (say, a missing directory) is left to the write to report.
+    """
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except OSError as exc:
+        return exc.errno != errno.ELOOP
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via temp file + fsync + rename so readers never see a partial file.
 
     A symlink is written through: the file it leads to is the target, and
-    the link stays. The temp file is created next to the target with mode
-    0o666, so the umask sets the final permissions as for any newly created
-    file. Any OS failure (say, a missing directory), and text UTF-8 cannot
-    encode (a lone surrogate), is a ValidationError naming `path`.
+    the link stays. A target that exists and is no regular file (a
+    directory, a FIFO, a device, a symlink loop) is left as it is, since the
+    rename would replace it with a regular file. The temp file is created
+    next to the target with mode 0o666, so the umask sets the final
+    permissions as for any newly created file. Any OS failure (say, a
+    missing directory), and text UTF-8 cannot encode (a lone surrogate), is
+    a ValidationError naming `path`.
     """
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write text as UTF-8: {exc}", source=str(path)) from None
+    if not regular_or_absent(path):
+        raise ValidationError("cannot write file: not a regular file", source=str(path))
     target = Path(os.path.realpath(path))
     temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
     try:

@@ -1,9 +1,10 @@
 """Frozen expectations: default stage memberships and the company-a design.
 
 These lists are typed out independently of the package's bundled data files
-and of tools/generate_bundled_data.py; tests compare computed results against
-them, so silent drift anywhere in the pipeline fails a test instead of
-propagating. Keep them literal.
+and of the company-a fixtures, all of which are maintained by hand; tests
+compare computed results against them, so silent drift anywhere in the
+pipeline, or in the data, fails a test instead of propagating. Keep them
+literal.
 """
 
 DEFAULT_ESSENTIAL = [

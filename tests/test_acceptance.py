@@ -115,9 +115,12 @@ def test_01_bundled_stage_database(criterion):
         for label, stage in STAGE_BY_LABEL.items():
             assert [str(c) for c in plan.members(stage)] == lists[label], label
         assert plan.boundaries_used == (29, 57, 86, 114)
-        # the plan file is maintained by hand and no tool rewrites it, so its form is checked here
-        written = (resources.files("ismaturity") / "data" / "stage_plan_default.json").read_bytes()
+        # the plan and panel files are maintained by hand and no tool rewrites them, so their form is checked here
+        data = resources.files("ismaturity") / "data"
+        written = (data / "stage_plan_default.json").read_bytes()
         assert written == canonical_json(stage_plan_document(plan)).encode("utf-8")
+        written = (data / "importance_default.json").read_bytes()
+        assert written == canonical_json(importance_document(db)).encode("utf-8")
         # the bundled panel partitions back to the bundled plan, with nothing promoted
         assert build_stage_plan(db, catalog) == plan
         assert set(plan.provenance.values()) == {PARTITIONED}

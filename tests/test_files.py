@@ -275,9 +275,19 @@ def test_write_text_atomic_reports_os_errors_and_leaves_no_temp_file(tmp_path):
         write_text_atomic(tmp_path / "missing" / "out.txt", "payload")
     (tmp_path / "taken").mkdir()
     with pytest.raises(ValidationError, match="cannot write file"):
-        write_text_atomic(tmp_path / "taken", "payload")  # rename onto a directory fails
+        write_text_atomic(tmp_path / "taken", "payload")  # a directory is no regular file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert list((tmp_path / "taken").iterdir()) == []
+    # a FIFO and a symlink loop would be replaced by a regular file if the rename ran
+    os.mkfifo(tmp_path / "fifo")
+    (tmp_path / "l1").symlink_to("l2")
+    (tmp_path / "l2").symlink_to("l1")
+    for name in ("fifo", "l1"):
+        with pytest.raises(ValidationError, match=f"{name}: cannot write file: not a regular file"):
+            write_text_atomic(tmp_path / name, "payload")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "l1", "l2", "taken"]
+    assert stat.S_ISFIFO((tmp_path / "fifo").lstat().st_mode)
+    assert os.readlink(tmp_path / "l1") == "l2" and os.readlink(tmp_path / "l2") == "l1"
 
 
 def test_write_text_atomic_leaves_no_temp_files(tmp_path):

@@ -15,6 +15,7 @@ from ismaturity import (
 )
 from ismaturity.importance import ImportanceDatabase, fold_scores
 
+import expected_stages
 from test_catalog import make_catalog
 
 IDS = ["A.5.1.1", "A.5.1.2", "A.6.1.1", "A.6.1.2"]
@@ -151,6 +152,18 @@ def test_bundled_panel_covers_every_control(catalog):
         total, count = db.sum_and_count(cid)
         assert count == 40
         assert Fraction(total, count) == db.average(cid)
+    # The panel's design: ranked by the frozen default stages, in stage order and each id-sorted, the control at
+    # rank r sums to 201 - r, except that each of three tie groups, straddling the cumulative boundaries 29, 57
+    # and 86, shares the sum of its first rank.
+    ranked = [
+        parse_control_id(text)
+        for members in expected_stages.default_stage_lists().values()
+        for text in sorted(members, key=parse_control_id)
+    ]
+    assert sorted(ranked) == list(catalog.control_ids())
+    tie_leaders = {30: 29, 31: 29, 58: 57, 87: 86}
+    for rank, cid in enumerate(ranked, start=1):
+        assert db.sum_and_count(cid)[0] == 201 - tie_leaders.get(rank, rank), (rank, str(cid))
 
 
 # One step: an operation and its batch, respondent -> control -> score.
