@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import NoReturn
 
 from .assessment import DEFAULT_MISALLOCATION_THRESHOLD, check_misallocation_threshold, evaluate
@@ -366,8 +365,7 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = str(Path(args.report))
-    _write_text(args.out, render_document(parse_report(files.read_text(path), source=path), HUMAN))
+    _write_text(args.out, render_document(parse_report(files.read_text(args.report), source=args.report), HUMAN))
     return EXIT_OK
 
 

@@ -52,9 +52,7 @@ import json
 import os
 import stat
 from functools import lru_cache
-from importlib import resources
 from json.encoder import encode_basestring
-from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
@@ -151,7 +149,7 @@ def _dump(value, newline: str, written: dict) -> str:
     return scalar(value)
 
 
-def regular_or_absent(path: str | Path) -> bool:
+def regular_or_absent(path: str | os.PathLike) -> bool:
     """Whether `path`, with its symlinks followed, is a regular file or names nothing.
 
     A failed look other than a symlink loop (say, a missing directory) is left to the write to report.
@@ -162,7 +160,7 @@ def regular_or_absent(path: str | Path) -> bool:
         return exc.errno != errno.ELOOP
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Write via temp file + fsync + rename so readers never see a partial file.
 
     A symlink is written through: the file it leads to is the target, and
@@ -180,8 +178,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise ValidationError(f"cannot write text as UTF-8: {exc}", source=str(path)) from None
     if not regular_or_absent(path):
         raise ValidationError("cannot write file: not a regular file", source=str(path))
-    target = Path(os.path.realpath(path))
-    temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -197,16 +195,17 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
 
 
-def read_text(path: str | Path) -> str:
+def read_text(path: str | os.PathLike) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=str(path)) from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"not UTF-8 text: {exc}", source=str(path)) from None
 
 
-def read_document(path: str | Path, expected_kind: str) -> dict:
+def read_document(path: str | os.PathLike, expected_kind: str) -> dict:
     return parse_document(read_text(path), expected_kind, str(path))
 
 
@@ -247,7 +246,7 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
     return document
 
 
-def write_document(path: str | Path, document: Mapping) -> None:
+def write_document(path: str | os.PathLike, document: Mapping) -> None:
     write_text_atomic(path, canonical_json(document))
 
 
@@ -365,7 +364,7 @@ def catalog_document(catalog: ControlCatalog) -> dict:
     }
 
 
-def read_catalog_file(path: str | Path) -> ControlCatalog:
+def read_catalog_file(path: str | os.PathLike) -> ControlCatalog:
     return load_catalog(read_document(path, KIND_CATALOG), source=str(path))
 
 
@@ -403,7 +402,7 @@ def importance_from_document(document: Mapping, source: str = "importance docume
     return db
 
 
-def read_importance_file(path: str | Path) -> ImportanceDatabase:
+def read_importance_file(path: str | os.PathLike) -> ImportanceDatabase:
     return importance_from_document(read_document(path, KIND_IMPORTANCE), source=str(path))
 
 
@@ -447,7 +446,7 @@ def stage_plan_from_document(document: Mapping, source: str = "stage plan docume
     return plan
 
 
-def read_stage_plan_file(path: str | Path) -> StagePlan:
+def read_stage_plan_file(path: str | os.PathLike) -> StagePlan:
     return stage_plan_from_document(read_document(path, KIND_STAGE_PLAN), source=str(path))
 
 
@@ -542,7 +541,7 @@ def minimum_db_from_document(document: Mapping, source: str = "minimum database 
     return db
 
 
-def read_minimum_db_file(path: str | Path) -> MinimumLevelDatabase:
+def read_minimum_db_file(path: str | os.PathLike) -> MinimumLevelDatabase:
     return minimum_db_from_document(read_document(path, KIND_MINIMUMS), source=str(path))
 
 
@@ -602,7 +601,7 @@ _TRUE_WORDS = {"true", "yes"}
 _FALSE_WORDS = {"false", "no"}
 
 
-def _read_csv(path: str | Path, header: list[str], read_row: Callable[..., None]) -> None:
+def _read_csv(path: str | os.PathLike, header: list[str], read_row: Callable[..., None]) -> None:
     """Check the header, then call `read_row` with the stripped cells of each non-blank row.
 
     The CSV loaders' one error boundary: a ValidationError that names no file
@@ -654,7 +653,7 @@ def integer_cell(text: str) -> int | str:
         return text
 
 
-def _read_per_control(path: str | Path, header: list[str], what: str, parse: Callable[..., object]) -> dict:
+def _read_per_control(path: str | os.PathLike, header: list[str], what: str, parse: Callable[..., object]) -> dict:
     """Map each control to `parse(cid, *its other cells)`; its second row, once parsed, is a duplicate."""
     values: dict[ControlId, object] = {}
 
@@ -669,7 +668,7 @@ def _read_per_control(path: str | Path, header: list[str], what: str, parse: Cal
     return values
 
 
-def load_survey_csv(path: str | Path) -> dict[str, dict[ControlId, int]]:
+def load_survey_csv(path: str | os.PathLike) -> dict[str, dict[ControlId, int]]:
     """The survey in `path` as {respondent: {control: score}} in file order, each row checked by add_score."""
     scores: dict[str, dict[ControlId, int]] = {}
 
@@ -683,14 +682,14 @@ def load_survey_csv(path: str | Path) -> dict[str, dict[ControlId, int]]:
     return scores
 
 
-def load_measurements_csv(path: str | Path) -> dict[ControlId, int]:
+def load_measurements_csv(path: str | os.PathLike) -> dict[ControlId, int]:
     """Read measured maturity levels, one row per control, each checked by minimums.check_level."""
     return _read_per_control(
         path, MEASUREMENTS_HEADER, "measurement", lambda cid, level_text: check_level(integer_cell(level_text))
     )
 
 
-def load_ratings_csv(path: str | Path) -> dict[ControlId, tuple[RiskGrade, RiskGrade]]:
+def load_ratings_csv(path: str | os.PathLike) -> dict[ControlId, tuple[RiskGrade, RiskGrade]]:
     """Read per-control risk ratings (probability and impact grades)."""
     return _read_per_control(
         path, RATINGS_HEADER, "rating",
@@ -708,7 +707,7 @@ def _exclusion(cid: ControlId, applicable_text: str, justification: str) -> str 
     return check_justification(cid, justification)
 
 
-def load_applicability_csv(path: str | Path) -> ApplicabilityMap:
+def load_applicability_csv(path: str | os.PathLike) -> ApplicabilityMap:
     """Read applicability decisions; not-applicable rows need a justification."""
     exclusions = _read_per_control(path, APPLICABILITY_HEADER, "applicability row", _exclusion)
     return ApplicabilityMap(not_applicable={cid: text for cid, text in exclusions.items() if text is not None})
@@ -718,7 +717,8 @@ def load_applicability_csv(path: str | Path) -> ApplicabilityMap:
 # Bundled defaults
 
 def _bundled_text(name: str) -> str:
-    return resources.files("ismaturity").joinpath("data").joinpath(name).read_text(encoding="utf-8")
+    """The bundled file `name`, from the data directory beside this module (so no zipped install)."""
+    return read_text(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 @lru_cache(maxsize=None)

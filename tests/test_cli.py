@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -755,6 +756,23 @@ def test_report_on_a_directory_is_an_input_error(run_cli, tmp_path):
     assert err == f"input error: {tmp_path}: cannot read file: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+# an input that cannot be read, the last argument of each command, is named as the command line gave it
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("report", "{d}/./missing.json"),
+        ("assess", "--mode", "model", "--measurements", "{d}/./m.csv"),
+        ("stage-plan", "diff", "default", "{d}/./plan.json"),
+    ],
+    ids=["report", "assess", "stage-plan-diff"],
+)
+def test_an_unreadable_input_is_named_as_given(run_cli, tmp_path, command):
+    *_, path = argv = [arg.format(d=tmp_path) for arg in command]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {path}: cannot read file: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_report_subcommand_rejects_other_document_kinds(run_cli, ca, tmp_path):
     plan_path = tmp_path / "plan.json"
     run_cli(
@@ -1241,3 +1259,40 @@ def test_the_installed_script_is_the_function_the_main_block_calls():
     assert module == cli.__name__
     assert [ast.unparse(node.func) for node in ast.walk(block) if isinstance(node, ast.Call)] == [function]
     assert callable(getattr(cli, function))
+
+
+# ---------------------------------------------------------------------------
+# What a CLI process loads: the package reads every file with open(), its bundled data from beside files.py
+
+# -S keeps site's .pth hooks out, so only the package and what it imports can load a module
+IMPORT_PROBE = (
+    "import sys, ismaturity.cli; "
+    "from ismaturity.files import default_catalog, default_stage_plan; "
+    "default_catalog(); default_stage_plan(); "
+    "print(sorted({'pathlib', 'importlib.resources', 'zipfile', 'tempfile'} & sys.modules.keys()))"
+)
+
+
+def test_the_cli_and_its_bundled_data_load_no_path_or_resource_modules(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(ismaturity.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_a_bundled_file_missing_from_the_install_is_an_input_error(tmp_path):
+    site = tmp_path / "site"
+    shutil.copytree(
+        Path(ismaturity.__file__).parent, site / "ismaturity",
+        ignore=shutil.ignore_patterns("__pycache__", "stage_plan_default.json"),
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "ismaturity.cli", "stage-plan", "diff", "default", "default"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(site)}, capture_output=True, text=True,
+    )
+    missing = site / "ismaturity" / "data" / "stage_plan_default.json"
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"input error: {missing}: cannot read file: [Errno 2] No such file or directory: '{missing}'\n"
+    )
