@@ -29,7 +29,6 @@ from .catalog import (
 from .errors import ConsistencyError, MaturityError, ValidationError
 from .files import (
     default_catalog,
-    default_importance_db,
     default_stage_plan,
     load_applicability_csv,
     load_measurements_csv,
@@ -75,7 +74,6 @@ __all__ = [
     "compare_modes",
     "default_boundaries",
     "default_catalog",
-    "default_importance_db",
     "default_stage_plan",
     "diff_stage_plans",
     "evaluate",

@@ -716,31 +716,16 @@ def load_applicability_csv(path: str | os.PathLike) -> ApplicabilityMap:
 # ---------------------------------------------------------------------------
 # Bundled defaults
 
-def _bundled_text(name: str) -> str:
-    """The bundled file `name`, from the data directory beside this module (so no zipped install)."""
-    return read_text(os.path.join(os.path.dirname(__file__), "data", name))
+_DATA = os.path.join(os.path.dirname(__file__), "data")  # beside this module, so no zipped install
 
 
 @lru_cache(maxsize=None)
 def default_catalog() -> ControlCatalog:
     """The bundled 114-control catalog with its single prerequisite edge."""
-    document = parse_document(_bundled_text("catalog_default.json"), KIND_CATALOG, "bundled catalog")
-    return load_catalog(document, source="bundled catalog")
-
-
-@lru_cache(maxsize=None)
-def default_importance_db() -> ImportanceDatabase:
-    """Bundled synthetic importance panel; partitioning it reproduces the default plan."""
-    return importance_from_document(
-        parse_document(_bundled_text("importance_default.json"), KIND_IMPORTANCE, "bundled importance db"),
-        source="bundled importance db",
-    )
+    return read_catalog_file(os.path.join(_DATA, "catalog_default.json"))
 
 
 @lru_cache(maxsize=None)
 def default_stage_plan() -> StagePlan:
     """The bundled default stage database (31/27/29/27 across the four stages)."""
-    return stage_plan_from_document(
-        parse_document(_bundled_text("stage_plan_default.json"), KIND_STAGE_PLAN, "bundled stage plan"),
-        source="bundled stage plan",
-    )
+    return read_stage_plan_file(os.path.join(_DATA, "stage_plan_default.json"))

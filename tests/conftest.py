@@ -35,6 +35,12 @@ def default_plan():
 
 
 @pytest.fixture(scope="session")
+def panel_path():
+    """The synthetic 40-respondent importance panel; test data, since no command reads it."""
+    return Path(__file__).parent / "data" / "panel" / "importance_default.json"
+
+
+@pytest.fixture(scope="session")
 def ca_paths():
     return {
         "survey": FIXTURES / "survey.csv",

@@ -18,7 +18,6 @@ from ismaturity import (
     DependencyGraph,
     Stage,
     default_catalog,
-    default_importance_db,
     default_stage_plan,
     evaluate,
     parse_control_id,
@@ -96,14 +95,13 @@ STAGE_BY_LABEL = {
 }
 
 
-def test_01_bundled_stage_database(criterion):
+def test_01_bundled_stage_database(criterion, panel_path):
     with criterion(1, "bundled 114-control stage database matches the frozen lists"):
         files.default_catalog.cache_clear()
-        files.default_importance_db.cache_clear()
         files.default_stage_plan.cache_clear()
         started = time.monotonic()
         catalog = default_catalog()
-        db = default_importance_db()
+        db = files.read_importance_file(panel_path)
         plan = default_stage_plan()
         elapsed = time.monotonic() - started
         assert elapsed < 1.0, f"cold load took {elapsed:.2f}s"
@@ -117,11 +115,12 @@ def test_01_bundled_stage_database(criterion):
         assert plan.boundaries_used == (29, 57, 86, 114)
         # the plan and panel files are maintained by hand and no tool rewrites them, so their form is checked here
         data = resources.files("ismaturity") / "data"
+        assert sorted(entry.name for entry in data.iterdir()) == ["catalog_default.json", "stage_plan_default.json"]
         written = (data / "stage_plan_default.json").read_bytes()
         assert written == canonical_json(stage_plan_document(plan)).encode("utf-8")
-        written = (data / "importance_default.json").read_bytes()
+        written = panel_path.read_bytes()
         assert written == canonical_json(importance_document(db)).encode("utf-8")
-        # the bundled panel partitions back to the bundled plan, with nothing promoted
+        # the panel partitions back to the bundled plan, with nothing promoted
         assert build_stage_plan(db, catalog) == plan
         assert set(plan.provenance.values()) == {PARTITIONED}
         # the three designed tie groups, each straddling one boundary, really are ties
@@ -364,7 +363,7 @@ def test_09_excluded_controls_never_affect_results(criterion, run_cli, ca_paths,
 
 
 def test_10_documents_round_trip_and_runs_are_deterministic(
-    criterion, run_cli, catalog, default_plan, ca_plan, ca_minimums, ca_inputs, ca_paths, tmp_path
+    criterion, run_cli, catalog, default_plan, ca_plan, ca_minimums, ca_inputs, ca_paths, panel_path, tmp_path
 ):
     with criterion(10, "every document kind round-trips and reruns are byte-identical"):
         from ismaturity.reporting import (
@@ -387,7 +386,7 @@ def test_10_documents_round_trip_and_runs_are_deterministic(
                 lambda t: catalog_document(load_catalog(doc_of("control-catalog", t))),
             ),
             (
-                importance_document(default_importance_db()),
+                importance_document(files.read_importance_file(panel_path)),
                 lambda t: importance_document(
                     importance_from_document(doc_of("importance-database", t))
                 ),

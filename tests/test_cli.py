@@ -1074,6 +1074,18 @@ def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_rename_exits_one_and_removes_its_temp_file(run_cli, tmp_path, monkeypatch):
+    def refuse(source, target):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "minimums.json"
+    code, stdout, err = run_cli("minimums", "build", "--mode", "fixed:3", "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err == f"input error: {out}: cannot write file: {os.strerror(errno.EXDEV)}\n"
+    assert list(tmp_path.iterdir()) == []  # the temp file written before the rename is gone
+
+
 def second_delta_for_the_first_control(document):
     document["stage_plan_deltas"].append(dict(document["stage_plan_deltas"][0]))
 
@@ -1281,18 +1293,34 @@ def test_the_cli_and_its_bundled_data_load_no_path_or_resource_modules(tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
-def test_a_bundled_file_missing_from_the_install_is_an_input_error(tmp_path):
+MISSING = "cannot read file: [Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize(
+    ("name", "text", "argv", "error"),
+    [
+        ("stage_plan_default.json", None, ("stage-plan", "diff", "default", "default"), MISSING),
+        # report reads the bundled plan inside its own reader's error boundary, which keeps the plan's name
+        ("stage_plan_default.json", None, ("report", EXPECTED / "assess_model.json"), MISSING),
+        (
+            "catalog_default.json", "{",
+            ("assess", "--mode", "model", "--measurements", EXPECTED.parent / "measurements.csv"),
+            "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+    ids=["missing-plan-diff", "missing-plan-report", "corrupt-catalog-assess"],
+)
+def test_a_bundled_file_missing_from_the_install_is_an_input_error(tmp_path, name, text, argv, error):
     site = tmp_path / "site"
     shutil.copytree(
-        Path(ismaturity.__file__).parent, site / "ismaturity",
-        ignore=shutil.ignore_patterns("__pycache__", "stage_plan_default.json"),
+        Path(ismaturity.__file__).parent, site / "ismaturity", ignore=shutil.ignore_patterns("__pycache__", name)
     )
+    bundled = site / "ismaturity" / "data" / name
+    if text is not None:
+        bundled.write_text(text, encoding="utf-8")
     result = subprocess.run(
-        [sys.executable, "-m", "ismaturity.cli", "stage-plan", "diff", "default", "default"],
+        [sys.executable, "-m", "ismaturity.cli", *map(str, argv)],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(site)}, capture_output=True, text=True,
     )
-    missing = site / "ismaturity" / "data" / "stage_plan_default.json"
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr == (
-        f"input error: {missing}: cannot read file: [Errno 2] No such file or directory: '{missing}'\n"
-    )
+    assert result.stderr == f"input error: {bundled}: {error.format(path=bundled)}\n"

@@ -23,6 +23,7 @@ from ismaturity.files import (
     minimum_db_from_document,
     parse_document,
     read_document,
+    read_importance_file,
     read_minimum_db_file,
     stage_plan_document,
     stage_plan_from_document,
@@ -301,10 +302,8 @@ def test_write_text_atomic_leaves_no_temp_files(tmp_path):
 # ---------------------------------------------------------------------------
 # Document codecs
 
-def test_importance_document_round_trip():
-    from ismaturity import default_importance_db
-
-    db = default_importance_db()
+def test_importance_document_round_trip(panel_path):
+    db = read_importance_file(panel_path)
     assert importance_from_document(importance_document(db)) == db
 
 

@@ -13,6 +13,7 @@ from ismaturity import (
     ingest_responses,
     parse_control_id,
 )
+from ismaturity.files import read_importance_file
 from ismaturity.importance import ImportanceDatabase, fold_scores
 
 import expected_stages
@@ -143,10 +144,8 @@ def test_batched_ingest_equals_single_ingest():
             assert db.average(parse_control_id(text)) == all_at_once.average(parse_control_id(text))
 
 
-def test_bundled_panel_covers_every_control(catalog):
-    from ismaturity import default_importance_db
-
-    db = default_importance_db()
+def test_bundled_panel_covers_every_control(catalog, panel_path):
+    db = read_importance_file(panel_path)
     assert len(db.respondents) == 40
     for cid in catalog.control_ids():
         total, count = db.sum_and_count(cid)
