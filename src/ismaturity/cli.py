@@ -13,6 +13,11 @@ floor). Reports embed a caller-supplied timestamp, so repeated runs over the
 same inputs write byte-identical files; the clock is read only when
 --timestamp is absent, so an explicit empty timestamp stays empty.
 
+Each handler writes nothing: it returns its outputs, a dict from each path
+to the file's full text, with the path None for stdout. main() writes every
+file (files.write_text_atomic, in the handler's order), and only then prints
+the stdout text, so a command that fails prints nothing on stdout.
+
 main(argv) runs one command and returns its exit code, for library callers
 and tests. run() is the program's entry point, for both the installed
 `ismaturity` script and `python -m ismaturity.cli`: it calls main(), then
@@ -33,6 +38,7 @@ from .catalog import ControlCatalog, check_known, check_same
 from .errors import ConsistencyError, ValidationError
 from . import files
 from .files import (
+    canonical_json,
     default_stage_plan,
     delta_line,
     diff_document,
@@ -46,7 +52,6 @@ from .files import (
     read_importance_file,
     read_stage_plan_file,
     stage_plan_document,
-    write_document,
     write_text_atomic,
 )
 from .importance import fold_scores, ingest_responses
@@ -88,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _print(text: str, end: str = "\n", flush: bool = False) -> None:
+def _print(text: str) -> None:
     """print to stdout; text stdout cannot encode (a lone surrogate), or a reader gone from it, is a ValidationError.
 
     Once the reader has gone, the process's real stdout is pointed at
@@ -96,7 +101,7 @@ def _print(text: str, end: str = "\n", flush: bool = False) -> None:
     interpreter flushes it at exit, instead of printing "Exception ignored".
     """
     try:
-        print(text, end=end, flush=flush)
+        print(text, end="", flush=True)
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write text: {exc}", source="standard output") from None
     except BrokenPipeError as exc:
@@ -266,18 +271,10 @@ def _plan(mode, survey, catalog, applicability):
     return _survey_plan(survey, catalog, applicability)
 
 
-def _write_text(path, text: str) -> None:
-    """Write human-readable `text` to the file `path`, or to stdout when there is none."""
-    if path:
-        write_text_atomic(path, text)
-    else:
-        _print(text, end="")
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
-def _cmd_import_survey(args) -> int:
+def _cmd_import_survey(args) -> dict:
     if args.replace and not args.into:
         raise UsageError("--replace is only meaningful together with --into")
     if args.into and args.catalog:
@@ -287,12 +284,11 @@ def _cmd_import_survey(args) -> int:
         db = _fold_survey(args.survey, scores, into=read_importance_file(args.into), replace=args.replace)
     else:
         db = _fold_survey(args.survey, scores, _load_catalog(args))
-    write_document(args.out, importance_document(db))
-    _print(f"{sum(map(len, scores.values()))} responses from {len(db.respondents)} respondents -> {args.out}")
-    return EXIT_OK
+    summary = f"{sum(map(len, scores.values()))} responses from {len(db.respondents)} respondents -> {args.out}\n"
+    return {args.out: canonical_json(importance_document(db)), None: summary}
 
 
-def _cmd_stage_plan_build(args) -> int:
+def _cmd_stage_plan_build(args) -> dict:
     if bool(args.survey) == bool(args.importance):
         raise UsageError("pass exactly one of --survey or --importance")
     catalog = _load_catalog(args)
@@ -304,27 +300,26 @@ def _cmd_stage_plan_build(args) -> int:
         what = f"{args.importance} and {args.catalog or 'the bundled catalog'} cover different controls"
         check_same(set(db.controls), set(catalog.control_ids()), what)
         plan = build_stage_plan(db, catalog, applicability)
-    write_document(args.out, stage_plan_document(plan))
     sizes = plan.sizes()
     summary = ", ".join(f"{stage.label} {sizes[stage]}" for stage in Stage)
-    _print(f"{summary}; excluded {len(plan.excluded)} -> {args.out}")
-    return EXIT_OK
+    return {
+        args.out: canonical_json(stage_plan_document(plan)),
+        None: f"{summary}; excluded {len(plan.excluded)} -> {args.out}\n",
+    }
 
 
-def _cmd_stage_plan_diff(args) -> int:
+def _cmd_stage_plan_diff(args) -> dict:
     deltas = diff_stage_plans(*(
         default_stage_plan() if path is None else read_stage_plan_file(path)
         for path in (args.plan_a, args.plan_b)
     ))
-    for delta in deltas:
-        _print(delta_line(delta))
-    _print(f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}")
-    if args.out:
-        write_document(args.out, diff_document(deltas))
-    return EXIT_OK
+    outputs = {args.out: canonical_json(diff_document(deltas))} if args.out else {}
+    count = f"{len(deltas)} difference{'s' if len(deltas) != 1 else ''}"
+    outputs[None] = "".join(f"{line}\n" for line in (*map(delta_line, deltas), count))
+    return outputs
 
 
-def _cmd_minimums_build(args) -> int:
+def _cmd_minimums_build(args) -> dict:
     try:
         level = parse_mode_tag(args.mode)
     except ValidationError:
@@ -335,12 +330,11 @@ def _cmd_minimums_build(args) -> int:
         raise UsageError("--ratings only applies to risk mode")
     catalog = _load_catalog(args)
     db = _minimums(catalog, _load_applicability(args, catalog), args.ratings, level)
-    write_document(args.out, minimum_db_document(db))
-    _print(f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}")
-    return EXIT_OK
+    summary = f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}\n"
+    return {args.out: canonical_json(minimum_db_document(db)), None: summary}
 
 
-def _cmd_assess(args) -> int:
+def _cmd_assess(args) -> dict:
     if args.mode == "model":
         if args.survey:
             raise UsageError("model mode uses the bundled stage database; --survey is not allowed")
@@ -358,18 +352,16 @@ def _cmd_assess(args) -> int:
         plan, mins, measurements, mode=args.mode, company=args.company, timestamp=_timestamp(args),
         misallocation_threshold=args.misallocation_threshold,
     )
-    if args.out:
-        write_text_atomic(args.out, render_document(report, STRUCTURED))
-    _write_text(args.out_text, render_document(report, HUMAN))
-    return EXIT_OK
+    outputs = {args.out: render_document(report, STRUCTURED)} if args.out else {}
+    outputs[args.out_text] = render_document(report, HUMAN)
+    return outputs
 
 
-def _cmd_report(args) -> int:
-    _write_text(args.out, render_document(parse_report(files.read_text(args.report), source=args.report), HUMAN))
-    return EXIT_OK
+def _cmd_report(args) -> dict:
+    return {args.out: render_document(parse_report(files.read_text(args.report), source=args.report), HUMAN)}
 
 
-def _cmd_compare_modes(args) -> int:
+def _cmd_compare_modes(args) -> dict:
     if not args.survey:
         raise UsageError("compare-modes needs --survey")
     _check_minimum_source(args, "compare-modes")
@@ -382,12 +374,11 @@ def _cmd_compare_modes(args) -> int:
         evaluate(company_plan, mins_independent, measurements),
     )
     timestamp = _timestamp(args)
+    outputs = {}
     if args.out:
-        write_text_atomic(
-            args.out, render_comparison(comparison, STRUCTURED, company=args.company, timestamp=timestamp)
-        )
-    _write_text(args.out_text, render_comparison(comparison, HUMAN, company=args.company, timestamp=timestamp))
-    return EXIT_OK
+        outputs[args.out] = render_comparison(comparison, STRUCTURED, company=args.company, timestamp=timestamp)
+    outputs[args.out_text] = render_comparison(comparison, HUMAN, company=args.company, timestamp=timestamp)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +491,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         _check_paths(args)
-        code = args.handler(args)
-        _print("", end="", flush=True)  # so that a reader gone from stdout is reported like any failed write
-        return code
+        outputs = args.handler(args)
+        for path, text in outputs.items():
+            if path is not None:
+                write_text_atomic(path, text)
+        _print(outputs.get(None, ""))  # even empty, so that a reader gone from stdout is reported as a failed write
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -246,10 +246,6 @@ def parse_document(text: str, expected_kind: str, source: str) -> dict:
     return document
 
 
-def write_document(path: str | os.PathLike, document: Mapping) -> None:
-    write_text_atomic(path, canonical_json(document))
-
-
 # What a key found in only one of two compared objects is compared with.
 _NOTHING = object()
 

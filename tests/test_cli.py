@@ -29,7 +29,7 @@ from ismaturity.files import (
     load_survey_csv,
     parse_document,
     read_document,
-    write_document,
+    write_text_atomic,
 )
 from ismaturity.assessment import gap_analysis, misallocation_findings
 from ismaturity.importance import ingest_responses
@@ -345,7 +345,7 @@ def test_import_survey_writes_the_database_the_library_route_builds(text):
     with tempfile.TemporaryDirectory() as folder:
         survey, catalog_path, out = (Path(folder) / name for name in ("s.csv", "catalog.json", "db.json"))
         survey.write_text(text, encoding="utf-8")
-        write_document(catalog_path, catalog_document(catalog))
+        write_text_atomic(catalog_path, canonical_json(catalog_document(catalog)))
         built = canonical_json(importance_document(ingest_responses(load_survey_csv(survey), catalog)))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(["import-survey", str(survey), "--catalog", str(catalog_path), "--out", str(out)]) == 0
@@ -1067,10 +1067,29 @@ def test_stage_plan_diff_rejects_malformed_plans(run_cli, ca, tmp_path, field, v
     assert err.startswith(f"input error: {path}: ") and message in err
 
 
-def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path):
-    code, _, err = run_cli(*assess_args(ca, "--out", tmp_path / "absent" / "report.json"))
-    assert code == 1
-    assert "cannot write file" in err and "absent" in err
+# Every command that writes a file, writing it into a directory that does not exist: no file, and nothing printed
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda ca, out: assess_args(ca, "--out", out),
+        lambda ca, out: assess_args(ca, "--out-text", out),
+        lambda ca, out: ("import-survey", ca["survey"], "--out", out),
+        lambda ca, out: ("stage-plan", "build", "--survey", ca["survey"], "--out", out),
+        lambda ca, out: ("stage-plan", "diff", "default", "default", "--out", out),
+        lambda ca, out: ("minimums", "build", "--mode", "fixed:3", "--out", out),
+        lambda ca, out: ("report", Path(ca["measurements"]).parent / "expected" / "assess_independent.json",
+                         "--out", out),
+        lambda ca, out: ("compare-modes", "--survey", ca["survey"], "--ratings", ca["ratings"],
+                         "--applicability", ca["applicability"], "--measurements", ca["measurements"], "--out", out),
+    ],
+    ids=["assess", "assess-out-text", "import-survey", "stage-plan-build", "stage-plan-diff", "minimums-build",
+         "report", "compare-modes"],
+)
+def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path, command):
+    out = tmp_path / "absent" / "output"
+    code, stdout, err = run_cli(*command(ca, out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"input error: {out}: cannot write file: ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -27,7 +27,6 @@ from ismaturity.files import (
     read_minimum_db_file,
     stage_plan_document,
     stage_plan_from_document,
-    write_document,
     write_text_atomic,
 )
 from ismaturity.minimums import ApplicabilityMap, FixedMinimums, RiskGrade, build_minimum_db
@@ -252,12 +251,12 @@ def test_parse_document_rejects_invalid_json():
 def test_write_document_read_document_round_trip(tmp_path):
     catalog = make_catalog(IDS)
     path = tmp_path / "catalog.json"
-    write_document(path, catalog_document(catalog))
+    write_text_atomic(path, canonical_json(catalog_document(catalog)))
     raw = read_document(path, "control-catalog")
     assert raw == catalog_document(catalog)
     # canonical serialization: writing the re-read document is byte-identical
     second = tmp_path / "again.json"
-    write_document(second, raw)
+    write_text_atomic(second, canonical_json(raw))
     assert second.read_bytes() == path.read_bytes()
 
 

@@ -64,6 +64,11 @@ def test_compare_modes_agrees_with_assess(comparison, side, report):
     assert (comparison[side], comparison["naive_average"]) == (report["label"], report["naive_average"])
 
 
+def test_every_golden_file_is_named_by_a_case():
+    named = {name for case in CASES.values() for name in (*case.writes.values(), *case.reads, case.stdout, case.stderr)}
+    assert sorted(path.name for path in check_golden.EXPECTED.iterdir() if path.name not in named) == []
+
+
 def flip_a_written_byte(out, err, cwd):
     path = cwd / "assess_model.json"
     data = bytearray(path.read_bytes())

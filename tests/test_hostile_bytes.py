@@ -1,4 +1,5 @@
-"""Any bytes in any input file: every command exits 0, 1 or 2 and never raises.
+"""Any bytes in any input file: every command exits 0, 1 or 2 and never raises, and one that fails prints
+nothing on stdout and leaves no output file.
 
 Each example takes one command line, replaces one of the files it reads with
 arbitrary bytes or with an edited copy of the company_a file, and runs the
@@ -54,11 +55,14 @@ COMMANDS = {
 OUTPUTS = {"out", "text"}
 
 
-def run(argv) -> int:
+def run(argv) -> tuple[int, bytes]:
+    """main's exit code on `argv`, and the bytes it wrote to stdout."""
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        return main([str(arg) for arg in argv])
+        code = main([str(arg) for arg in argv])
+    stdout.flush()
+    return code, stdout.buffer.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +71,13 @@ def originals(tmp_path_factory):
     folder = tmp_path_factory.mktemp("company_a")
     inputs = {name: COMPANY_A / f"{name}.csv" for name in ("survey", "ratings", "applicability", "measurements")}
     written = {name: folder / f"{name}.json" for name in ("importance", "plan", "report")}
-    assert run(["import-survey", inputs["survey"], "--out", written["importance"]]) == 0
-    assert run(["stage-plan", "build", "--importance", written["importance"], "--out", written["plan"]]) == 0
+    assert run(["import-survey", inputs["survey"], "--out", written["importance"]])[0] == 0
+    assert run(["stage-plan", "build", "--importance", written["importance"], "--out", written["plan"]])[0] == 0
     assert run([
         "assess", "--mode", "independent", "--survey", inputs["survey"], "--ratings", inputs["ratings"],
         "--applicability", inputs["applicability"], "--measurements", inputs["measurements"],
         "--timestamp", TS, "--out", written["report"], "--out-text", folder / "report.txt",
-    ]) == 0
+    ])[0] == 0
     contents = {name: path.read_bytes() for name, path in {**inputs, **written}.items()}
     contents["catalog"] = canonical_json(catalog_document(default_catalog())).encode("utf-8")
     return contents
@@ -111,6 +115,9 @@ def test_any_bytes_in_any_input_exit_zero_one_or_two(originals, data):
             paths[name] = Path(folder) / name
             if name in originals:
                 paths[name].write_bytes(content if name == target else originals[name])
-        code = run([paths[token[1:]] if token.startswith("@") else token for token in argv])
+        code, stdout = run([paths[token[1:]] if token.startswith("@") else token for token in argv])
+        written = [name for name in OUTPUTS if paths[name].exists()]
     event(f"{command} on a changed {target}: exit {code}")
     assert code in (0, 1, 2)
+    if code != 0:  # a failed command prints nothing and writes nothing
+        assert (stdout, written) == (b"", [])

@@ -73,8 +73,8 @@ CASES = (
          " --out assess_model.json --out-text assess_model.txt",
          _same("assess_model.json", "assess_model.txt")),
     Case("assess_independent_stdout", f"assess --mode independent {INDEPENDENT} {ASSESSED}",
-         stdout="assess_independent_stdout.stdout"),
-    Case("report", "report assess_independent.json --out report.txt", _same("report.txt"),
+         stdout="assess_independent.txt"),
+    Case("report", "report assess_independent.json --out report.txt", {"report.txt": "assess_independent.txt"},
          reads=("assess_independent.json",)),
     # a model-mode report has no stage-change section
     Case("report_model", "report assess_model.json", stdout="assess_model.txt", reads=("assess_model.json",)),
