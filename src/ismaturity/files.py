@@ -10,8 +10,9 @@ json.dumps(indent=2, sort_keys=True, ensure_ascii=False): the standard
 library's indenting encoder runs in pure Python, and this one, which quotes
 strings with the C quoting function, takes about half the time.
 
-CSV inputs are UTF-8 (an optional byte-order mark is skipped) with a
-mandatory header row:
+Every input file, CSV or JSON, is UTF-8 with an optional byte-order mark,
+and read_text is its one decoder: it skips the mark and keeps line ends as
+written. CSV inputs have a mandatory header row:
 
     survey         respondent_id,control_id,score        (score 1..5)
     ratings        control_id,probability,impact         (low|medium|high)
@@ -22,12 +23,12 @@ The loaders return maps, the survey's {respondent: {control: score}}. Errors
 name the file and the 1-based line the record starts on, so records can be
 fixed at the source; _read_csv, the loaders' one error boundary, attaches
 both. Each input rule has one implementation, which every
-reader of that input calls: a score is importance.add_score's, in a survey
-row and in an importance document (whose respondents without scores meet
-importance.check_respondent too); a measured level is minimums.check_level's;
-an exclusion's justification is a non-blank string
-(minimums.check_justification); controls outside the catalog are named
-together (catalog.check_known).
+reader of that input calls: a score is importance.add_score's, and a whole
+score table, a survey's or an importance document's, is folded by
+importance.fold_scores, which also checks each respondent and names the
+controls outside the catalog together (catalog.check_known, as every reader
+does); a measured level is minimums.check_level's; an exclusion's
+justification is a non-blank string (minimums.check_justification).
 Records that appear in more than one document (requirements, stage deltas,
 the stage-or-excluded label) have one writer here, and one strict reader
 where they are read: a report's stage deltas are not read but rebuilt
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import os
 import stat
@@ -55,9 +57,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
-from .catalog import ControlCatalog, ControlId, check_distinct, check_known, load_catalog, parse_control_id
+from .catalog import ControlCatalog, ControlId, check_distinct, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
-from .importance import ImportanceDatabase, add_score, add_stored_score, check_respondent
+from .importance import ImportanceDatabase, add_score, fold_scores
 from .minimums import (
     ApplicabilityMap,
     MinimumLevelDatabase,
@@ -196,8 +198,9 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 
 def read_text(path: str | os.PathLike) -> str:
+    """The text of the input file `path`: UTF-8, a leading byte-order mark skipped, line ends kept as written."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             return handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", source=str(path)) from None
@@ -383,17 +386,13 @@ def importance_from_document(document: Mapping, source: str = "importance docume
     with reading(source, "importance database document"):
         texts = field(document, "controls", list)
         controls = tuple(parse_control_id(text) for text in texts)
-        known = set(controls)
-        check_distinct(known, texts, "'controls'")
-        raw_responses = field(document, "responses", dict)
-        responses: dict[str, dict[ControlId, int]] = {}
-        for respondent in raw_responses:
-            check_respondent(respondent)  # also for a respondent without scores, whom add_score never sees
-            responses[respondent] = {}
-            for text, score in field(raw_responses, respondent, dict).items():
-                add_stored_score(responses, respondent, parse_control_id(text), score)
-        check_known(set().union(*responses.values()), known, "scores")
-        db = ImportanceDatabase(controls=controls, responses=responses)
+        check_distinct(set(controls), texts, "'controls'")
+        responses = field(document, "responses", dict)
+        table = {
+            respondent: {parse_control_id(text): score for text, score in field(responses, respondent, dict).items()}
+            for respondent in responses
+        }
+        db = fold_scores(ImportanceDatabase(controls, {}), table)
         check_as_written(document, importance_document(db))
     return db
 
@@ -606,35 +605,28 @@ def _read_csv(path: str | os.PathLike, header: list[str], read_row: Callable[...
     the line it was found on.
     """
     source = str(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ValidationError(f"cannot read file: {exc}", source=source) from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     line = 1  # where the record being read starts
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader, None)
-            if first is None:
-                raise ValidationError(f"missing header row (expected {','.join(header)})", source=source)
-            if [cell.strip() for cell in first] != header:
-                raise ValidationError(f"bad header {','.join(first)!r} (expected {','.join(header)})")
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValidationError(f"missing header row (expected {','.join(header)})", source=source)
+        if [cell.strip() for cell in first] != header:
+            raise ValidationError(f"bad header {','.join(first)!r} (expected {','.join(header)})")
+        line = reader.line_num + 1
+        for row in reader:
+            cells = [cell.strip() for cell in row]
+            if any(cells):  # tolerate blank lines
+                if len(cells) != len(header):
+                    raise ValidationError(f"expected {len(header)} fields, found {len(cells)}")
+                read_row(*cells)
             line = reader.line_num + 1
-            for row in reader:
-                cells = [cell.strip() for cell in row]
-                if any(cells):  # tolerate blank lines
-                    if len(cells) != len(header):
-                        raise ValidationError(f"expected {len(header)} fields, found {len(cells)}")
-                    read_row(*cells)
-                line = reader.line_num + 1
-        except UnicodeDecodeError as exc:  # decoding runs ahead of the rows, so no row is named
-            raise ValidationError(f"not UTF-8 text: {exc}", source=source) from None
-        except csv.Error as exc:
-            raise ValidationError(f"unreadable CSV: {exc}", source=source, row=reader.line_num) from None
-        except ValidationError as exc:
-            if exc.source is not None:
-                raise
-            raise ValidationError(str(exc), source=source, row=line) from None
+    except csv.Error as exc:
+        raise ValidationError(f"unreadable CSV: {exc}", source=source, row=reader.line_num) from None
+    except ValidationError as exc:
+        if exc.source is not None:
+            raise
+        raise ValidationError(str(exc), source=source, row=line) from None
 
 
 def integer_cell(text: str) -> int | str:

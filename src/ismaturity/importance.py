@@ -19,8 +19,7 @@ them, the catalog and the respondents present. Neither warns: the CLI reports
 a respondent who skipped controls from the table it folded. A survey is read
 by files.load_survey_csv and folded into a fresh database by ingest_responses
 (into a stored one, for import-survey --into, by fold_scores); an importance
-document checks each respondent with check_respondent and each score with
-add_stored_score.
+document's table is folded into an empty database by fold_scores too.
 """
 
 from __future__ import annotations
@@ -115,14 +114,6 @@ def add_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: Con
     by_control[cid] = score
 
 
-def add_stored_score(scores: dict[str, dict[ControlId, int]], respondent: str, cid: ControlId, score) -> None:
-    """add_score, with an error worded as a stored score's: "respondent r1, control A.5.1.1: ..."."""
-    try:
-        add_score(scores, respondent, cid, score)
-    except ValidationError as exc:
-        raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
-
-
 def fold_scores(
     db: ImportanceDatabase, scores: Mapping[str, dict[ControlId, int]], *, replace: bool = False
 ) -> ImportanceDatabase:
@@ -133,8 +124,8 @@ def fold_scores(
     in `db` is an error unless `replace` (the CLI's --replace) swaps in the
     new submission wholesale. Partial coverage is tolerated, conflicting is not.
     """
-    # A scan without a call per cell finds the respondents who may break a rule; check_respondent
-    # and add_stored_score word the first bad one in (respondent, control) order.
+    # A scan without a call per cell finds the respondents who may break a rule; check_respondent and
+    # add_score word the first bad one in (respondent, control) order, prefixed "respondent r1, control A.5.1.1: ".
     suspects = [
         respondent for respondent, by_control in scores.items()
         if not respondent
@@ -143,7 +134,10 @@ def fold_scores(
     for respondent in sorted(suspects):
         check_respondent(respondent)
         for cid in sorted(scores[respondent]):
-            add_stored_score({}, respondent, cid, scores[respondent][cid])
+            try:
+                add_score({}, respondent, cid, scores[respondent][cid])
+            except ValidationError as exc:
+                raise ValidationError(f"respondent {respondent}, control {cid}: {exc}") from None
     check_known(set().union(*scores.values()), set(db.controls), "survey rows")
     clash = sorted(scores.keys() & db.responses.keys())
     if clash and not replace:

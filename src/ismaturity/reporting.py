@@ -219,9 +219,7 @@ def _fraction_fields(value: Fraction | None) -> dict | None:
     return {"exact": f"{value.numerator}/{value.denominator}", "display": format_level(value)}
 
 
-def _fraction_from_fields(record, *, optional: bool = False) -> Fraction | None:
-    if record is None and optional:
-        return None
+def _fraction_from_fields(record) -> Fraction:
     try:
         return Fraction(field(record, "exact", str))
     except (ValueError, ZeroDivisionError):
@@ -244,7 +242,7 @@ def _label_fields(label: Label) -> dict:
 def _label_from_fields(record) -> Label:
     return Label(
         stage=Stage.from_label(record["stage"]),
-        level=_fraction_from_fields(record["level"], optional=True),
+        level=None if (level := record["level"]) is None else _fraction_from_fields(level),
         incomplete=field(record, "incomplete", bool),
     )
 

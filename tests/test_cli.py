@@ -1189,6 +1189,57 @@ def test_a_model_report_built_over_a_company_plan_exits_one(run_cli, ca_inputs, 
 
 
 # ---------------------------------------------------------------------------
+# Every input file is decoded one way (files.read_text): a leading byte-order mark is skipped, line ends are kept
+
+CA_CSVS = ("survey.csv", "ratings.csv", "applicability.csv", "measurements.csv")
+
+
+@pytest.mark.parametrize(
+    ("rewritten", "command", "stdout", "writes"),
+    [
+        (CA_CSVS,
+         "assess --mode independent --survey survey.csv --ratings ratings.csv --applicability applicability.csv"
+         f" --measurements measurements.csv --company company-a --timestamp {TS} --out a.json --out-text a.txt",
+         None, {"a.json": "assess_independent.json", "a.txt": "assess_independent.txt"}),
+        (("expected/stage_plan.json",), "stage-plan diff default stage_plan.json", "stage_plan_diff.stdout", {}),
+        (("expected/assess_model.json",), "report assess_model.json", "assess_model.txt", {}),
+        (("expected/import_survey.json",),
+         "stage-plan build --importance import_survey.json --applicability applicability.csv --out stage_plan.json",
+         "stage_plan_build.stdout", {"stage_plan.json": "stage_plan.json"}),
+    ],
+    ids=["csv-crlf", "stage-plan-diff", "report", "stage-plan-build-importance"],
+)
+def test_an_input_with_a_byte_order_mark_reads_as_without(run_cli, tmp_path, monkeypatch, rewritten, command,
+                                                           stdout, writes):
+    # each file of `rewritten` gets a leading BOM, and a CSV CRLF line ends too, as spreadsheet exports write
+    data = Path(__file__).parent / "data" / "company_a"
+    for source in dict.fromkeys((*CA_CSVS, *rewritten)):
+        content = (data / source).read_bytes()
+        if source in rewritten:
+            content = b"\xef\xbb\xbf" + (content.replace(b"\n", b"\r\n") if source.endswith(".csv") else content)
+        (tmp_path / os.path.basename(source)).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    expected = data / "expected"
+    golden_out = "" if stdout is None else (expected / stdout).read_text(encoding="utf-8")
+    assert run_cli(*command.split()) == (0, golden_out, "")
+    for name, golden in writes.items():
+        assert (tmp_path / name).read_bytes() == (expected / golden).read_bytes()
+
+
+def test_a_justification_keeps_its_line_ends(run_cli, ca, tmp_path):
+    path, out = tmp_path / "applicability.csv", tmp_path / "out.json"
+    text = Path(ca["applicability"]).read_bytes().replace(
+        b"no development environments are operated", b'"no development environments\r\nare operated"'
+    )
+    assert text != Path(ca["applicability"]).read_bytes()
+    path.write_bytes(text)
+    code, _, err = run_cli(*assess_args({**ca, "applicability": path}, "--out", out))
+    assert (code, err) == (0, "")
+    excluded = {item["control"]: item["justification"] for item in json.loads(out.read_bytes())["not_applicable"]}
+    assert excluded["A.14.2.6"] == "no development environments\r\nare operated"
+
+
+# ---------------------------------------------------------------------------
 # Text that UTF-8 cannot encode (a lone surrogate) is exit 1, naming where it went
 
 def test_report_whose_company_stdout_cannot_encode_exits_one(run_cli, ca, tmp_path):

@@ -313,7 +313,7 @@ def test_importance_document_rejects_unknown_control():
         "controls": ["A.5.1.1"],
         "responses": {"r1": {"A.6.1.1": 3}},
     }
-    with pytest.raises(ValidationError, match="scores for controls not in the catalog: A.6.1.1"):
+    with pytest.raises(ValidationError, match="survey rows for controls not in the catalog: A.6.1.1"):
         importance_from_document(document)
 
 
@@ -436,7 +436,7 @@ CONTROL_RECORD = {"id": "A.5.1.1", "title": "x", "section_name": "s", "objective
         (importance_from_document, {"controls": ["A.5.1.1", "5.1.1"], "responses": {}},
          "'controls' names control A.5.1.1 twice"),
         (importance_from_document, {"controls": ["A.5.1.1"], "responses": {"r1": {"A.5.1.1": 1, "5.1.1": 5}}},
-         "respondent r1, control A.5.1.1: duplicate response for (r1, A.5.1.1)"),
+         "responses.r1['5.1.1']: found 5, but the writer writes nothing"),
         (stage_plan_from_document, edited_plan(lambda doc: doc["assignment"].update({"5.1.1": "Essential"})),
          "assignment['5.1.1']: found 'Essential', but the writer writes nothing"),
         (stage_plan_from_document, edited_plan(lambda doc: doc["provenance"].update({" A.5.1.1": "partitioned"})),

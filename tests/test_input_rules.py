@@ -304,6 +304,6 @@ def test_one_unknown_control_rule_for_documents_and_library_calls():
     document = {"controls": ["A.5.1.1"], "responses": {"r1": {text: 3 for text in UNKNOWN.split(", ")}}}
     empty = ImportanceDatabase(default_catalog().control_ids(), {})
     assert message_of(lambda: importance_from_document(document, source="db.json")) == (
-        f"db.json: scores for controls not in the catalog: {SORTED}"
+        f"db.json: survey rows for controls not in the catalog: {SORTED}"
     )
     assert message_of(lambda: fold_scores(empty, scores)) == f"survey rows for controls not in the catalog: {SORTED}"
