@@ -15,8 +15,9 @@ same inputs write byte-identical files; the clock is read only when
 
 Each handler writes nothing: it returns its outputs, a dict from each path
 to the file's full text, with the path None for stdout. main() writes every
-file (files.write_text_atomic, in the handler's order), and only then prints
-the stdout text, so a command that fails prints nothing on stdout.
+file, all or none (files.write_all, in the handler's order), and only then
+prints the stdout text, so a command that fails prints nothing on stdout,
+and one that fails to write a file leaves every output file as it was.
 
 main(argv) runs one command and returns its exit code, for library callers
 and tests. run() is the program's entry point, for both the installed
@@ -52,7 +53,6 @@ from .files import (
     read_importance_file,
     read_stage_plan_file,
     stage_plan_document,
-    write_text_atomic,
 )
 from .importance import fold_scores, ingest_responses
 from .minimums import (
@@ -61,7 +61,6 @@ from .minimums import (
     RiskMinimums,
     build_minimum_db,
     check_level,
-    parse_mode_tag,
 )
 from .reporting import (
     HUMAN,
@@ -320,16 +319,9 @@ def _cmd_stage_plan_diff(args) -> dict:
 
 
 def _cmd_minimums_build(args) -> dict:
-    try:
-        level = parse_mode_tag(args.mode)
-    except ValidationError:
-        raise UsageError(f"--mode must be risk or fixed:<level>, got {args.mode!r}") from None
-    if level is None and not args.ratings:
-        raise UsageError("risk mode needs --ratings")
-    if level is not None and args.ratings:
-        raise UsageError("--ratings only applies to risk mode")
+    _check_minimum_source(args, "minimums build")
     catalog = _load_catalog(args)
-    db = _minimums(catalog, _load_applicability(args, catalog), args.ratings, level)
+    db = _minimums(catalog, _load_applicability(args, catalog), args.ratings, args.fixed_level)
     summary = f"{len(db.requirements)} requirements (mode {db.mode}, {len(db.excluded)} excluded) -> {args.out}\n"
     return {args.out: canonical_json(minimum_db_document(db)), None: summary}
 
@@ -388,14 +380,19 @@ def _add_catalog_flag(parser) -> None:
     parser.add_argument("--catalog", help="catalog document (default: bundled 114-control catalog)")
 
 
-def _add_common_assess_flags(parser) -> None:
-    parser.add_argument("--measurements", required=True, help="measured levels CSV (control_id,level)")
-    parser.add_argument("--applicability", help="applicability CSV (control_id,applicable,justification)")
-    parser.add_argument("--survey", help="survey CSV (respondent_id,control_id,score)")
+def _add_minimum_source_flags(parser) -> None:
+    """--ratings and --fixed-level, of which _check_minimum_source takes exactly one."""
     parser.add_argument("--ratings", help="risk ratings CSV (control_id,probability,impact)")
     parser.add_argument(
         "--fixed-level", type=_fixed_level, help="use one fixed minimum level (1..5) instead of ratings"
     )
+
+
+def _add_common_assess_flags(parser) -> None:
+    parser.add_argument("--measurements", required=True, help="measured levels CSV (control_id,level)")
+    parser.add_argument("--applicability", help="applicability CSV (control_id,applicable,justification)")
+    parser.add_argument("--survey", help="survey CSV (respondent_id,control_id,score)")
+    _add_minimum_source_flags(parser)
     _add_catalog_flag(parser)
     parser.add_argument("--company", default="unnamed", help="organization name for the report header")
     parser.add_argument("--timestamp", help="report timestamp (default: current UTC time)")
@@ -451,8 +448,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     minimums_sub = minimums.add_subparsers(dest="subcommand", required=True, metavar="ACTION")
 
     p = minimums_sub.add_parser("build", help="derive per-control minimum maturity levels")
-    p.add_argument("--mode", required=True, help="risk or fixed:<level>")
-    p.add_argument("--ratings", help="risk ratings CSV (risk mode only)")
+    _add_minimum_source_flags(p)
     p.add_argument("--applicability", help="applicability CSV")
     p.add_argument("--out", required=True, help="minimum database JSON to write")
     _add_catalog_flag(p)
@@ -492,9 +488,7 @@ def main(argv=None) -> int:
     try:
         _check_paths(args)
         outputs = args.handler(args)
-        for path, text in outputs.items():
-            if path is not None:
-                write_text_atomic(path, text)
+        files.write_all([(path, text) for path, text in outputs.items() if path is not None])
         _print(outputs.get(None, ""))  # even empty, so that a reader gone from stdout is reported as a failed write
         return EXIT_OK
     except UsageError as exc:

@@ -42,7 +42,10 @@ of an id is an error naming its path. Readers keep only the rules this
 cannot see, such as a list naming a control twice (catalog.check_distinct).
 The catalog, a hand-written input, and a report's inputs are not compared.
 Writes go through a temp file in the target directory, fsynced and then
-atomically renamed; a failing command never leaves a partial output behind.
+atomically renamed, so no reader sees a partial file, and a command's output
+files are written all or none (write_all): when one cannot be written, the
+ones written before it get back the bytes they had, or are removed if they
+did not exist, so a failed write leaves every output file as it was.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import os
 import stat
 from functools import lru_cache
 from json.encoder import encode_basestring
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import ControlCatalog, ControlId, check_distinct, load_catalog, parse_control_id
 from .errors import ValidationError, field, reading
@@ -178,6 +181,11 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"cannot write text as UTF-8: {exc}", source=str(path)) from None
+    _write_bytes_atomic(path, data)
+
+
+def _write_bytes_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """write_text_atomic of text already encoded as `data`."""
     if not regular_or_absent(path):
         raise ValidationError("cannot write file: not a regular file", source=str(path))
     target = os.path.realpath(path)
@@ -195,6 +203,50 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
             raise
     except OSError as exc:
         raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
+
+
+def write_all(outputs: Sequence[tuple[str | os.PathLike, str]]) -> None:
+    """write_text_atomic of each (path, text) of `outputs` in order, all or none.
+
+    When one cannot be written, its error is raised once the outputs written
+    before it are put back: a file one replaced gets its earlier bytes again,
+    and a file one created is removed. So the earlier bytes of every output
+    but the last are read first, and one that exists and cannot be read is
+    an error before anything is written. A put-back that fails is reported
+    in place of the write's error.
+    """
+    earlier = [_replaced_bytes(path) for path, _ in outputs[:-1]]
+    for count, (path, text) in enumerate(outputs):
+        try:
+            write_text_atomic(path, text)
+        except ValidationError:
+            for (written, _), data in zip(outputs[:count], earlier):
+                _put_back(written, data)
+            raise
+
+
+def _replaced_bytes(path: str | os.PathLike) -> bytes | None:
+    """The bytes of the file a write to `path` would replace, or None when there is none."""
+    if not regular_or_absent(path):
+        raise ValidationError("cannot write file: not a regular file", source=str(path))
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        raise ValidationError(f"cannot write file: {exc.strerror or exc}", source=str(path)) from None
+
+
+def _put_back(path: str | os.PathLike, data: bytes | None) -> None:
+    """Give the file written at `path` its earlier bytes `data`, or remove it when `data` is None."""
+    if data is None:
+        try:
+            os.unlink(os.path.realpath(path))
+        except OSError as exc:
+            raise ValidationError(f"cannot remove file: {exc.strerror or exc}", source=str(path)) from None
+    else:
+        _write_bytes_atomic(path, data)
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -595,6 +647,21 @@ MEASUREMENTS_HEADER = ["control_id", "level"]
 _TRUE_WORDS = {"true", "yes"}
 _FALSE_WORDS = {"false", "no"}
 
+# Characters of CSV text per io.StringIO that csv.reader reads, since one holds its text again at 4 bytes per character.
+_CSV_CHUNK = 1 << 20
+
+
+def _csv_lines(text: str) -> Iterator[str]:
+    """The lines io.StringIO(text, newline="") yields, read from pieces of about _CSV_CHUNK characters.
+
+    Each piece but the last ends just after a "\n", so no line, and no "\r\n", is cut.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CSV_CHUNK - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
+
 
 def _read_csv(path: str | os.PathLike, header: list[str], read_row: Callable[..., None]) -> None:
     """Check the header, then call `read_row` with the stripped cells of each non-blank row.
@@ -605,7 +672,7 @@ def _read_csv(path: str | os.PathLike, header: list[str], read_row: Callable[...
     the line it was found on.
     """
     source = str(path)
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(_csv_lines(read_text(path)))
     line = 1  # where the record being read starts
     try:
         first = next(reader, None)

@@ -182,9 +182,6 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
          "pass either --ratings or --fixed-level, not both"),
         (("compare-modes", "--survey", "{missing}/s.csv", *ASSESS_FILES),
          "compare-modes needs --ratings or --fixed-level"),
-        (("minimums", "build", "--mode", "risk", *MINIMUMS_FILES), "risk mode needs --ratings"),
-        (("minimums", "build", "--mode", "fixed:3", "--ratings", "{missing}/r.csv", *MINIMUMS_FILES),
-         "--ratings only applies to risk mode"),
         # one file would hold only the text, and the structured document would be lost
         (("assess", "--mode", "model", *ONE_FILE), "--out and --out-text name the same file: {tmp}/same.txt"),
         (("assess", "--mode", "model", *ONE_FILE[:-1], "{tmp}/./same.txt"),
@@ -211,7 +208,7 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
         # an empty path names no file, and an empty optional one is not an absent one
         (("import-survey", "{missing}/survey.csv", "--out="), "--out path is empty"),
         (("stage-plan", "build", "--survey", "{missing}/s.csv", "--out="), "--out path is empty"),
-        (("minimums", "build", "--mode", "fixed:3", "--out="), "--out path is empty"),
+        (("minimums", "build", "--fixed-level", "3", "--out="), "--out path is empty"),
         (("assess", "--mode", "model", "--applicability=", "--measurements", "{missing}/m.csv"),
          "--applicability path is empty"),
         (("assess", "--mode", "model", "--measurements", "{missing}/m.csv", "--out="), "--out path is empty"),
@@ -222,7 +219,7 @@ MINIMUMS_FILES = ("--applicability", "{missing}/a.csv", "--catalog", "{missing}/
     ids=[
         "model-survey", "model-ratings", "independent-no-survey", "assess-both-minimums",
         "assess-no-minimums", "compare-modes-both-minimums", "compare-modes-no-minimums",
-        "minimums-risk-no-ratings", "minimums-fixed-with-ratings", "assess-one-file", "assess-one-file-dot",
+        "assess-one-file", "assess-one-file-dot",
         "compare-modes-one-file", "compare-modes-one-file-dot", "report-onto-itself", "report-onto-itself-dot",
         "nul-report", "nul-assess-measurements", "nul-report-out", "nul-stage-plan-diff", "nul-import-survey-into",
         "empty-import-survey-out", "empty-stage-plan-build-out", "empty-minimums-build-out",
@@ -556,7 +553,7 @@ def test_stage_plan_diff_default_against_itself(run_cli):
 def test_minimums_build_risk(run_cli, ca, tmp_path):
     out = tmp_path / "mins.json"
     code, msg, _ = run_cli(
-        "minimums", "build", "--mode", "risk",
+        "minimums", "build",
         "--ratings", ca["ratings"], "--applicability", ca["applicability"], "--out", out,
     )
     assert code == 0
@@ -569,22 +566,53 @@ def test_minimums_build_risk(run_cli, ca, tmp_path):
 
 def test_minimums_build_fixed(run_cli, tmp_path):
     out = tmp_path / "mins.json"
-    code, msg, _ = run_cli("minimums", "build", "--mode", "fixed:4", "--out", out)
+    code, msg, _ = run_cli("minimums", "build", "--fixed-level", "4", "--out", out)
     assert code == 0
     assert "114 requirements (mode fixed:4, 0 excluded)" in msg
 
 
-def test_minimums_build_flag_combinations(run_cli, ca, tmp_path):
-    out = tmp_path / "mins.json"
-    code, _, err = run_cli("minimums", "build", "--mode", "risk", "--out", out)
-    assert code == 64 and "needs --ratings" in err
-    code, _, err = run_cli(
-        "minimums", "build", "--mode", "fixed:3", "--ratings", ca["ratings"], "--out", out
-    )
-    assert code == 64 and "only applies to risk mode" in err
-    for mode in ("sometimes", "fixed:0", "fixed:9", "fixed:\u0663", "fixed:03"):
-        code, _, err = run_cli("minimums", "build", "--mode", mode, "--out", out)
-        assert code == 64 and "risk or fixed:<level>" in err
+# ---------------------------------------------------------------------------
+# The minimum-source rule: each command that takes minimums takes exactly one of --ratings and --fixed-level
+
+# each command, as its usage line names it: its command line without a minimum source, every input missing, and the
+# words that name who needs one
+MINIMUM_SOURCE_COMMANDS = {
+    "assess": (("assess", "--mode", "independent", "--survey", "{missing}/s.csv", *ASSESS_FILES), "independent mode"),
+    "compare-modes": (("compare-modes", "--survey", "{missing}/s.csv", *ASSESS_FILES), "compare-modes"),
+    "minimums build": (("minimums", "build", *MINIMUMS_FILES), "minimums build"),
+}
+
+
+@pytest.mark.parametrize("command", MINIMUM_SOURCE_COMMANDS, ids=lambda command: command.replace(" ", "-"))
+@pytest.mark.parametrize(
+    ("source", "message"),
+    [
+        (("--ratings", "{missing}/r.csv", "--fixed-level", "3"),
+         "usage error: pass either --ratings or --fixed-level, not both\n"),
+        ((), "usage error: {what} needs --ratings or --fixed-level\n"),
+        (("--fixed-level", "0"), "{prog}: error: argument --fixed-level: maturity level 0 outside 1..5\n"),
+        (("--fixed-level", "9"), "{prog}: error: argument --fixed-level: maturity level 9 outside 1..5\n"),
+        (("--fixed-level", "x"), "{prog}: error: argument --fixed-level: maturity level 'x' is not an integer\n"),
+        (("--fixed-level", "٣"),
+         "{prog}: error: argument --fixed-level: maturity level '٣' is not an integer\n"),
+    ],
+    ids=["both", "neither", "level-0", "level-9", "level-x", "level-arabic-3"],
+)
+def test_the_minimum_source_rule_is_one_rule_on_every_command(run_cli, tmp_path, command, source, message):
+    argv, what = MINIMUM_SOURCE_COMMANDS[command]
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in (*argv, *source)))
+    assert (code, out) == (64, "")
+    assert err.endswith(message.format(what=what, prog=f"ismaturity {command}"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_minimums_build_takes_no_mode(run_cli, ca, tmp_path):
+    # risk mode follows from --ratings, fixed mode from --fixed-level
+    code, out, err = run_cli("minimums", "build", "--mode", "risk", "--ratings", ca["ratings"], "--out", tmp_path / "m")
+    assert (code, out) == (64, "")
+    assert err.endswith("error: unrecognized arguments: --mode risk\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +703,7 @@ INPUTS_AT = {
          "--out names the --importance file being read: {d}/db"),
         (("stage-plan", "diff", "default", "{d}/plan", "--out", "{d}/plan"),
          "--out names the plan_b being read: {d}/plan"),
-        (("minimums", "build", "--mode", "risk", "--ratings", "{d}/ratings", "--applicability", "{d}/applicability",
+        (("minimums", "build", "--ratings", "{d}/ratings", "--applicability", "{d}/applicability",
           "--out", "{d}/applicability"), "--out names the --applicability file being read: {d}/applicability"),
         (("assess", "--mode", "independent", "--survey", "{d}/survey", "--ratings", "{d}/ratings",
           "--measurements", "{d}/measurements", "--out", "{d}/out", "--out-text", "{d}/measurements"),
@@ -865,7 +893,7 @@ def written_document(run_cli, ca, tmp_path, kind):
         return path, ("report", path)
     if kind == "catalog":
         path.write_text(canonical_json(catalog_document(ismaturity.default_catalog())), encoding="utf-8")
-        return path, ("minimums", "build", "--mode", "fixed:3", "--catalog", path, "--out", out)
+        return path, ("minimums", "build", "--fixed-level", "3", "--catalog", path, "--out", out)
     assert run_cli("import-survey", ca["survey"], "--out", path)[0] == 0
     return path, ("stage-plan", "build", "--importance", path, "--out", out)
 
@@ -1076,14 +1104,19 @@ def test_stage_plan_diff_rejects_malformed_plans(run_cli, ca, tmp_path, field, v
         lambda ca, out: ("import-survey", ca["survey"], "--out", out),
         lambda ca, out: ("stage-plan", "build", "--survey", ca["survey"], "--out", out),
         lambda ca, out: ("stage-plan", "diff", "default", "default", "--out", out),
-        lambda ca, out: ("minimums", "build", "--mode", "fixed:3", "--out", out),
+        lambda ca, out: ("minimums", "build", "--fixed-level", "3", "--out", out),
         lambda ca, out: ("report", Path(ca["measurements"]).parent / "expected" / "assess_independent.json",
                          "--out", out),
         lambda ca, out: ("compare-modes", "--survey", ca["survey"], "--ratings", ca["ratings"],
                          "--applicability", ca["applicability"], "--measurements", ca["measurements"], "--out", out),
+        # a first output that can be written is not left behind by a second that cannot
+        lambda ca, out: assess_args(ca, "--out", out.parents[1] / "ok.json", "--out-text", out),
+        lambda ca, out: ("compare-modes", "--survey", ca["survey"], "--ratings", ca["ratings"],
+                         "--applicability", ca["applicability"], "--measurements", ca["measurements"],
+                         "--out", out.parents[1] / "ok.json", "--out-text", out),
     ],
     ids=["assess", "assess-out-text", "import-survey", "stage-plan-build", "stage-plan-diff", "minimums-build",
-         "report", "compare-modes"],
+         "report", "compare-modes", "assess-out-ok", "compare-modes-out-ok"],
 )
 def test_output_into_a_missing_directory_exits_one(run_cli, ca, tmp_path, command):
     out = tmp_path / "absent" / "output"
@@ -1099,7 +1132,7 @@ def test_a_failed_rename_exits_one_and_removes_its_temp_file(run_cli, tmp_path, 
 
     monkeypatch.setattr(os, "replace", refuse)
     out = tmp_path / "minimums.json"
-    code, stdout, err = run_cli("minimums", "build", "--mode", "fixed:3", "--out", out)
+    code, stdout, err = run_cli("minimums", "build", "--fixed-level", "3", "--out", out)
     assert (code, stdout) == (1, "")
     assert err == f"input error: {out}: cannot write file: {os.strerror(errno.EXDEV)}\n"
     assert list(tmp_path.iterdir()) == []  # the temp file written before the rename is gone

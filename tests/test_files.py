@@ -1,12 +1,18 @@
 """CSV loaders, JSON document codecs, canonical serialization."""
 
+import csv
+import errno
+import io
 import json
 import os
 import stat
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ismaturity import ValidationError, load_catalog, parse_control_id
+from ismaturity import ValidationError, files, load_catalog, parse_control_id
 from ismaturity.files import (
     EXCLUDED_LABEL,
     canonical_json,
@@ -27,6 +33,7 @@ from ismaturity.files import (
     read_minimum_db_file,
     stage_plan_document,
     stage_plan_from_document,
+    write_all,
     write_text_atomic,
 )
 from ismaturity.minimums import ApplicabilityMap, FixedMinimums, RiskGrade, build_minimum_db
@@ -214,6 +221,43 @@ def test_csv_row_errors_name_file_and_row(tmp_path, loader, text, error):
     assert str(err.value) == f"{path}, {error}"
 
 
+def rows_and_line_numbers(lines):
+    """Each row csv.reader reads from `lines` with its line_num, and the csv.Error that ends them, if one does."""
+    reader = csv.reader(lines)
+    read = []
+    try:
+        for row in reader:
+            read.append((row, reader.line_num))
+    except csv.Error as exc:
+        read.append((str(exc), reader.line_num))
+    return read
+
+
+# the CSV reader gets the text in pieces; no piece boundary may move a line end, however the text is cut
+@given(text=st.text(alphabet='a,"\r\n\u2028\x85'), chunk=st.integers(min_value=1, max_value=8))
+@example(text='a,"\r\n"\r\n\ra\n', chunk=1)
+def test_the_csv_reader_reads_pieces_of_the_text_as_the_whole(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(files, "_CSV_CHUNK", chunk)
+        lines = list(files._csv_lines(text))
+    assert lines == list(io.StringIO(text, newline=""))
+    assert rows_and_line_numbers(lines) == rows_and_line_numbers(io.StringIO(text, newline=""))
+
+
+def test_a_csv_is_held_once_while_it_is_read(monkeypatch):
+    text = "respondent_id,control_id,score\n" + "".join(f"r{i},A.5.1.{i % 9 + 1},{i % 5 + 1}\n" for i in range(20_000))
+    # read_text's decode briefly holds the file's bytes beside its text; what is measured is the reading of the text
+    monkeypatch.setattr(files, "read_text", lambda path: text)
+    monkeypatch.setattr(files, "_CSV_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        files._read_csv("survey.csv", files.SURVEY_HEADER, lambda *cells: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) + peak < 2 * len(text)  # the text itself, plus all that reading it took
+
+
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
@@ -296,6 +340,31 @@ def test_write_text_atomic_leaves_no_temp_files(tmp_path):
     write_text_atomic(target, "payload 2")  # overwrite in place
     assert target.read_text(encoding="utf-8") == "payload 2"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_all_puts_back_every_output_before_the_one_that_fails(tmp_path):
+    existing, created, linked = tmp_path / "existing", tmp_path / "created", tmp_path / "linked"
+    existing.write_bytes(b"earlier \xff bytes")
+    linked.symlink_to("target")  # names no file yet: writing through it creates the target
+    with pytest.raises(ValidationError) as raised:
+        write_all([(existing, "new"), (created, "new"), (linked, "new"), (tmp_path / "missing" / "out", "new")])
+    assert str(raised.value).startswith(f"{tmp_path / 'missing' / 'out'}: cannot write file: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "linked"]
+    assert existing.read_bytes() == b"earlier \xff bytes" and os.readlink(linked) == "target"
+
+
+def test_write_all_writes_nothing_over_an_output_it_cannot_read(tmp_path, monkeypatch):
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"earlier")
+
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(files, "open", unreadable, raising=False)  # as for a file without read permission
+    with pytest.raises(ValidationError) as raised:
+        write_all([(existing, "new"), (tmp_path / "second", "new")])
+    assert str(raised.value) == f"{existing}: cannot write file: {os.strerror(errno.EACCES)}"
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"] and existing.read_bytes() == b"earlier"
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ COMMANDS = {
     "stage-plan-build-importance": ["stage-plan", "build", "--importance", "@importance", "--out", "@out"],
     "stage-plan-diff": ["stage-plan", "diff", "default", "@plan", "--out", "@out"],
     "minimums-build": [
-        "minimums", "build", "--mode", "risk", "--ratings", "@ratings", "--applicability", "@applicability",
+        "minimums", "build", "--ratings", "@ratings", "--applicability", "@applicability",
         "--catalog", "@catalog", "--out", "@out",
     ],
     "assess-independent": [

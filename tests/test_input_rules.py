@@ -243,7 +243,7 @@ def test_a_catalog_file_naming_a_control_twice_exits_one(run_cli, tmp_path):
     document["controls"].append(dict(document["controls"][0], id="5.1.1"))
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    code, out, err = run_cli("minimums", "build", "--mode", "fixed:3", "--catalog", path, "--out", tmp_path / "m.json")
+    code, out, err = run_cli("minimums", "build", "--fixed-level", "3", "--catalog", path, "--out", tmp_path / "m.json")
     assert (code, out) == (1, "")
     assert err == f"input error: {path}: 'controls' names control A.5.1.1 twice\n"
 
@@ -280,7 +280,7 @@ def test_one_unknown_control_rule_for_every_csv_input(run_cli, ca_paths, tmp_pat
     [
         ["assess", "--mode", "model", "--measurements", "{measurements}"],
         ["compare-modes", "--survey", "{survey}", "--fixed-level", "3", "--measurements", "{measurements}"],
-        ["minimums", "build", "--mode", "fixed:3", "--out", "{out}"],
+        ["minimums", "build", "--fixed-level", "3", "--out", "{out}"],
         ["stage-plan", "build", "--survey", "{survey}", "--out", "{out}"],
     ],
     ids=["assess", "compare-modes", "minimums-build", "stage-plan-build"],

@@ -100,7 +100,7 @@ CASES = (
          " --out stage_plan.json", _same("stage_plan.json"), stdout="stage_plan_build.stdout"),
     Case("stage_plan_diff", "stage-plan diff default stage_plan.json --out stage_plan_diff.json",
          _same("stage_plan_diff.json"), stdout="stage_plan_diff.stdout", reads=("stage_plan.json",)),
-    Case("minimums_risk", "minimums build --mode risk --ratings ratings.csv --applicability applicability.csv"
+    Case("minimums_risk", "minimums build --ratings ratings.csv --applicability applicability.csv"
          " --out minimums_risk.json", _same("minimums_risk.json"), stdout="minimums_risk.stdout"),
     # a complete survey warns of nothing
     Case("import_survey", "import-survey survey.csv --out import_survey.json", _same("import_survey.json"),
